@@ -9,7 +9,8 @@ selftest  a fast pass over every suite.
 
 Output on stdout (or --out) is deterministic byte for byte; timings and
 other diagnostics go to stderr.  Exit status: 0 all checks pass, 1 a
-check failed, 2 usage error.
+check failed or an exact computation broke down (a failed solve, a pole),
+2 usage error.
 """
 
 import argparse
@@ -23,12 +24,12 @@ from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 
 from . import pbw, verify
-from .presets import preset, reverse, tuples_with_weight, weights_up_to
+from .presets import (
+    ALGEBRAS, KIND_ALGEBRA, preset, reverse, tuples_with_weight, weights_up_to,
+)
 from .qfield import canonical_string, parse as parse_coefficient
 
-ALGEBRAS = ("A2", "C2", "G2")
 KINDS = ("gamma", "phi", "R", "K", "F")
-_KIND_ALGEBRA = {"R": "A2", "K": "C2", "F": "G2"}
 SUITES = ("tetra", "reflect3d", "theorem", "props", "intertwine")
 
 
@@ -139,7 +140,7 @@ def compute_records(algebra, kind, inp=None, max_height=None):
         raise UsageError(f"unknown algebra {algebra!r}")
     if kind not in KINDS:
         raise UsageError(f"unknown kind {kind!r}")
-    want = _KIND_ALGEBRA.get(kind)
+    want = KIND_ALGEBRA.get(kind)
     if want is not None and want != algebra:
         raise UsageError(f"kind {kind} belongs to {want}, not {algebra}")
     p = preset(algebra)
@@ -347,12 +348,12 @@ def main(argv=None):
                                args.max_occ, args.mode, workers)
             return _report_exit([report], args.out)
         return _report_exit(verify.selftest(), args.out)
-    except UsageError as e:
+    except (UsageError, ValueError) as e:
         print(f"qpbw: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except ArithmeticError as e:
         print(f"qpbw: {e}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,9 +12,12 @@ The checked table composes Phi with full reversal of the input slots;
 depending on the algebra it is the R, K or F family of coefficients.
 """
 
-from .qfield import canonical_string, d_norm, poly_divexact, poly_gcd
+from .qfield import (
+    RationalFunction, canonical_string, d_norm, poly_divexact, poly_gcd,
+)
 from .presets import (
-    ONE, ZERO, preset, reverse, rf, tuples_with_weight, weights_up_to,
+    ALGEBRA_KIND, ONE, ZERO, preset, reverse, rf, tuples_with_weight,
+    weights_up_to,
 )
 from .fock import xi_matrix
 
@@ -93,7 +96,8 @@ class PhiTable:
     Block rows are word-2 tuples (outputs), columns word-1 tuples (inputs),
     both in ascending lexicographic order; blocks are keyed by the
     conserved pair.  tilde_block holds the plain-power normalization,
-    block the divided-power one.
+    block the divided-power one; both are built once per weight and shared
+    by every later call, so callers must not mutate them.
     """
 
     def __init__(self, name, max_height=0):
@@ -101,6 +105,7 @@ class PhiTable:
         self.preset = preset(name)
         self.max_height = 0
         self._tilde = {}
+        self._divided = {}
         self.extend(max_height)
 
     def extend(self, max_height):
@@ -170,12 +175,22 @@ class PhiTable:
 
     def block(self, weight):
         """Divided-power normalization: Phi = tilde Phi * prod d-ratios."""
+        got = self._divided.get(weight)
+        if got is None:
+            got = self._divided_block(weight)
+            self._divided[weight] = got
+        return got
+
+    def _divided_block(self, weight):
         rows, cols, tilde = self.tilde_block(weight)
         row_fac = {C: self._d_factor(2, C) for C in rows}
         col_fac = {B: self._d_factor(1, B) for B in cols}
         entries = {}
         for (C, B), v in tilde.items():
-            entries[(C, B)] = v * row_fac[C] / col_fac[B]
+            r, c = row_fac[C], col_fac[B]
+            # v * r / c with a single normalization
+            entries[(C, B)] = RationalFunction(v.num * r.num * c.den,
+                                               v.den * r.den * c.num)
         return rows, cols, entries
 
     def phi_tilde(self, C, B):
@@ -198,9 +213,6 @@ def compute_phi(name, max_height):
     return PhiTable(name, max_height)
 
 
-_KIND = {"A2": "R", "C2": "K", "G2": "F"}
-
-
 class CheckedTable:
     """Phi composed with full reversal of the input slots.
 
@@ -214,7 +226,7 @@ class CheckedTable:
         if phi.name != name:
             raise ValueError(f"table for {phi.name} used as {name}")
         self.name = name
-        self.kind = _KIND[name]
+        self.kind = ALGEBRA_KIND[name]
         self.phi = phi
 
     def entry(self, out_t, in_t):

@@ -34,6 +34,9 @@ from .qfield import (
 )
 
 ALGEBRAS = ("A2", "C2", "G2")
+# Kind of each algebra's checked table: R (tetrahedron), K (3D reflection), F.
+KIND_ALGEBRA = {"R": "A2", "K": "C2", "F": "G2"}
+ALGEBRA_KIND = {a: k for k, a in KIND_ALGEBRA.items()}
 
 
 def rf(x):
@@ -155,9 +158,6 @@ class AlgebraPreset:
         self.sigma_polys = sigma_polys          # {(node, tag): t-polynomial}
         self.pi_matrix = pi_matrix              # {node: NxN mode-op sums}
         self.n_gen = n_gen
-
-    def qi(self, node):
-        return self.d[node]
 
     def lam(self, node):
         """lambda_i = (1 - q_i^2)^{-1}."""

@@ -180,20 +180,6 @@ class LaurentPoly:
         r.c = {e + k: v for e, v in self.c.items()}
         return r
 
-    def bar(self):
-        """Substitute q -> q^-1."""
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.c = {-e: v for e, v in self.c.items()}
-        return r
-
-    def subs_power(self, k):
-        """Substitute q -> q^k (k a nonzero integer)."""
-        if k == 1:
-            return self
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.c = {e * k: v for e, v in self.c.items()}
-        return r
-
     # -- evaluation ----------------------------------------------------
 
     def eval_at(self, q0):
@@ -685,15 +671,6 @@ def rf_to_str(r):
     return f"({lp_to_str(r.num)})/({lp_to_str(r.den)})"
 
 
-def parse_rational(text):
-    text = text.strip()
-    m = re.fullmatch(r"\((?P<num>[^()]*)\)/\((?P<den>[^()]*)\)", text)
-    if m:
-        return RationalFunction(parse_laurent(m.group("num")), parse_laurent(m.group("den")))
-    return RationalFunction.from_laurent(parse_laurent(text))
-
-
-# public aliases matching the operation names used by callers
 def canonical_string(x):
     """Canonical text form of a LaurentPoly or RationalFunction."""
     if isinstance(x, LaurentPoly):
@@ -703,7 +680,11 @@ def canonical_string(x):
 
 def parse(text):
     """Parse a canonical string back to a RationalFunction."""
-    return parse_rational(text)
+    text = text.strip()
+    m = re.fullmatch(r"\((?P<num>[^()]*)\)/\((?P<den>[^()]*)\)", text)
+    if m:
+        return RationalFunction(parse_laurent(m.group("num")), parse_laurent(m.group("den")))
+    return RationalFunction.from_laurent(parse_laurent(text))
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +698,6 @@ def q_int(m, d=1):
     if m == 0:
         return _LP_ZERO
     return LaurentPoly({d * (m - 1 - 2 * t): 1 for t in range(m)})
-
-
-def q_int_rf(m, d=1):
-    return RationalFunction.from_laurent(q_int(m, d))
 
 
 def q_factorial(m, d=1):

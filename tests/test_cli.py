@@ -169,6 +169,21 @@ def test_failing_suite_exits_one(monkeypatch, capsys):
     assert out == "FAIL tetrahedron:occ1-exact  [state (1,)]\n"
 
 
+@pytest.mark.parametrize("exc", [
+    ArithmeticError("C2 block (3, 2): inconsistent system at row 7"),
+    ZeroDivisionError("pole at q = 1/3"),
+])
+def test_arithmetic_error_exits_one(monkeypatch, capsys, exc):
+    def broken(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "compute_records", broken)
+    rc, out, err = run(["compute", "--algebra", "C2", "--kind", "K",
+                        "--in", "2,1,1,0"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == f"qpbw: {exc}\n"
+
+
 # ---------------------------------------------------------------------------
 # verify dispatch and config
 

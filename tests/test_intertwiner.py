@@ -221,3 +221,33 @@ def test_pbw_expansion_identity_c2():
     assert len(rec["terms"]) == 6
     by_input = {I: c for I, _, c in rec["terms"]}
     assert val(by_input[(2, 1, 1, 0)]) == val("-q^4*(1-q^8+q^14)")
+
+
+# ---------------------------------------------------------------------------
+# the divided-power block against the per-entry rescale it replaces
+
+DIFF_HEIGHTS = (("A2", 6), ("C2", 5), ("G2", 3))
+
+
+def _rescaled_the_old_way(phi, weight):
+    _, _, tilde = phi.tilde_block(weight)
+    return {(C, B): v * phi._d_factor(2, C) / phi._d_factor(1, B)
+            for (C, B), v in tilde.items()}
+
+
+@pytest.mark.parametrize("name,hmax", DIFF_HEIGHTS)
+def test_block_matches_two_step_rescale(name, hmax):
+    phi = PhiTable(name)
+    weights = list(weights_up_to(name, hmax))
+    for w in weights:
+        rows, cols, ent = phi.block(w)
+        assert phi.block(w) is phi.block(w)
+        assert (rows, cols) == phi.tilde_block(w)[:2]
+        want = _rescaled_the_old_way(phi, w)
+        assert ent == want, (name, w)
+        assert ({k: canonical_string(v) for k, v in ent.items()}
+                == {k: canonical_string(v) for k, v in want.items()})
+    # blocks requested in the opposite order come out the same
+    fresh = PhiTable(name)
+    for w in reversed(weights):
+        assert fresh.block(w) == phi.block(w), (name, w)

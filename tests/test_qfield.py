@@ -214,3 +214,44 @@ def test_eval_is_homomorphism(a, b):
 @settings(max_examples=60)
 def test_divexact_inverts_mul(a, b):
     assert poly_divexact(a * b, b) == a
+
+
+# ---------------------------------------------------------------------------
+# one normalisation of a product against the normalised factors, and sympy
+# ---------------------------------------------------------------------------
+
+def _to_sympy(p):
+    import sympy
+    q = sympy.Symbol("q")
+    return sum((sympy.Rational(v.numerator, v.denominator) * q ** e
+                for e, v in p.c.items()), sympy.Integer(0))
+
+
+def _assert_reduced_like_sympy(r, num, den):
+    """r is num/den, and no polynomial factor is left between its parts."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    want = sympy.cancel(_to_sympy(num) / _to_sympy(den))
+    assert sympy.cancel(_to_sympy(r.num) / _to_sympy(r.den) - want) == 0
+    common = sympy.gcd(_to_sympy(r.num.shift(-r.num.valuation())),
+                       _to_sympy(r.den))
+    assert sympy.degree(common, q) == 0
+
+
+@given(laurents(), laurents(allow_zero=False),
+       laurents(), laurents(allow_zero=False))
+@settings(max_examples=60, deadline=None)
+def test_single_normalisation_of_product(n1, d1, n2, d2):
+    once = RationalFunction(n1 * n2, d1 * d2)
+    assert once == RationalFunction(n1, d1) * RationalFunction(n2, d2)
+    _assert_reduced_like_sympy(once, n1 * n2, d1 * d2)
+
+
+@given(rationals(), rationals(), rationals())
+@settings(max_examples=60, deadline=None)
+def test_single_normalisation_of_rescale(v, r, c):
+    # the form PhiTable.block uses for v * r / c
+    if c.is_zero():
+        return
+    once = RationalFunction(v.num * r.num * c.den, v.den * r.den * c.num)
+    assert once == v * r / c

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpbw import verify
+from qpbw import cli, verify
 from qpbw.presets import ONE, preset, zero_tuple
 from qpbw import fock
 
@@ -125,6 +125,24 @@ def test_tetrahedron_exact_mode():
     r = verify.verify_tetrahedron(max_occ=1, exact_occ=0, mode="exact")
     assert r.passed
     assert any(c.check_id == "occ1-exact" for c in r.checks)
+
+
+@pytest.mark.parametrize("occ", [0, 1, 2])
+def test_tetrahedron_exact_bound_met_once(occ):
+    r = verify.verify_tetrahedron(max_occ=occ, exact_occ=occ, mode="exact")
+    assert r.passed
+    ids = [c.check_id for c in r.checks]
+    assert ids.count(f"occ{occ}-exact") == 1
+
+
+@pytest.mark.parametrize("suite,max_occ", [
+    ("tetra", 1), ("reflect3d", 1), ("theorem", None), ("props", 0),
+    ("intertwine", 0),
+])
+def test_check_ids_unique_in_exact_mode(suite, max_occ):
+    r = cli.run_suite(suite, max_height=2, max_occ=max_occ, mode="exact")
+    ids = [c.check_id for c in r.checks]
+    assert len(ids) == len(set(ids)), ids
 
 
 def test_reflection_smoke():
