@@ -24,7 +24,7 @@ an honest operator with finite-support columns.
 
 from functools import lru_cache
 
-from .qfield import LaurentPoly, d_norm
+from .qfield import LaurentPoly, d_norm, sum_products
 from .presets import preset, rf, ONE, qpow, qfact, tuples_with_weight
 
 
@@ -97,16 +97,8 @@ def _mono_mul_word(start, atoms, d):
     """Right-multiply by a product of atoms; returns {mono: coeff}."""
     cur = {start: ONE}
     for atom in atoms:
-        nxt = {}
-        for mono, c in cur.items():
-            for c2, m2 in _mono_mul_atom(mono, atom, d):
-                s = nxt.get(m2)
-                s = c * c2 if s is None else s + c * c2
-                if s.num.is_zero():
-                    nxt.pop(m2, None)
-                else:
-                    nxt[m2] = s
-        cur = nxt
+        cur = sum_products((m2, c, c2) for mono, c in cur.items()
+                           for c2, m2 in _mono_mul_atom(mono, atom, d))
     return cur
 
 
@@ -140,6 +132,15 @@ def _mono_apply(mono, m, d):
 # operators on tensor products: {tuple of slot monomials: coefficient}
 
 
+def _slotwise(slot_sums):
+    """Expand a product of one-slot sums {mono: coeff} into (monos, coeff)."""
+    expanded = [((), ONE)]
+    for prod in slot_sums:
+        expanded = [(monos + (m2,), c * c2) for monos, c in expanded
+                    for m2, c2 in prod.items()]
+    return expanded
+
+
 def op_identity(length):
     return {((0, 0, 0),) * length: ONE}
 
@@ -152,38 +153,22 @@ def op_scale(op, c):
 
 
 def op_add(*ops):
-    out = {}
-    for op in ops:
-        for m, v in op.items():
-            s = out.get(m)
-            s = v if s is None else s + v
-            if s.num.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return out
+    return sum_products((m, v, ONE) for op in ops for m, v in op.items())
 
 
 def op_mul(name, word, xop, yop):
     """Operator product x . y (y acts first)."""
     profile = _profile(name, letters_arg(name, word))
-    out = {}
-    for mx, cx in xop.items():
-        for my, cy in yop.items():
-            terms = [(cx * cy, ())]
-            for s, d in enumerate(profile):
-                prod = _mono_mul(mx[s], my[s], d)
-                terms = [(c * c2, monos + (m2,))
-                         for c, monos in terms
-                         for m2, c2 in prod.items()]
-            for c, monos in terms:
-                s = out.get(monos)
-                s = c if s is None else s + c
-                if s.num.is_zero():
-                    out.pop(monos, None)
-                else:
-                    out[monos] = s
-    return out
+
+    def terms():
+        for mx, cx in xop.items():
+            for my, cy in yop.items():
+                cxy = cx * cy
+                for monos, c in _slotwise(_mono_mul(a, b, d) for a, b, d
+                                          in zip(mx, my, profile)):
+                    yield monos, cxy, c
+
+    return sum_products(terms())
 
 
 def op_from_terms(name, word, terms):
@@ -194,25 +179,18 @@ def op_from_terms(name, word, terms):
     """
     w = letters_arg(name, word)
     profile = _profile(name, w)
-    out = {}
-    for coeff, factors in terms:
-        slot_atoms = [[] for _ in w]
-        for slot, atom in factors:
-            slot_atoms[slot - 1].append(atom)
-        expanded = [(rf(coeff), ())]
-        for s, d in enumerate(profile):
-            prod = _mono_mul_word((0, 0, 0), slot_atoms[s], d)
-            expanded = [(c * c2, monos + (m2,))
-                        for c, monos in expanded
-                        for m2, c2 in prod.items()]
-        for c, monos in expanded:
-            s = out.get(monos)
-            s = c if s is None else s + c
-            if s.num.is_zero():
-                out.pop(monos, None)
-            else:
-                out[monos] = s
-    return out
+
+    def products():
+        for coeff, factors in terms:
+            slot_atoms = [[] for _ in w]
+            for slot, atom in factors:
+                slot_atoms[slot - 1].append(atom)
+            coeff = rf(coeff)
+            for monos, c in _slotwise(_mono_mul_word((0, 0, 0), atoms, d)
+                                      for atoms, d in zip(slot_atoms, profile)):
+                yield monos, coeff, c
+
+    return sum_products(products())
 
 
 @lru_cache(maxsize=None)
@@ -234,29 +212,22 @@ def apply_op(name, word, op, vec, tilde=False):
     normalization |A>>.
     """
     profile = _profile(name, letters_arg(name, word))
-    out = {}
-    for A, cA in vec.items():
-        for monos, c in op.items():
-            coeff = c * cA
-            occ = []
-            dead = False
-            for s, d in enumerate(profile):
-                r = _slot_factor(monos[s], A[s], d, tilde)
-                if r is None:
-                    dead = True
-                    break
-                coeff = coeff * r[0]
-                occ.append(r[1])
-            if dead:
-                continue
-            B = tuple(occ)
-            s = out.get(B)
-            s = coeff if s is None else s + coeff
-            if s.num.is_zero():
-                out.pop(B, None)
-            else:
-                out[B] = s
-    return out
+
+    def terms():
+        for A, cA in vec.items():
+            for monos, c in op.items():
+                coeff = cA
+                occ = []
+                for s, d in enumerate(profile):
+                    r = _slot_factor(monos[s], A[s], d, tilde)
+                    if r is None:
+                        break
+                    coeff = coeff * r[0]
+                    occ.append(r[1])
+                else:
+                    yield tuple(occ), c, coeff
+
+    return sum_products(terms())
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +240,9 @@ def _entry_terms(name, node, j, k):
     p = preset(name)
     entry = p.pi_matrix[node][j - 1][k - 1]
     d = p.d[node]
-    out = {}
-    for coeff, atoms in entry:
-        for mono, c in _mono_mul_word((0, 0, 0), atoms, d).items():
-            s = out.get(mono)
-            s = coeff * c if s is None else s + coeff * c
-            if s.num.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-    return tuple(out.items())
+    return tuple(sum_products(
+        (mono, coeff, c) for coeff, atoms in entry
+        for mono, c in _mono_mul_word((0, 0, 0), atoms, d).items()).items())
 
 
 def pi_generator(name, word, j, k):
@@ -288,25 +252,22 @@ def pi_generator(name, word, j, k):
     if not (1 <= j <= n and 1 <= k <= n):
         raise ValueError(f"generator index ({j},{k}) outside 1..{n}")
     w = letters_arg(name, word)
-    out = {}
-    stack = [(0, j, ONE, ())]
-    while stack:
-        pos, cur, coeff, monos = stack.pop()
-        if pos == len(w):
-            if cur == k:
-                s = out.get(monos)
-                s = coeff if s is None else s + coeff
-                if s.num.is_zero():
-                    out.pop(monos, None)
-                else:
-                    out[monos] = s
-            continue
-        for nxt in range(1, n + 1):
-            if not p.pi_matrix[w[pos]][cur - 1][nxt - 1]:
+
+    def paths():
+        stack = [(0, j, ONE, ())]
+        while stack:
+            pos, cur, coeff, monos = stack.pop()
+            if pos == len(w):
+                if cur == k:
+                    yield monos, coeff, ONE
                 continue
-            for mono, c in _entry_terms(name, w[pos], cur, nxt):
-                stack.append((pos + 1, nxt, coeff * c, monos + (mono,)))
-    return out
+            for nxt in range(1, n + 1):
+                if not p.pi_matrix[w[pos]][cur - 1][nxt - 1]:
+                    continue
+                for mono, c in _entry_terms(name, w[pos], cur, nxt):
+                    stack.append((pos + 1, nxt, coeff * c, monos + (mono,)))
+
+    return sum_products(paths())
 
 
 def _t_polynomial_op(name, word, tpoly):

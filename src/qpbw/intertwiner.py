@@ -13,7 +13,8 @@ depending on the algebra it is the R, K or F family of coefficients.
 """
 
 from .qfield import (
-    RationalFunction, canonical_string, d_norm, poly_divexact, poly_gcd,
+    LaurentPoly, RationalFunction, canonical_string, poly_divexact, poly_gcd,
+    sum_products,
 )
 from .presets import (
     ALGEBRA_KIND, ONE, ZERO, preset, reverse, rf, tuples_with_weight,
@@ -142,16 +143,11 @@ class PhiTable:
             _, _, mp_ent = xi_matrix(self.name, 2, i, below)
             for A in src_cols:
                 prows.append([m_ent.get((B, A), ZERO) for B in cols])
-                qrow = []
-                for C in rows:
-                    acc = ZERO
-                    for D in srows:
-                        u = mp_ent.get((C, D))
-                        v = prev_ent.get((D, A))
-                        if u is not None and v is not None:
-                            acc = acc + u * v
-                    qrow.append(acc)
-                qrows.append(qrow)
+                sums = sum_products(
+                    (C, mp_ent[(C, D)], prev_ent[(D, A)])
+                    for D in srows if (D, A) in prev_ent
+                    for C in rows if (C, D) in mp_ent)
+                qrows.append([sums.get(C, ZERO) for C in rows])
         try:
             Y = solve_exact(prows, qrows)
         except ArithmeticError as exc:
@@ -166,12 +162,18 @@ class PhiTable:
         return rows, cols, entries
 
     def _d_factor(self, label, t):
-        w = self.preset.word(label)
-        out = ONE
-        for m, node in zip(t, w):
+        """prod_k d_norm(t_k, d_k), formed with a single normalisation.
+
+        Each d_norm(m, d) is q^(-d m(m-1)/2) / (1 - q^(2d))^m, so the
+        product is one monomial over one product of powers.
+        """
+        shift, den = 0, LaurentPoly.one()
+        for m, node in zip(t, self.preset.word(label)):
             if m:
-                out = out * d_norm(m, self.preset.d[node])
-        return out
+                d = self.preset.d[node]
+                shift -= d * (m * (m - 1) // 2)
+                den = den * LaurentPoly({0: 1, 2 * d: -1}) ** m
+        return RationalFunction(LaurentPoly.qpow(shift), den)
 
     def block(self, weight):
         """Divided-power normalization: Phi = tilde Phi * prod d-ratios."""

@@ -16,7 +16,7 @@ gamma, whose entries are integer polynomials in q.
 
 from functools import lru_cache
 
-from .qfield import q_factorial
+from .qfield import q_factorial, sum_products
 from .presets import (
     preset, rf, ONE, reverse, serre_relations,
     tuples_with_weight, weights_up_to, zero_tuple,
@@ -36,33 +36,21 @@ def mul_letter(name, v, letter, side="right"):
         rule = p.left_rules[letter]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    out = {}
-    for t, c in v.items():
-        for coeff, u in rule(t):
-            s = out.get(u)
-            s = coeff * c if s is None else s + coeff * c
-            if s.num.is_zero():
-                out.pop(u, None)
-            else:
-                out[u] = s
-    return out
+    return sum_products((u, coeff, c) for t, c in v.items()
+                        for coeff, u in rule(t))
 
 
 def mul_word_expr(name, v, wp, side="right"):
     """v . wp (side right) or wp . v (side left) for a word expression wp."""
-    total = {}
-    for w, c in wp.items():
-        cur = v
-        for i in (w if side == "right" else reverse(w)):
-            cur = mul_letter(name, cur, i, side)
-        for t, x in cur.items():
-            s = total.get(t)
-            s = x * c if s is None else s + x * c
-            if s.num.is_zero():
-                total.pop(t, None)
-            else:
-                total[t] = s
-    return total
+    def terms():
+        for w, c in wp.items():
+            cur = v
+            for i in (w if side == "right" else reverse(w)):
+                cur = mul_letter(name, cur, i, side)
+            for t, x in cur.items():
+                yield t, x, c
+
+    return sum_products(terms())
 
 
 def normal_order(name, wp):
@@ -110,33 +98,36 @@ def build_pbw(name, label, A):
 # left-multiplication matrices
 
 
-def rho_matrix(name, label, letter, weight):
-    """Matrix of left multiplication by e_letter on tilde monomials.
-
-    Returns (rows, cols, entries): cols are the word-`label` tuples of the
-    source weight, rows those of the weight incremented by the letter's
-    root, entries a dict {(row tuple, col tuple) -> coefficient}.
+def rho_column(name, label, letter, A):
+    """Left multiplication by e_letter on one tilde monomial: {tuple: coeff}.
 
     Word 2 reads the left rules directly; word 1 conjugates the word-2
     right rules by the reversing anti-involution, since
     e_i . E^A_1 = chi(E^{rev A}_2 . e_i).
     """
     p = preset(name)
+    if label == 2:
+        terms = p.left_rules[letter](A)
+    else:
+        terms = [(c, reverse(t)) for c, t in p.right_rules[letter](reverse(A))]
+    return sum_products((t, coeff, ONE) for coeff, t in terms)
+
+
+def rho_matrix(name, label, letter, weight):
+    """Matrix of left multiplication by e_letter on tilde monomials.
+
+    Returns (rows, cols, entries): cols are the word-`label` tuples of the
+    source weight, rows those of the weight incremented by the letter's
+    root, entries a dict {(row tuple, col tuple) -> coefficient} holding
+    the rho_column of every col.
+    """
+    p = preset(name)
     cols = tuples_with_weight(name, label, weight)
     inc = p.letter_increment(letter)
     target = (weight[0] + inc[0], weight[1] + inc[1])
     rows = tuples_with_weight(name, label, target)
-    entries = {}
-    for A in cols:
-        if label == 2:
-            terms = p.left_rules[letter](A)
-        else:
-            terms = [(c, reverse(t))
-                     for c, t in p.right_rules[letter](reverse(A))]
-        for coeff, t in terms:
-            key = (t, A)
-            s = entries.get(key)
-            entries[key] = coeff if s is None else s + coeff
+    entries = {(t, A): v for A in cols
+               for t, v in rho_column(name, label, letter, A).items()}
     return rows, cols, entries
 
 

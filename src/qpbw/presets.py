@@ -22,7 +22,6 @@ Conventions:
     (coeff, exponent tuple) pairs, zero coefficients already dropped.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .qfield import (
@@ -31,6 +30,7 @@ from .qfield import (
     q_int,
     q_factorial,
     qmq,
+    sum_products,
 )
 
 ALGEBRAS = ("A2", "C2", "G2")
@@ -98,28 +98,12 @@ def wp_scale(wp, c):
 
 
 def wp_add(*wps):
-    out = {}
-    for wp in wps:
-        for w, v in wp.items():
-            s = out.get(w, ZERO) + v
-            if s.num.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-    return out
+    return sum_products((w, v, ONE) for wp in wps for w, v in wp.items())
 
 
 def wp_mul(x, y):
-    out = {}
-    for wx, vx in x.items():
-        for wy, vy in y.items():
-            w = wx + wy
-            s = out.get(w, ZERO) + vx * vy
-            if s.num.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-    return out
+    return sum_products((wx + wy, vx, vy) for wx, vx in x.items()
+                        for wy, vy in y.items())
 
 
 def wp_chi(wp):
@@ -582,12 +566,9 @@ def serre_relations(name):
     out = []
     for (i, j), a in p.cartan.items():
         n = 1 - a
-        wp = {}
-        for r in range(n + 1):
-            word = (i,) * r + (j,) + (i,) * (n - r)
-            coeff = qbinom(n, r, p.d[i])
-            if r % 2:
-                coeff = -coeff
-            wp[word] = wp.get(word, ZERO) + coeff
+        # the r-th word has r leading letters i, so no two words coincide
+        wp = {(i,) * r + (j,) + (i,) * (n - r):
+              -qbinom(n, r, p.d[i]) if r % 2 else qbinom(n, r, p.d[i])
+              for r in range(n + 1)}
         out.append(((i, j), wp))
     return out

@@ -90,7 +90,7 @@ class LaurentPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly and _is_scalar(other):
             other = LaurentPoly.const(other)
         if not self.c:
             return other
@@ -115,7 +115,7 @@ class LaurentPoly:
         return r
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly and _is_scalar(other):
             other = LaurentPoly.const(other)
         return self + (-other)
 
@@ -123,7 +123,7 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly and _is_scalar(other):
             if not other:
                 return _LP_ZERO
             r = LaurentPoly.__new__(LaurentPoly)
@@ -200,7 +200,7 @@ class LaurentPoly:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly and _is_scalar(other):
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -221,6 +221,25 @@ class LaurentPoly:
 
 _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly({0: 1})
+
+
+def _is_scalar(x):
+    """True for int and Fraction (bool included).
+
+    Exact type tests come first: isinstance against Fraction goes through
+    ABCMeta.__instancecheck__ for every other type.
+    """
+    t = type(x)
+    if t is int or t is Fraction:
+        return True
+    if t is LaurentPoly or t is RationalFunction:
+        return False
+    return isinstance(x, (int, Fraction))
+
+
+def _is_fraction(v):
+    """True for a Fraction coefficient; ints take the exact-type exit."""
+    return type(v) is not int and isinstance(v, Fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +329,7 @@ def _to_int_list(p):
     assert lo >= 0
     denlcm = 1
     for v in p.c.values():
-        if isinstance(v, Fraction):
+        if _is_fraction(v):
             d = v.denominator
             denlcm = denlcm // _igcd(denlcm, d) * d
     out = [0] * (hi + 1)
@@ -388,7 +407,7 @@ def poly_gcd(p, q):
 
 def _exact_scalar_div(a, b):
     """a / b for int/Fraction scalars, keeping ints when the result is integral."""
-    if isinstance(a, int) and isinstance(b, int) and b and a % b == 0:
+    if type(a) is int and type(b) is int and b and a % b == 0:
         return a // b
     f = Fraction(a) / Fraction(b)
     return int(f) if f.denominator == 1 else f
@@ -439,11 +458,11 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if type(num) is not LaurentPoly and _is_scalar(num):
             num = LaurentPoly.const(num)
         if den is None:
             den = _LP_ONE
-        elif isinstance(den, (int, Fraction)):
+        elif type(den) is not LaurentPoly and _is_scalar(den):
             den = LaurentPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
@@ -466,12 +485,13 @@ class RationalFunction:
             self.num = _intify(self.num)
             self.den = _LP_ONE
             return
-        # cancel the polynomial gcd
-        nv = num.valuation()
-        g = poly_gcd(num.shift(-nv), den)
-        if not g.is_one() and g.degree() > 0:
-            num = poly_divexact(num.shift(-nv), g).shift(nv)
-            den = poly_divexact(den, g)
+        # cancel the polynomial gcd (a monomial num is coprime to den)
+        if not num.is_monomial():
+            nv = num.valuation()
+            g = poly_gcd(num.shift(-nv), den)
+            if not g.is_one() and g.degree() > 0:
+                num = poly_divexact(num.shift(-nv), g).shift(nv)
+                den = poly_divexact(den, g)
         if den.is_monomial():
             (_, c), = den.c.items()
             self.num = _intify(num * (Fraction(1, 1) / c if c != 1 else 1))
@@ -480,7 +500,7 @@ class RationalFunction:
         # scalar-normalize den: integer coprime coefficients, positive constant
         denlcm = 1
         for c in den.c.values():
-            if isinstance(c, Fraction):
+            if _is_fraction(c):
                 d = c.denominator
                 denlcm = denlcm // _igcd(denlcm, d) * d
         if denlcm != 1:
@@ -635,11 +655,12 @@ class RationalFunction:
 
 
 def _as_rf(x):
-    if isinstance(x, RationalFunction):
+    t = type(x)
+    if t is RationalFunction:
         return x
-    if isinstance(x, LaurentPoly):
+    if t is LaurentPoly:
         return RationalFunction.from_laurent(x)
-    if isinstance(x, (int, Fraction)):
+    if _is_scalar(x):
         return RationalFunction.from_laurent(LaurentPoly.const(x))
     return NotImplemented
 
@@ -649,7 +670,7 @@ def _intify(p):
     out = {}
     dirty = False
     for e, v in p.c.items():
-        if isinstance(v, Fraction) and v.denominator == 1:
+        if _is_fraction(v) and v.denominator == 1:
             out[e] = int(v)
             dirty = True
         else:
@@ -663,6 +684,61 @@ def _intify(p):
 
 _RF_ZERO = RationalFunction.from_laurent(_LP_ZERO)
 _RF_ONE = RationalFunction.from_laurent(_LP_ONE)
+
+
+# ---------------------------------------------------------------------------
+# sparse sums of products
+# ---------------------------------------------------------------------------
+
+def sum_products(terms):
+    """{key: sum of x * y} over an iterable of (key, x, y) triples.
+
+    The one accumulate loop of the package: ``out[key] += x * y`` with
+    zero sums dropped.  When x and y are RationalFunctions with
+    denominator 1, the product is added term by term into a plain
+    {exponent: coefficient} dict per key, so no LaurentPoly or
+    RationalFunction is built per term; every other product and sum goes
+    through the exact arithmetic of its operands (RationalFunction, or
+    Fraction for values sampled at a point).  Each key is converted once
+    at the end.  Keys come out in order of first appearance, the Laurent
+    ones first.
+    """
+    laurent = {}
+    rest = {}
+    # every denominator-1 value built here shares _LP_ONE; another one
+    # would only take the slower exact path
+    rf, one = RationalFunction, _LP_ONE
+    for key, x, y in terms:
+        if type(x) is rf and type(y) is rf and x.den is one and y.den is one:
+            acc = laurent.get(key)
+            if acc is None:
+                acc = laurent[key] = {}
+            xc, yc = x.num.c, y.num.c
+            if len(xc) > len(yc):
+                xc, yc = yc, xc
+            for ea, va in xc.items():
+                for eb, vb in yc.items():
+                    e = ea + eb
+                    acc[e] = acc.get(e, 0) + va * vb
+        else:
+            p = x * y
+            cur = rest.get(key)
+            rest[key] = p if cur is None else cur + p
+    out = {}
+    for key, acc in laurent.items():
+        c = {e: v for e, v in acc.items() if v}
+        total = rest.pop(key, None)
+        if c:
+            p = LaurentPoly.__new__(LaurentPoly)
+            p.c = c
+            p = RationalFunction.from_laurent(p)
+            total = p if total is None else total + p
+        if total:
+            out[key] = total
+    for key, total in rest.items():
+        if total:
+            out[key] = total
+    return out
 
 
 def rf_to_str(r):

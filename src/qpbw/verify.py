@@ -19,7 +19,9 @@ from .presets import (
     KIND_ALGEBRA, ONE, ZERO, preset, qbinom, reverse, tuples_with_weight,
     weights_up_to, zero_tuple,
 )
-from .qfield import canonical_string, is_integer_polynomial, q_pochhammer
+from .qfield import (
+    canonical_string, is_integer_polynomial, q_pochhammer, sum_products,
+)
 
 Check = namedtuple("Check", ["check_id", "passed", "witness"])
 
@@ -137,18 +139,16 @@ class KetOperator:
 
     def apply(self, vec, slots):
         pos = tuple(s - 1 for s in slots)
-        out = {}
-        for state, c in vec.items():
-            for tup, v in self.column(tuple(state[p] for p in pos)).items():
-                ns = list(state)
-                for p, a in zip(pos, tup):
-                    ns[p] = a
-                key = tuple(ns)
-                cur = out.get(key)
-                out[key] = v * c if cur is None else cur + v * c
-        if self.point is not None:
-            return {s: v for s, v in out.items() if v != 0}
-        return {s: v for s, v in out.items() if not v.num.is_zero()}
+
+        def terms():
+            for state, c in vec.items():
+                ns = list(state)   # every column entry rewrites all of pos
+                for tup, v in self.column(tuple(state[p] for p in pos)).items():
+                    for p, a in zip(pos, tup):
+                        ns[p] = a
+                    yield tuple(ns), v, c
+
+        return sum_products(terms())
 
 
 # Sides are stored in application order (rightmost factor first).
@@ -385,11 +385,8 @@ def _involution_check(name, tab, wset):
         block = tuples_with_weight(name, 2, wgt)
         cols = {inp: tab.column(inp) for inp in block}
         for inp in block:
-            acc = {}
-            for mid, v1 in cols[inp].items():
-                for out, v2 in cols[mid].items():
-                    cur = acc.get(out)
-                    acc[out] = v2 * v1 if cur is None else cur + v2 * v1
+            acc = sum_products((out, v2, v1) for mid, v1 in cols[inp].items()
+                               for out, v2 in cols[mid].items())
             for out in block:
                 want = ONE if out == inp else ZERO
                 got = acc.get(out, ZERO)
@@ -497,32 +494,14 @@ def _entry_bounded_tuples(length, bound):
     return out
 
 
-def _rho_column(name, label, letter, ket):
-    """Left multiplication by e_letter on one scaled PBW monomial."""
-    p = preset(name)
-    if label == 2:
-        terms = p.left_rules[letter](ket)
-    else:
-        terms = [(c, reverse(t))
-                 for c, t in p.right_rules[letter](reverse(ket))]
-    col = {}
-    for coeff, t in terms:
-        cur = col.get(t)
-        col[t] = coeff if cur is None else cur + coeff
-    return {t: v for t, v in col.items() if not v.num.is_zero()}
-
-
 def _key_prop_check(name, bound):
     p = preset(name)
     n = 0
     for label in (1, 2):
         for i in (1, 2):
             for ket in _entry_bounded_tuples(p.length, bound):
-                left = _rho_column(name, label, i, ket)
-                right = {t: v for t, v in
-                         fock.xi_apply(name, label, i, {ket: ONE}).items()
-                         if not v.num.is_zero()}
-                if left != right:
+                left = pbw.rho_column(name, label, i, ket)
+                if left != fock.xi_apply(name, label, i, {ket: ONE}):
                     return Check(f"{name}-key-prop", False,
                                  f"word {label} e_{i} ket {ket}")
                 n += 1
@@ -537,6 +516,11 @@ def _serre_pbw_check(name):
                          f"pair {pair}: residual at {t} -> "
                          f"{canonical_string(residual[t])}")
     return Check(f"{name}-serre-pbw", True, "all sums normal-order to zero")
+
+
+def _combination(parts):
+    """sum of c * vec over (c, vec) pairs, zero entries dropped."""
+    return sum_products((t, c, v) for c, vec in parts for t, v in vec.items())
 
 
 def _serre_fock_check(name, bound):
@@ -561,50 +545,37 @@ def _serre_fock_check(name, bound):
             col_i, col_j = {}, {}
 
             def step(op, vec, cache, name=name, label=label):
-                out = {}
-                for ket, c in vec.items():
-                    col = cache.get(ket)
-                    if col is None:
-                        col = fock.apply_op(name, label, op, {ket: ONE})
-                        cache[ket] = col
-                    for t, v in col.items():
-                        cur = out.get(t)
-                        out[t] = v * c if cur is None else cur + v * c
-                return {t: v for t, v in out.items() if not v.num.is_zero()}
+                for ket in vec:
+                    if ket not in cache:
+                        cache[ket] = fock.apply_op(name, label, op, {ket: ONE})
+                return sum_products((t, v, c) for ket, c in vec.items()
+                                    for t, v in cache[ket].items())
 
             for ket in _entry_bounded_tuples(p.length, bound):
                 chain = [{ket: ONE}]
                 for _ in range(top):
                     chain.append(step(bar_i, chain[-1], col_i))
-                total = {}
+                parts = []
                 for r in range(top + 1):
                     vec = step(bar_j, chain[top - r], col_j)
                     for _ in range(r):
                         vec = step(bar_i, vec, col_i)
-                    c = -binom[r] if r % 2 else binom[r]
-                    for t, v in vec.items():
-                        cur = total.get(t)
-                        total[t] = c * v if cur is None else cur + c * v
-                bad = sorted(t for t, v in total.items()
-                             if not v.num.is_zero())
+                    parts.append((-binom[r] if r % 2 else binom[r], vec))
+                bad = sorted(_combination(parts))
                 if bad:
                     return Check(f"{name}-serre-fock", False,
                                  f"word {label} pair ({i},{j}) ket {ket}: "
                                  f"residual at {bad[0]}")
                 n += 1
             for ket in _entry_bounded_tuples(p.length, min(bound, 1)):
-                total = {}
+                parts = []
                 for r in range(top + 1):
                     vec = fock.xi_divided_apply(name, label, i, {ket: ONE},
                                                 top - r)
                     vec = fock.xi_apply(name, label, j, vec)
                     vec = fock.xi_divided_apply(name, label, i, vec, r)
-                    sign = -ONE if r % 2 else ONE
-                    for t, v in vec.items():
-                        cur = total.get(t)
-                        total[t] = sign * v if cur is None else cur + sign * v
-                bad = sorted(t for t, v in total.items()
-                             if not v.num.is_zero())
+                    parts.append((-ONE if r % 2 else ONE, vec))
+                bad = sorted(_combination(parts))
                 if bad:
                     return Check(f"{name}-serre-fock", False,
                                  f"word {label} pair ({i},{j}) ket {ket}: "
@@ -678,10 +649,8 @@ def verify_t_intertwining(bounds=None, heights=None,
         vac = zero_tuple(name)
         killed = fock.apply_op(name, 1, fock.pi_generator(name, 1, 1, 1),
                                {vac: ONE})
-        killed = {t: v for t, v in killed.items() if not v.num.is_zero()}
         fixed = fock.apply_op(
             name, 1, fock.pi_generator(name, 1, 1, p.n_gen), {vac: ONE})
-        fixed = {t: v for t, v in fixed.items() if not v.num.is_zero()}
         ok = (killed == {} and set(fixed) == {vac}
               and fixed[vac] * fixed[vac] == ONE)
         checks.append(Check(
@@ -700,14 +669,9 @@ def verify_t_intertwining(bounds=None, heights=None,
                     if any(p.conserved1(b2) not in allowed for b2 in moved):
                         skipped += 1
                         continue
-                    lhs = {}
-                    for b2, c in moved.items():
-                        for out, v in phi_column(b2).items():
-                            cur = lhs.get(out)
-                            lhs[out] = v * c if cur is None else cur + v * c
-                    lhs = {t: v for t, v in lhs.items() if not v.num.is_zero()}
+                    lhs = sum_products((out, v, c) for b2, c in moved.items()
+                                       for out, v in phi_column(b2).items())
                     rhs = fock.apply_op(name, 2, op2, phi_column(ket))
-                    rhs = {t: v for t, v in rhs.items() if not v.num.is_zero()}
                     if lhs != rhs:
                         keys = sorted(set(lhs) | set(rhs))
                         bad = next(t for t in keys

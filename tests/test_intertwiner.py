@@ -7,7 +7,10 @@ from qpbw.intertwiner import (
     pbw_expansion_identity, solve_exact,
 )
 from qpbw.pbw import transition_block
-from qpbw.presets import ONE, ZERO, preset, qpow, reverse, rf, weights_up_to, zero_tuple
+from qpbw.presets import (
+    ONE, ZERO, preset, qpow, reverse, rf, tuples_with_weight, weights_up_to,
+    zero_tuple,
+)
 from qpbw.qfield import canonical_string, d_norm
 
 Q = qpow(1)
@@ -251,3 +254,20 @@ def test_block_matches_two_step_rescale(name, hmax):
     fresh = PhiTable(name)
     for w in reversed(weights):
         assert fresh.block(w) == phi.block(w), (name, w)
+
+
+@pytest.mark.parametrize("name,hmax", DIFF_HEIGHTS)
+def test_d_factor_is_product_of_d_norms(name, hmax):
+    # _d_factor forms the product with one normalisation; compare it with
+    # the factor-by-factor product of d_norm, by value and by string
+    phi = PhiTable(name)
+    p = preset(name)
+    for w in weights_up_to(name, hmax):
+        for label in (1, 2):
+            for t in tuples_with_weight(name, label, w):
+                want = ONE
+                for m, node in zip(t, p.word(label)):
+                    want = want * d_norm(m, p.d[node])
+                got = phi._d_factor(label, t)
+                assert got == want, (name, label, t)
+                assert canonical_string(got) == canonical_string(want)

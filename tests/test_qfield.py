@@ -18,6 +18,7 @@ from qpbw.qfield import (
     q_int,
     q_pochhammer,
     qmq,
+    sum_products,
 )
 
 
@@ -255,3 +256,80 @@ def test_single_normalisation_of_rescale(v, r, c):
         return
     once = RationalFunction(v.num * r.num * c.den, v.den * r.den * c.num)
     assert once == v * r / c
+
+
+# ---------------------------------------------------------------------------
+# sum_products against the get / add / pop loop it replaces, and sympy
+# ---------------------------------------------------------------------------
+
+def _get_add_pop(terms):
+    """The accumulate loop sum_products replaced, one product at a time."""
+    out = {}
+    for key, x, y in terms:
+        s = out.get(key, RationalFunction.zero()) + x * y
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
+@st.composite
+def factors(draw):
+    """Mostly Laurent polynomials (the fast path), some with a denominator."""
+    if draw(st.booleans()):
+        return RationalFunction(draw(laurents()))
+    return draw(rationals())
+
+
+@st.composite
+def product_terms(draw):
+    """(key, x, y) triples; the keys drawn as `cancel` sum to exactly zero."""
+    keys = st.sampled_from("abcde")
+    terms = draw(st.lists(st.tuples(keys, factors(), factors()), max_size=12))
+    cancel = draw(st.sets(keys))
+    terms += [(k, -x, y) for k, x, y in terms if k in cancel]
+    return draw(st.permutations(terms)), cancel
+
+
+@given(product_terms())
+@settings(max_examples=150, deadline=None)
+def test_sum_products_matches_get_add_pop(drawn):
+    terms, cancel = drawn
+    got = sum_products(iter(terms))
+    want = _get_add_pop(terms)
+    assert got == want
+    assert {k: canonical_string(v) for k, v in got.items()} \
+        == {k: canonical_string(v) for k, v in want.items()}
+    assert not cancel & set(got)
+    assert all(not v.is_zero() for v in got.values())
+
+
+@given(product_terms())
+@settings(max_examples=40, deadline=None)
+def test_sum_products_matches_sympy(drawn):
+    sympy = pytest.importorskip("sympy")
+    terms, _ = drawn
+    got = sum_products(terms)
+    for key in {k for k, _, _ in terms}:
+        want = sympy.cancel(sum(
+            (_to_sympy(x.num) * _to_sympy(y.num)
+             / (_to_sympy(x.den) * _to_sympy(y.den))
+             for k, x, y in terms if k == key), sympy.Integer(0)))
+        if want == 0:
+            assert key not in got
+            continue
+        v = got[key]
+        _assert_reduced_like_sympy(v, v.num, v.den)
+        assert sympy.cancel(_to_sympy(v.num) / _to_sympy(v.den) - want) == 0
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"),
+                          st.fractions(max_denominator=9),
+                          st.fractions(max_denominator=9)), max_size=12))
+def test_sum_products_of_sampled_values(terms):
+    # values at a sample point are Fractions and take the generic path
+    want = {}
+    for key, x, y in terms:
+        want[key] = want.get(key, 0) + x * y
+    assert sum_products(terms) == {k: v for k, v in want.items() if v}

@@ -7,10 +7,12 @@ suite is exercised at sizes that keep the whole file under a minute.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpbw import cli, verify
 from qpbw.presets import ONE, preset, zero_tuple
 from qpbw import fock
+from qpbw.qfield import LaurentPoly, RationalFunction
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +194,69 @@ def test_selftest_all_pass():
         "theorem", "properties", "tetrahedron", "3d-reflection",
         "t-intertwining"]
     assert all(r.passed for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# KetOperator.apply against the per-term loop it replaced
+
+
+def _per_term_apply(op, vec, slots):
+    """KetOperator.apply as one product and one sum per column entry."""
+    pos = tuple(s - 1 for s in slots)
+    out = {}
+    for state, c in vec.items():
+        for tup, v in op.column(tuple(state[p] for p in pos)).items():
+            ns = list(state)
+            for p, a in zip(pos, tup):
+                ns[p] = a
+            key = tuple(ns)
+            cur = out.get(key)
+            out[key] = v * c if cur is None else cur + v * c
+    if op.point is not None:
+        return {s: v for s, v in out.items() if v != 0}
+    return {s: v for s, v in out.items() if not v.num.is_zero()}
+
+
+# (algebra, width of the state, slots of one factor in an equation)
+_FACTORS = [("A2", 6, (1, 2, 3)), ("A2", 6, (2, 4, 6)), ("A2", 9, (4, 8, 9)),
+            ("C2", 9, (1, 2, 3, 4)), ("C2", 9, (3, 5, 7, 9))]
+_coeffs = st.sampled_from([
+    ONE, -ONE, RationalFunction(LaurentPoly({-1: 2, 3: -1})),
+    RationalFunction(LaurentPoly({0: 1}), LaurentPoly({0: 1, 2: -1})),
+])
+
+
+@st.composite
+def ket_vectors(draw):
+    name, width, slots = draw(st.sampled_from(_FACTORS))
+    top = 3 if name == "A2" else 2
+    states = st.lists(st.integers(0, top), min_size=width, max_size=width)
+    vec = draw(st.dictionaries(states.map(tuple), _coeffs,
+                               min_size=1, max_size=4))
+    return name, slots, vec
+
+
+@given(ket_vectors())
+@settings(max_examples=40, deadline=None)
+def test_ket_apply_matches_per_term_loop(drawn):
+    name, slots, vec = drawn
+    op = verify.KetOperator(name)
+    image = op.apply(vec, slots)
+    assert image == _per_term_apply(op, vec, slots)
+    # each checked table squares to the identity, so applying it twice
+    # must cancel every other state exactly
+    assert op.apply(image, slots) == vec
+
+
+@given(ket_vectors())
+@settings(max_examples=25, deadline=None)
+def test_ket_apply_sampled_mode_unchanged(drawn):
+    name, slots, vec = drawn
+    q0 = Fraction(2, 5)
+    op = verify.KetOperator(name, point=q0)
+    at_point = {s: c.eval_at(q0) for s, c in vec.items()}
+    image = op.apply(at_point, slots)
+    assert image == _per_term_apply(op, at_point, slots)
+    exact = verify.KetOperator(name).apply(vec, slots)
+    assert image == {s: v for s, v in
+                     ((s, c.eval_at(q0)) for s, c in exact.items()) if v}
