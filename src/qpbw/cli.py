@@ -17,11 +17,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 
 from . import pbw, verify
 from .presets import (
@@ -177,15 +175,8 @@ def _merge(suite, reports, elapsed):
     return verify.VerifyReport(suite, checks, elapsed)
 
 
-def _fanout(fn, algebras, workers):
-    if workers > 1 and len(algebras) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, algebras))
-    return [fn(a) for a in algebras]
-
-
 def run_suite(suite, algebras=ALGEBRAS, max_height=None, max_occ=None,
-              mode=None, workers=1):
+              mode=None):
     """One verification suite as a single VerifyReport."""
     t0 = time.perf_counter()
     if suite == "tetra":
@@ -199,23 +190,20 @@ def run_suite(suite, algebras=ALGEBRAS, max_height=None, max_occ=None,
     heights = None if max_height is None \
         else {a: max_height for a in algebras}
     if suite == "theorem":
-        reports = _fanout(
-            lambda a: verify.verify_theorem(heights=heights, algebras=(a,)),
-            algebras, workers)
+        reports = [verify.verify_theorem(heights=heights, algebras=(a,))
+                   for a in algebras]
     elif suite == "props":
         kw = {}
         if max_occ is not None:
             kw = {"key_prop_entries": max_occ, "serre_entries": max_occ}
-        reports = _fanout(
-            lambda a: verify.verify_properties(heights=heights,
-                                               algebras=(a,), **kw),
-            algebras, workers)
+        reports = [verify.verify_properties(heights=heights,
+                                            algebras=(a,), **kw)
+                   for a in algebras]
     elif suite == "intertwine":
         bounds = None if max_occ is None else {a: max_occ for a in algebras}
-        reports = _fanout(
-            lambda a: verify.verify_t_intertwining(
-                bounds=bounds, heights=heights, algebras=(a,)),
-            algebras, workers)
+        reports = [verify.verify_t_intertwining(
+                       bounds=bounds, heights=heights, algebras=(a,))
+                   for a in algebras]
     else:
         raise UsageError(f"unknown suite {suite!r}")
     return _merge(reports[0].suite, reports, time.perf_counter() - t0)
@@ -223,19 +211,6 @@ def run_suite(suite, algebras=ALGEBRAS, max_height=None, max_occ=None,
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-def _workers_from_env():
-    raw = os.environ.get("QPBW_WORKERS")
-    if raw is None or raw == "":
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"QPBW_WORKERS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError(f"QPBW_WORKERS must be >= 1, got {n}")
-    return n
-
 
 def _apply_config(args):
     path = getattr(args, "config", None)
@@ -329,7 +304,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         _apply_config(args)
-        workers = _workers_from_env()
         if args.command == "compute":
             if args.algebra is None or args.kind is None:
                 raise UsageError("compute needs --algebra and --kind")
@@ -345,7 +319,7 @@ def main(argv=None):
         if args.command == "verify":
             algebras = (args.algebra,) if args.algebra else ALGEBRAS
             report = run_suite(args.suite, algebras, args.max_height,
-                               args.max_occ, args.mode, workers)
+                               args.max_occ, args.mode)
             return _report_exit([report], args.out)
         return _report_exit(verify.selftest(), args.out)
     except (UsageError, ValueError) as e:

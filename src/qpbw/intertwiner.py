@@ -14,7 +14,7 @@ depending on the algebra it is the R, K or F family of coefficients.
 
 from .qfield import (
     LaurentPoly, RationalFunction, canonical_string, poly_divexact, poly_gcd,
-    sum_products,
+    ratio, sum_products,
 )
 from .presets import (
     ALGEBRA_KIND, ONE, ZERO, preset, reverse, rf, tuples_with_weight,
@@ -31,10 +31,16 @@ def solve_exact(prows, qrows):
     """Solve P Y = Q over the rational-function field, P of full column rank.
 
     P is m x n with m >= n, Q is m x k; both are given as lists of rows of
-    RationalFunctions.  Rows are scaled to polynomial entries, eliminated
-    by fraction-free (Bareiss) steps with the first not-yet-used row
-    holding a nonzero entry as pivot, then back-substituted over the
-    fraction field.  The full residual is verified afterwards.  Raises
+    RationalFunctions.  Each row keeps only its nonzero entries, and the
+    unknowns are found by substitution: while some row has exactly one
+    unknown column u left, Y[u] = (Q[r] - sum of P[r][c] Y[c] over its
+    known columns c) / P[r][u].  When every unknown is reached this way,
+    the rows used form a triangular n x n subsystem with nonzero diagonal,
+    so P has full column rank.  When substitution stalls (no row with a
+    single unknown), the whole system goes to fraction-free (Bareiss)
+    elimination instead, which also diagnoses rank deficiency.  Either
+    way the residual P Y - Q is then checked to vanish on every row, so
+    every equation holds and Y is the unique solution.  Raises
     ArithmeticError on rank deficiency or inconsistency.
     """
     prows = [[rf(x) for x in row] for row in prows]
@@ -44,6 +50,63 @@ def solve_exact(prows, qrows):
     k = len(qrows[0]) if qrows and qrows[0] else 0
     if m < n:
         raise ArithmeticError(f"underdetermined system ({m} rows, {n} unknowns)")
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in prows]
+    Y = _substitute(sparse, qrows, n, k)
+    if Y is None:
+        Y = _solve_bareiss(prows, qrows, n, k)
+    for r, (prow, qrow) in enumerate(zip(sparse, qrows)):
+        sums = _row_products(prow, Y, k)
+        if any(sums.get(j, ZERO) != qrow[j] for j in range(k)):
+            raise ArithmeticError(
+                f"inconsistent system: nonzero residual at row {r}")
+    return Y
+
+
+def _row_products(prow, Y, k):
+    """{j: sum over c of prow[c] * Y[c][j]} for one sparse row, zeros dropped."""
+    return sum_products((j, x, Y[c][j]) for c, x in prow.items()
+                        for j in range(k))
+
+
+def _substitute(sparse, qrows, n, k):
+    """Y by substitution through rows with one unknown left, or None."""
+    rows_of = [[] for _ in range(n)]
+    for r, prow in enumerate(sparse):
+        for c in prow:
+            rows_of[c].append(r)
+    left = [len(prow) for prow in sparse]
+    ready = [r for r, u in enumerate(left) if u == 1]
+    Y = [None] * n
+    solved = 0
+    while ready:
+        r = ready.pop()
+        if left[r] != 1:
+            continue                    # its last unknown is already solved
+        prow = sparse[r]
+        u = next(c for c in prow if Y[c] is None)
+        known = {c: x for c, x in prow.items() if c != u}
+        sums = _row_products(known, Y, k)
+        piv = prow[u]
+        Y[u] = []
+        for j in range(k):
+            a = qrows[r][j] - sums.get(j, ZERO)
+            Y[u].append(ratio(a.num * piv.den, a.den * piv.num))
+        solved += 1
+        for r2 in rows_of[u]:
+            left[r2] -= 1
+            if left[r2] == 1:
+                ready.append(r2)
+    return Y if solved == n else None
+
+
+def _solve_bareiss(prows, qrows, n, k):
+    """Y by dense fraction-free elimination; the residual is left to the caller.
+
+    Rows are scaled to polynomial entries, eliminated by fraction-free
+    (Bareiss) steps with the first not-yet-used row holding a nonzero
+    entry as pivot, then back-substituted over the fraction field.
+    """
+    m = len(prows)
     P, Q = [], []
     for prow, qrow in zip(prows, qrows):
         den = None
@@ -81,13 +144,6 @@ def solve_exact(prows, qrows):
             for c in range(r + 1, n):
                 acc = acc - rf(P[r][c]) * Y[c][j]
             Y[r][j] = acc / piv
-    for prow, qrow in zip(prows, qrows):
-        for j in range(k):
-            acc = -qrow[j]
-            for c in range(n):
-                acc = acc + prow[c] * Y[c][j]
-            if not acc.num.is_zero():
-                raise ArithmeticError("nonzero residual after solve")
     return Y
 
 
@@ -190,9 +246,9 @@ class PhiTable:
         entries = {}
         for (C, B), v in tilde.items():
             r, c = row_fac[C], col_fac[B]
-            # v * r / c with a single normalization
-            entries[(C, B)] = RationalFunction(v.num * r.num * c.den,
-                                               v.den * r.den * c.num)
+            # v * r / c with at most one normalization
+            entries[(C, B)] = ratio(v.num * r.num * c.den,
+                                    v.den * r.den * c.num)
         return rows, cols, entries
 
     def phi_tilde(self, C, B):

@@ -741,6 +741,18 @@ def sum_products(terms):
     return out
 
 
+def ratio(num, den):
+    """num / den for LaurentPolys, equal to RationalFunction(num, den).
+
+    Divides exactly when den divides num, which skips the gcd that the
+    normalisation would run; otherwise normalises as usual.
+    """
+    try:
+        return RationalFunction.from_laurent(poly_divexact(num, den))
+    except ValueError:
+        return RationalFunction(num, den)
+
+
 def rf_to_str(r):
     if r.den.is_one():
         return lp_to_str(r.num)

@@ -151,15 +151,6 @@ def test_usage_errors(argv, capsys):
     assert err.startswith("qpbw: ")
 
 
-def test_bad_workers_env(monkeypatch, capsys):
-    monkeypatch.setenv("QPBW_WORKERS", "zero")
-    rc, _, err = run(["verify", "tetra", "--max-occ", "1"], capsys)
-    assert rc == 2 and "QPBW_WORKERS" in err
-    monkeypatch.setenv("QPBW_WORKERS", "0")
-    rc, _, _ = run(["verify", "tetra", "--max-occ", "1"], capsys)
-    assert rc == 2
-
-
 def test_failing_suite_exits_one(monkeypatch, capsys):
     bad = verify.VerifyReport(
         "tetrahedron", [verify.Check("occ1-exact", False, "state (1,)")], 0.1)
@@ -204,8 +195,7 @@ def test_verify_intertwine_scoped(capsys):
     assert any("C2-generators-occ1" in ln for ln in out.splitlines())
 
 
-def test_verify_fanout_merges_all_algebras(monkeypatch, capsys):
-    monkeypatch.setenv("QPBW_WORKERS", "3")
+def test_verify_fanout_merges_all_algebras(capsys):
     rc, out, _ = run(["verify", "theorem", "--max-height", "2"], capsys)
     assert rc == 0
     lines = out.splitlines()

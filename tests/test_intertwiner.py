@@ -1,7 +1,9 @@
 """Blockwise intertwiner recursion, checked tables, golden columns."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qpbw import intertwiner
 from qpbw.intertwiner import (
     CheckedTable, PhiTable, checked_table, compute_phi,
     pbw_expansion_identity, solve_exact,
@@ -11,7 +13,7 @@ from qpbw.presets import (
     ONE, ZERO, preset, qpow, reverse, rf, tuples_with_weight, weights_up_to,
     zero_tuple,
 )
-from qpbw.qfield import canonical_string, d_norm
+from qpbw.qfield import LaurentPoly, RationalFunction, canonical_string, d_norm
 
 Q = qpow(1)
 
@@ -271,3 +273,110 @@ def test_d_factor_is_product_of_d_norms(name, hmax):
                 got = phi._d_factor(label, t)
                 assert got == want, (name, label, t)
                 assert canonical_string(got) == canonical_string(want)
+
+
+# ---------------------------------------------------------------------------
+# substitution against the Bareiss elimination it replaces, and sympy
+
+small_coeffs = st.integers(min_value=-3, max_value=3)
+DENS = (LaurentPoly({0: 1}), LaurentPoly({0: 1, 2: -1}),
+        LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 2, 3: -1}))
+
+
+@st.composite
+def entries(draw, nonzero=False):
+    """A RationalFunction with small support, sometimes with a denominator."""
+    c = draw(st.dictionaries(st.integers(min_value=-2, max_value=3),
+                             small_coeffs, max_size=3))
+    num = LaurentPoly(c)
+    if nonzero and num.is_zero():
+        num = LaurentPoly({draw(st.integers(0, 2)): 1})
+    return RationalFunction(num, draw(st.sampled_from(DENS)))
+
+
+def _mat_mul(A, B):
+    return [[sum((a * B[c][j] for c, a in enumerate(row)), ZERO)
+             for j in range(len(B[0]))] for row in A]
+
+
+@st.composite
+def triangular_systems(draw):
+    """(P, Q, Y): a lower-triangular system with extra consistent rows,
+    rows and columns shuffled, and the Y it was built from."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=3))
+    P = [[draw(entries(nonzero=True)) if c == r
+          else draw(entries()) if c < r and draw(st.booleans()) else ZERO
+          for c in range(n)] for r in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        a, b = draw(entries()), draw(entries())
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        P.append([a * x + b * y for x, y in zip(P[i], P[j])])
+    Y = [[draw(entries()) for _ in range(k)] for _ in range(n)]
+    rows = draw(st.permutations(range(len(P))))
+    cols = draw(st.permutations(range(n)))
+    P = [[P[r][c] for c in cols] for r in rows]
+    Y = [Y[c] for c in cols]
+    return P, _mat_mul(P, Y), Y
+
+
+@given(triangular_systems())
+@settings(max_examples=60, deadline=None)
+def test_substitution_matches_bareiss(system):
+    P, Qm, Y = system
+    n, k = len(P[0]), len(Qm[0])
+    assert intertwiner._substitute(
+        [{c: x for c, x in enumerate(row) if x} for row in P], Qm, n, k) == Y
+    got = solve_exact(P, Qm)
+    assert got == Y
+    assert got == intertwiner._solve_bareiss(P, Qm, n, k)
+    assert ([[canonical_string(v) for v in row] for row in got]
+            == [[canonical_string(v) for v in row] for row in Y])
+
+
+def test_solve_exact_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    # triangular after swapping rows 0 and 2 and columns 0 and 1
+    P = [[ONE + Q, Q * Q, ZERO],
+         [(ONE - Q) / (ONE + Q * Q), ZERO, Q],
+         [ZERO, ONE - Q * Q, ZERO]]
+    Qm = [[ONE, Q], [Q ** 3, ONE / (ONE - Q)], [ONE - Q, rf(2)]]
+    q = sympy.Symbol("q")
+
+    def poly(p):
+        return sum((sympy.Rational(v.numerator, v.denominator) * q ** e
+                    for e, v in p.c.items()), sympy.Integer(0))
+
+    def to_sympy(x):
+        return poly(x.num) / poly(x.den)
+
+    want = sympy.Matrix([[to_sympy(x) for x in row] for row in P]).solve(
+        sympy.Matrix([[to_sympy(x) for x in row] for row in Qm]))
+    got = solve_exact(P, Qm)
+    for i in range(3):
+        for j in range(2):
+            assert sympy.cancel(to_sympy(got[i][j]) - want[i, j]) == 0
+
+
+def test_dense_system_takes_the_fallback(monkeypatch):
+    # no row of [[1, q], [q, 1]] has a single unknown
+    calls = []
+    bareiss = intertwiner._solve_bareiss
+
+    def counted(*args):
+        calls.append(args)
+        return bareiss(*args)
+    monkeypatch.setattr(intertwiner, "_solve_bareiss", counted)
+    det = ONE - Q * Q
+    Y = solve_exact([[ONE, Q], [Q, ONE]], [[ONE, ZERO], [ZERO, ONE]])
+    assert Y == [[ONE / det, -Q / det], [-Q / det, ONE / det]]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name,hmax", (("A2", 8), ("C2", 6), ("G2", 4)))
+def test_phi_blocks_need_no_fallback(monkeypatch, name, hmax):
+    def refuse(*args):
+        raise AssertionError("Bareiss fallback reached")
+    monkeypatch.setattr(intertwiner, "_solve_bareiss", refuse)
+    phi = PhiTable(name, hmax)
+    assert set(weights_up_to(name, hmax)) <= set(phi._tilde)

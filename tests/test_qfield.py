@@ -18,6 +18,7 @@ from qpbw.qfield import (
     q_int,
     q_pochhammer,
     qmq,
+    ratio,
     sum_products,
 )
 
@@ -256,6 +257,22 @@ def test_single_normalisation_of_rescale(v, r, c):
         return
     once = RationalFunction(v.num * r.num * c.den, v.den * r.den * c.num)
     assert once == v * r / c
+
+
+@given(laurents(), laurents(allow_zero=False), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_ratio_matches_normalisation(a, b, divisible):
+    # exact division first, the gcd normalisation only when it fails
+    num = a * b if divisible else a
+    got = ratio(num, b)
+    want = RationalFunction(num, b)
+    assert got == want
+    assert canonical_string(got) == canonical_string(want)
+    if divisible:
+        assert poly_divexact(num, b) == a
+    elif not want.den.is_one():
+        with pytest.raises(ValueError):
+            poly_divexact(num, b)
 
 
 # ---------------------------------------------------------------------------
