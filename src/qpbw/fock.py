@@ -20,12 +20,17 @@ and sigma_i e_i come from their t-polynomials; sigma_i must land on a
 single diagonal +-q^power monomial (anything else means a transcription
 slipped, and we raise).  xi_i = lambda_i (sigma_i e_i) sigma_i^{-1} is then
 an honest operator with finite-support columns.
+
+xi_i is kept without its scalar lambda_i = 1/(1 - q_i^2): the operator
+(sigma_i e_i) sigma_i^{-1} has Laurent coefficients, so applying it to
+scaled kets multiplies Laurent polynomials only, and lambda_i is applied
+once per output entry, by one exact division where it divides.
 """
 
 from functools import lru_cache
 
-from .qfield import LaurentPoly, d_norm, sum_products
-from .presets import preset, rf, ONE, qpow, qfact, tuples_with_weight
+from .qfield import LaurentPoly, d_norm, q_factorial, ratio, sum_products
+from .presets import preset, rf, ONE, qpow, tuples_with_weight
 
 
 def _profile(name, word):
@@ -317,28 +322,45 @@ def sigma_e_op(name, word, i):
 
 @lru_cache(maxsize=None)
 def _xi_cached(name, word, i):
+    """(sigma_i e_i) sigma_i^{-1} = xi_i / lambda_i, a Laurent operator."""
     op, taus = _sigma_data(name, word, (i, "sigma"))
     coeff = next(iter(op.values()))
     inverse = {tuple((0, -t, 0) for t in taus): ONE / coeff}
     se = _sigma_data(name, word, (i, "sigma_e"))[0]
-    return op_scale(op_mul(name, word, se, inverse), preset(name).lam(i))
+    return op_mul(name, word, se, inverse)
 
 
-def xi_op(name, word, i):
-    """pi_word(xi_i) with xi_i = lambda_i (sigma_i e_i) sigma_i^{-1}."""
+def xi_bar_op(name, word, i):
+    """pi_word(xi_i / lambda_i) = pi_word((sigma_i e_i) sigma_i^{-1})."""
     return _xi_cached(name, word_arg(name, word), i)
 
 
+def xi_op(name, word, i):
+    """pi_word(xi_i) with xi_i = lambda_i (sigma_i e_i) sigma_i^{-1}.
+
+    Built from the cached xi_bar_op on every call; xi_apply never forms it.
+    """
+    return op_scale(xi_bar_op(name, word, i), preset(name).lam(i))
+
+
 def xi_apply(name, word, i, vec, tilde=True):
-    return apply_op(name, word, xi_op(name, word, i), vec, tilde=tilde)
+    """xi_i on a Fock vector: xi_divided_apply with r = 1."""
+    return xi_divided_apply(name, word, i, vec, 1, tilde=tilde)
 
 
 def xi_divided_apply(name, word, i, vec, r, tilde=True):
-    """Apply the divided power xi_i^{(r)} = xi_i^r / [r]_{q_i}!."""
-    p = preset(name)
+    """Apply the divided power xi_i^{(r)} = xi_i^r / [r]_{q_i}!.
+
+    Applies the Laurent xi_bar_op r times and divides each output entry
+    once, by (1 - q_i^2)^r [r]_{q_i}!, with one exact division where the
+    divisor divides.
+    """
+    d = preset(name).d[i]
+    bar = xi_bar_op(name, word, i)
     for _ in range(r):
-        vec = xi_apply(name, word, i, vec, tilde=tilde)
-    return {A: c / qfact(r, p.d[i]) for A, c in vec.items()}
+        vec = apply_op(name, word, bar, vec, tilde=tilde)
+    den = LaurentPoly({0: 1, 2 * d: -1}) ** r * q_factorial(r, d)
+    return {A: ratio(c.num, c.den * den) for A, c in vec.items()}
 
 
 def xi_matrix(name, label, i, weight):

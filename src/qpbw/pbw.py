@@ -11,12 +11,13 @@ Word-1 monomials are products of the chi-reversed root vectors, so their
 normal-ordered form materializes the change of basis: the coefficient of
 B[B] in build_pbw(1, A) is gamma-tilde^A_B.  Dividing the rows and columns
 by the appropriate q-factorials turns this into the divided-power matrix
-gamma, whose entries are integer polynomials in q.
+gamma, whose entries are integer polynomials in q; each is formed by one
+exact division of Laurent polynomials, with no gcd normalisation.
 """
 
 from functools import lru_cache
 
-from .qfield import q_factorial, sum_products
+from .qfield import LaurentPoly, q_factorial, ratio, sum_products
 from .presets import (
     preset, rf, ONE, reverse, serre_relations,
     tuples_with_weight, weights_up_to, zero_tuple,
@@ -27,17 +28,24 @@ from .presets import (
 # the multiplication primitive
 
 
+@lru_cache(maxsize=None)
+def _rule_terms(name, side, letter, t):
+    """The preset's side rule for the letter on t, as a tuple of terms.
+
+    Normal ordering meets the same tuple many times, and a rule rebuilds
+    its coefficients (with their q-integer quotients) on every call.
+    """
+    p = preset(name)
+    rules = p.right_rules if side == "right" else p.left_rules
+    return tuple(rules[letter](t))
+
+
 def mul_letter(name, v, letter, side="right"):
     """Multiply a PBW vector by one generator on the given side."""
-    p = preset(name)
-    if side == "right":
-        rule = p.right_rules[letter]
-    elif side == "left":
-        rule = p.left_rules[letter]
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return sum_products((u, coeff, c) for t, c in v.items()
-                        for coeff, u in rule(t))
+                        for coeff, u in _rule_terms(name, side, letter, t))
 
 
 def mul_word_expr(name, v, wp, side="right"):
@@ -105,11 +113,11 @@ def rho_column(name, label, letter, A):
     right rules by the reversing anti-involution, since
     e_i . E^A_1 = chi(E^{rev A}_2 . e_i).
     """
-    p = preset(name)
     if label == 2:
-        terms = p.left_rules[letter](A)
+        terms = _rule_terms(name, "left", letter, A)
     else:
-        terms = [(c, reverse(t)) for c, t in p.right_rules[letter](reverse(A))]
+        terms = [(c, reverse(t))
+                 for c, t in _rule_terms(name, "right", letter, reverse(A))]
     return sum_products((t, coeff, ONE) for coeff, t in terms)
 
 
@@ -135,14 +143,19 @@ def rho_matrix(name, label, letter, weight):
 # transition matrices
 
 
-def factorial_product(name, label, t):
+def _factorial_laurent(name, label, t):
     """prod_k [t_k]! in the base attached to the word's k-th letter."""
     p = preset(name)
     word = p.word(label)
-    out = ONE
+    out = LaurentPoly.one()
     for x, i in zip(t, word):
-        out = out * rf(q_factorial(x, p.d[i]))
+        out = out * q_factorial(x, p.d[i])
     return out
+
+
+def factorial_product(name, label, t):
+    """prod_k [t_k]! as a RationalFunction."""
+    return rf(_factorial_laurent(name, label, t))
 
 
 class TransitionBlock:
@@ -175,13 +188,13 @@ def transition_block(name, weight):
         raise ValueError(f"no tuples of weight {weight} for {name}")
     tilde = {}
     gamma = {}
-    inv_row = {A: ONE / factorial_product(name, 1, A) for A in rows}
-    col_fact = {B: factorial_product(name, 2, B) for B in cols}
+    col_fact = {B: _factorial_laurent(name, 2, B) for B in cols}
     for A in rows:
+        row_fact = _factorial_laurent(name, 1, A)
         v = _word1_monomial(name, A)
         for B, c in v.items():
             tilde[(A, B)] = c
-            gamma[(A, B)] = c * col_fact[B] * inv_row[A]
+            gamma[(A, B)] = ratio(c.num * col_fact[B], c.den * row_fact)
     return TransitionBlock(name, weight, rows, cols, tilde, gamma)
 
 

@@ -527,20 +527,21 @@ def _serre_fock_check(name, bound):
     """The divided-power Serre sums of the xi operators vanish on kets.
 
     The sweep over all kets within the entry bound evaluates the sum in
-    its factorial-cleared binomial form with the xi operators scaled by
-    1/lambda_i, which keeps every coefficient a Laurent polynomial (the
-    cleared form is the divided-power sum times the nonzero constant
-    [top]_i! lambda_i^top lambda_j).  Kets with entries <= 1 are then
-    re-checked through literal sequential divided-power applications on
-    scaled kets, exercising that code path as well.
+    its factorial-cleared binomial form with the Laurent operators
+    xi_i/lambda_i of fock.xi_bar_op, which keeps every coefficient a
+    Laurent polynomial (the cleared form is the divided-power sum times
+    the nonzero constant [top]_i! lambda_i^top lambda_j).  Kets with
+    entries <= 1 are then re-checked through literal sequential
+    divided-power applications on scaled kets, exercising that code path
+    as well.
     """
     p = preset(name)
     n = 0
     for label in (1, 2):
         for (i, j), a in sorted(p.cartan.items()):
             top = 1 - a
-            bar_i = fock.op_scale(fock.xi_op(name, label, i), ONE / p.lam(i))
-            bar_j = fock.op_scale(fock.xi_op(name, label, j), ONE / p.lam(j))
+            bar_i = fock.xi_bar_op(name, label, i)
+            bar_j = fock.xi_bar_op(name, label, j)
             binom = [qbinom(top, r, p.d[i]) for r in range(top + 1)]
             col_i, col_j = {}, {}
 

@@ -20,6 +20,7 @@ from qpbw.fock import (
 )
 from qpbw.fock import _mono_apply, _mono_mul_word
 from qpbw.pbw import rho_matrix
+from qpbw.qfield import LaurentPoly, canonical_string
 from qpbw.presets import ONE, preset, qfact, qint, qpow, rf
 
 _TOKEN = re.compile(r"([aA][+-]|[kK])(\d)(')?$")
@@ -387,3 +388,92 @@ def test_sigma_is_invertible_monomial():
                 (monos, coeff), = op.items()
                 assert all(x == 0 and y == 0 for x, _, y in monos)
                 assert coeff.den.is_one() and coeff.num.is_monomial()
+
+
+# ---------------------------------------------------------------------------
+# xi without lambda: xi_apply divides once per output entry; it must agree
+# with applying the lambda-scaled operator, the path it replaces
+
+
+_DENS = (ONE, ONE / qint(2), ONE / (ONE - qpow(2)), ONE / qint(3, 2))
+
+
+@st.composite
+def fock_vectors(draw):
+    name = draw(st.sampled_from(("A2", "C2", "G2")))
+    length = preset(name).length
+    kets = draw(st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * length),
+        min_size=1, max_size=3, unique=True))
+    vec = {}
+    for ket in kets:
+        lp = {e: v for e, v in draw(st.dictionaries(
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=-3, max_value=3), min_size=1,
+            max_size=3)).items() if v}
+        if lp:
+            vec[ket] = rf(LaurentPoly(lp)) * draw(st.sampled_from(_DENS))
+    return name, vec or {kets[0]: ONE}
+
+
+def _strings(vec):
+    return {A: canonical_string(c) for A, c in vec.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(fock_vectors(), st.sampled_from([1, 2]), st.sampled_from([1, 2]),
+       st.booleans())
+def test_xi_apply_matches_scaled_operator(name_vec, word, i, tilde):
+    name, vec = name_vec
+    got = xi_apply(name, word, i, vec, tilde=tilde)
+    want = apply_op(name, word, xi_op(name, word, i), vec, tilde=tilde)
+    assert got == want
+    assert _strings(got) == _strings(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fock_vectors(), st.sampled_from([1, 2]), st.sampled_from([1, 2]),
+       st.integers(min_value=0, max_value=3))
+def test_xi_divided_apply_matches_stepwise(name_vec, word, i, r):
+    name, vec = name_vec
+    got = xi_divided_apply(name, word, i, vec, r)
+    want = vec
+    for _ in range(r):
+        want = apply_op(name, word, xi_op(name, word, i), want, tilde=True)
+    want = {A: c / qfact(r, preset(name).d[i]) for A, c in want.items()}
+    assert got == want
+    assert _strings(got) == _strings(want)
+
+
+def test_xi_bar_op_is_laurent():
+    for name in ("A2", "C2", "G2"):
+        for word in (1, 2):
+            for i in (1, 2):
+                bar = fock.xi_bar_op(name, word, i)
+                assert all(c.den.is_one() for c in bar.values())
+                assert op_scale(bar, preset(name).lam(i)) \
+                    == xi_op(name, word, i)
+
+
+def test_xi_apply_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def poly(p):
+        return sum((sympy.Rational(v.numerator, v.denominator) * q ** e
+                    for e, v in p.c.items()), sympy.Integer(0))
+
+    def to_sympy(x):
+        return poly(x.num) / poly(x.den)
+
+    # G2 word 1, xi_2 on scaled kets: base q^3, so lambda_2 = 1/(1 - q^6);
+    # the input coefficient 1/[2] leaves a denominator in every output
+    ket = (1, 1, 0, 1, 0, 1)
+    start = ONE / qint(2)
+    got = xi_apply("G2", 1, 2, {ket: start})
+    bar = apply_op("G2", 1, fock.xi_bar_op("G2", 1, 2), {ket: ONE},
+                   tilde=True)
+    assert set(got) == set(bar) and len(got) > 1
+    for A, c in got.items():
+        want = sympy.cancel(to_sympy(bar[A]) * to_sympy(start) / (1 - q ** 6))
+        assert sympy.cancel(to_sympy(c) - want) == 0

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbw.qfield import LaurentPoly, is_integer_polynomial
+from qpbw.qfield import LaurentPoly, canonical_string, is_integer_polynomial
 from qpbw.presets import (
     ALGEBRAS, preset, rf, qpow, qint, qbracket, wp_mul, reverse,
 )
@@ -22,6 +22,7 @@ from qpbw.pbw import (
     weights_up_to,
     zero_tuple,
 )
+from qpbw.pbw import _rule_terms
 
 
 def lp(d):
@@ -276,3 +277,57 @@ def test_factorial_product():
 
 def test_zero_tuple():
     assert zero_tuple("G2") == (0, 0, 0, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# gamma by one exact division and the cached rule terms, against the
+# RationalFunction rescale and the preset rules they replace
+
+
+@pytest.mark.parametrize("name,height", [("A2", 8), ("C2", 6), ("G2", 5)])
+def test_gamma_matches_factorial_rescale(name, height):
+    for w in weights_up_to(name, height):
+        t = transition_block(name, w)
+        for (A, B), g in t._gamma.items():
+            want = (t.tilde(A, B) * factorial_product(name, 2, B)
+                    / factorial_product(name, 1, A))
+            assert g == want, (name, w, A, B)
+            assert canonical_string(g) == canonical_string(want)
+        assert set(t._gamma) == set(t._tilde)
+
+
+def test_gamma_entry_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def poly(p):
+        return sum((sympy.Rational(v.numerator, v.denominator) * q ** e
+                    for e, v in p.c.items()), sympy.Integer(0))
+
+    def to_sympy(x):
+        return poly(x.num) / poly(x.den)
+
+    # the smallest block with a tilde entry that carries a denominator
+    t = transition_block("C2", (2, 2))
+    assert any(not c.den.is_one() for c in t._tilde.values())
+    for A, B in t._tilde:
+        want = sympy.cancel(to_sympy(t.tilde(A, B))
+                            * to_sympy(factorial_product("C2", 2, B))
+                            / to_sympy(factorial_product("C2", 1, A)))
+        assert sympy.cancel(to_sympy(t.gamma(A, B)) - want) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALGEBRAS), st.data(), st.sampled_from([1, 2]),
+       st.sampled_from(["right", "left"]))
+def test_rule_terms_match_rules(name, data, letter, side):
+    p = preset(name)
+    t = tuple(data.draw(st.integers(min_value=0, max_value=6))
+              for _ in range(p.length))
+    rule = (p.right_rules if side == "right" else p.left_rules)[letter]
+    got = _rule_terms(name, side, letter, t)
+    want = rule(t)
+    assert list(got) == want
+    assert ([(canonical_string(c), u) for c, u in got]
+            == [(canonical_string(c), u) for c, u in want])
+    assert _rule_terms(name, side, letter, t) is got
