@@ -24,7 +24,11 @@ an honest operator with finite-support columns.
 xi_i is kept without its scalar lambda_i = 1/(1 - q_i^2): the operator
 (sigma_i e_i) sigma_i^{-1} has Laurent coefficients, so applying it to
 scaled kets multiplies Laurent polynomials only, and lambda_i is applied
-once per output entry, by one exact division where it divides.
+once per output entry, by one exact division where it divides.  On bare
+kets every slot factor is Laurent too, so xi_matrix(..., bare=True), the
+matrix of xi_i / lambda_i on bare kets, has Laurent entries throughout;
+the intertwiner recursion reads it, since lambda_i cancels from both
+sides of its relations.
 """
 
 from functools import lru_cache
@@ -363,21 +367,27 @@ def xi_divided_apply(name, word, i, vec, r, tilde=True):
     return {A: ratio(c.num, c.den * den) for A, c in vec.items()}
 
 
-def xi_matrix(name, label, i, weight):
+def xi_matrix(name, label, i, weight, bare=False):
     """Matrix of xi_i on scaled kets, shaped like pbw.rho_matrix.
 
     Returns (rows, cols, entries): cols enumerate the kets of the source
     weight for the given word label, rows those of the raised weight,
-    entries {(row tuple, col tuple): coefficient}.
+    entries {(row tuple, col tuple): coefficient}.  bare=True gives
+    instead the matrix of the Laurent xi_bar_op on bare kets |m>, whose
+    entries are all Laurent polynomials.
     """
     p = preset(name)
     cols = tuples_with_weight(name, label, weight)
     inc = p.letter_increment(i)
     rows = tuples_with_weight(name, label,
                               (weight[0] + inc[0], weight[1] + inc[1]))
+    bar = xi_bar_op(name, label, i)
     entries = {}
     for A in cols:
-        img = xi_apply(name, label, i, {A: ONE}, tilde=True)
+        if bare:
+            img = apply_op(name, label, bar, {A: ONE})
+        else:
+            img = xi_apply(name, label, i, {A: ONE}, tilde=True)
         for B, c in img.items():
             entries[(B, A)] = c
     return rows, cols, entries

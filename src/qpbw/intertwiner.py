@@ -4,9 +4,11 @@ Phi is the vacuum-normalized isomorphism between the irreducible
 representations attached to the two longest words (source word 1, target
 word 2).  Blocks are produced inductively: the intertwining relations with
 xi_1 and xi_2 turn each block into an exact overdetermined linear system
-in terms of the block one step below.  Only Fock-side operators appear
-here, so agreement with the PBW-side transition matrices downstream is a
-genuine cross-check between independent pipelines.
+in terms of the block one step below.  The system is set up on bare kets
+|m>, where it has Laurent coefficients, and its solution lies in Z[q], so
+every quotient of the solve is an exact division.  Only Fock-side
+operators appear here, so agreement with the PBW-side transition matrices
+downstream is a genuine cross-check between independent pipelines.
 
 The checked table composes Phi with full reversal of the input slots;
 depending on the algebra it is the R, K or F family of coefficients.
@@ -152,31 +154,35 @@ class PhiTable:
 
     Block rows are word-2 tuples (outputs), columns word-1 tuples (inputs),
     both in ascending lexicographic order; blocks are keyed by the
-    conserved pair.  tilde_block holds the plain-power normalization,
-    block the divided-power one; both are built once per weight and shared
-    by every later call, so callers must not mutate them.
+    conserved pair.  block holds Phi on bare kets |m>, which is the
+    divided-power normalisation: every entry lies in Z[q].  Each block is
+    solved once per weight from the Laurent operators xi_i / lambda_i on
+    bare kets and shared by every later call, so callers must not mutate
+    it.  tilde_block and phi_tilde give Phi on the scaled kets
+    |m>> = D(m)|m> (the plain-power normalisation), rescaled from the
+    bare block on each call.
     """
 
     def __init__(self, name, max_height=0):
         self.name = name
         self.preset = preset(name)
         self.max_height = 0
-        self._tilde = {}
-        self._divided = {}
+        self._blocks = {}
         self.extend(max_height)
 
     def extend(self, max_height):
         if max_height < 0:
             raise ValueError("max_height must be nonnegative")
         for w in weights_up_to(self.name, max_height):
-            self.tilde_block(w)
+            self.block(w)
         self.max_height = max(self.max_height, max_height)
 
-    def tilde_block(self, weight):
-        got = self._tilde.get(weight)
+    def block(self, weight):
+        """Phi on bare kets: (rows, cols, {(C, B): entry}), built once."""
+        got = self._blocks.get(weight)
         if got is None:
             got = self._compute_block(weight)
-            self._tilde[weight] = got
+            self._blocks[weight] = got
         return got
 
     def _compute_block(self, weight):
@@ -187,16 +193,19 @@ class PhiTable:
         cols = tuples_with_weight(self.name, 1, weight)
         if m2 == 0 and m1 == 0:
             return rows, cols, {(rows[0], cols[0]): ONE}
-        # X . M^i = M'^i . Phi(below), transposed and stacked over i
+        # X . M^i = M'^i . Phi(below), transposed and stacked over i.  The
+        # scalar lambda_i of xi_i stands on both sides and cancels, so M and
+        # M' are the Laurent xi_i / lambda_i on bare kets, P and Q are
+        # Laurent, and every quotient of the solve is an exact division.
         prows, qrows = [], []
         for i in (1, 2):
             inc = self.preset.letter_increment(i)
             below = (m2 - inc[0], m1 - inc[1])
             if below[0] < 0 or below[1] < 0:
                 continue
-            _, src_cols, m_ent = xi_matrix(self.name, 1, i, below)
-            srows, _, prev_ent = self.tilde_block(below)
-            _, _, mp_ent = xi_matrix(self.name, 2, i, below)
+            _, src_cols, m_ent = xi_matrix(self.name, 1, i, below, bare=True)
+            srows, _, prev_ent = self.block(below)
+            _, _, mp_ent = xi_matrix(self.name, 2, i, below, bare=True)
             for A in src_cols:
                 prows.append([m_ent.get((B, A), ZERO) for B in cols])
                 sums = sum_products(
@@ -231,32 +240,20 @@ class PhiTable:
                 den = den * LaurentPoly({0: 1, 2 * d: -1}) ** m
         return RationalFunction(LaurentPoly.qpow(shift), den)
 
-    def block(self, weight):
-        """Divided-power normalization: Phi = tilde Phi * prod d-ratios."""
-        got = self._divided.get(weight)
-        if got is None:
-            got = self._divided_block(weight)
-            self._divided[weight] = got
-        return got
+    def _scaled(self, C, B, v):
+        """A bare-ket entry v on scaled kets: v * D(B) / D(C)."""
+        r, c = self._d_factor(2, C), self._d_factor(1, B)
+        return ratio(v.num * c.num * r.den, v.den * c.den * r.num)
 
-    def _divided_block(self, weight):
-        rows, cols, tilde = self.tilde_block(weight)
-        row_fac = {C: self._d_factor(2, C) for C in rows}
-        col_fac = {B: self._d_factor(1, B) for B in cols}
-        entries = {}
-        for (C, B), v in tilde.items():
-            r, c = row_fac[C], col_fac[B]
-            # v * r / c with at most one normalization
-            entries[(C, B)] = ratio(v.num * r.num * c.den,
-                                    v.den * r.den * c.num)
-        return rows, cols, entries
+    def tilde_block(self, weight):
+        """Phi on scaled kets |m>>, rescaled from block on each call."""
+        rows, cols, bare = self.block(weight)
+        return rows, cols, {(C, B): self._scaled(C, B, v)
+                            for (C, B), v in bare.items()}
 
     def phi_tilde(self, C, B):
-        C, B = tuple(C), tuple(B)
-        if self.preset.conserved2(C) != self.preset.conserved1(B):
-            return ZERO
-        _, _, entries = self.tilde_block(self.preset.conserved2(C))
-        return entries.get((C, B), ZERO)
+        v = self.phi(C, B)
+        return self._scaled(tuple(C), tuple(B), v) if v else ZERO
 
     def phi(self, C, B):
         C, B = tuple(C), tuple(B)

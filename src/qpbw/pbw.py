@@ -1,23 +1,29 @@
 """Normal-form arithmetic in the positive half of the quantized algebra.
 
-Elements are kept in the word-2 monomial basis: a PBW vector is a dict
-{exponent tuple -> RationalFunction} representing sum c_A B[A] with
-B[A] = b_1^{a_1} ... b_l^{a_l} (plain powers, no factorial normalization).
-Multiplying by a generator on either side is a table lookup in the preset
-rules; everything else (the other word's monomials, transition matrices)
-is built from that single primitive.
+Elements are kept in a word-2 monomial basis: a PBW vector is a dict
+{exponent tuple -> RationalFunction}.  In the plain basis it represents
+sum c_A B[A] with B[A] = b_1^{a_1} ... b_l^{a_l}; multiplying by a
+generator on either side is a table lookup in the preset rules.
 
-Word-1 monomials are products of the chi-reversed root vectors, so their
-normal-ordered form materializes the change of basis: the coefficient of
-B[B] in build_pbw(1, A) is gamma-tilde^A_B.  Dividing the rows and columns
-by the appropriate q-factorials turns this into the divided-power matrix
-gamma, whose entries are integer polynomials in q; each is formed by one
-exact division of Laurent polynomials, with no gcd normalisation.
+The transition matrices live in the divided basis B^(A) = B[A] / F2(A),
+F2(A) = prod_k [a_k]! in the base of the word's k-th letter.  The divided
+monomials of either word span Lusztig's Z[q, q^-1]-form, so every rule
+term rescaled to the divided basis, c * F2(u) / F2(t), is a Laurent
+polynomial, and so is every coefficient of a divided word-1 monomial
+E_1^(A) over the divided word-2 basis: these coefficients are the
+entries gamma^A_B.  E_1^(A) is built one root vector at a time, each step
+one exact division by [a_r] times that root vector's [2]/[3]
+denominator, so normal ordering multiplies Laurent polynomials only and
+runs no gcd.  An inexact division raises ArithmeticError.  The
+plain-power rows gamma-tilde (build_pbw of word 1, TransitionBlock.tilde)
+are rescaled from gamma on request.
 """
 
 from functools import lru_cache
 
-from .qfield import LaurentPoly, q_factorial, ratio, sum_products
+from .qfield import (
+    LaurentPoly, poly_divexact, q_factorial, q_int, ratio, sum_products,
+)
 from .presets import (
     preset, rf, ONE, reverse, serre_relations,
     tuples_with_weight, weights_up_to, zero_tuple,
@@ -40,21 +46,52 @@ def _rule_terms(name, side, letter, t):
     return tuple(rules[letter](t))
 
 
-def mul_letter(name, v, letter, side="right"):
-    """Multiply a PBW vector by one generator on the given side."""
+def _exact(num, den, where, *args):
+    """num / den as a RationalFunction; ArithmeticError if inexact.
+
+    The error names the place, where.format(*args), formatted only then.
+    """
+    try:
+        return rf(poly_divexact(num, den))
+    except ValueError:
+        raise ArithmeticError(
+            "inexact division in " + where.format(*args)) from None
+
+
+@lru_cache(maxsize=None)
+def _divided_rule_terms(name, side, letter, t):
+    """The side rule for the letter on B^(t), over the divided basis.
+
+    Each term's coefficient is rescaled by F2(u) / F2(t), one exact
+    division of Laurent polynomials.
+    """
+    ft = _factorial_laurent(name, 2, t)
+    return tuple(
+        (_exact(c.num * _factorial_laurent(name, 2, u), c.den * ft,
+                "the divided {} rule of {} at weight {}: e_{} on {}, term {}",
+                side, name, preset(name).conserved2(t), letter, t, u), u)
+        for c, u in _rule_terms(name, side, letter, t))
+
+
+def mul_letter(name, v, letter, side="right", divided=False):
+    """Multiply a PBW vector by one generator on the given side.
+
+    divided=True reads and writes the divided basis B^(A).
+    """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    rule = _divided_rule_terms if divided else _rule_terms
     return sum_products((u, coeff, c) for t, c in v.items()
-                        for coeff, u in _rule_terms(name, side, letter, t))
+                        for coeff, u in rule(name, side, letter, t))
 
 
-def mul_word_expr(name, v, wp, side="right"):
+def mul_word_expr(name, v, wp, side="right", divided=False):
     """v . wp (side right) or wp . v (side left) for a word expression wp."""
     def terms():
         for w, c in wp.items():
             cur = v
             for i in (w if side == "right" else reverse(w)):
-                cur = mul_letter(name, cur, i, side)
+                cur = mul_letter(name, cur, i, side, divided)
             for t, x in cur.items():
                 yield t, x, c
 
@@ -76,20 +113,49 @@ def normal_order(name, wp):
 
 
 @lru_cache(maxsize=None)
-def _word1_monomial(name, A):
+def _root_vector(name, r):
+    """The r-th word-1 root vector as (Laurent word expression, denominator).
+
+    The denominator is the coefficients' largest [2]/[3] denominator,
+    which every other one divides.
+    """
+    wp = preset(name).root_vectors1[r]
+    den = max((c.den for c in wp.values()), key=LaurentPoly.degree)
+    return {w: _exact(c.num * den, c.den, "root vector {} of {}", r, name)
+            for w, c in wp.items()}, den
+
+
+@lru_cache(maxsize=None)
+def _word1_divided(name, A):
+    """E_1^(A) over the divided word-2 basis: {B: gamma^A_B}.
+
+    With r the last nonzero slot, E_1^(A) = E_1^(A - e_r) . c_r / [a_r].
+    """
     p = preset(name)
     r = max((k for k in range(p.length) if A[k]), default=-1)
     if r < 0:
         return {zero_tuple(name): ONE}
-    prev = _word1_monomial(name, A[:r] + (A[r] - 1,) + A[r + 1:])
-    return mul_word_expr(name, prev, p.root_vectors1[r], side="right")
+    prev = _word1_divided(name, A[:r] + (A[r] - 1,) + A[r + 1:])
+    wp, den = _root_vector(name, r)
+    den = den * q_int(A[r], p.d[p.word1[r]])
+    v = mul_word_expr(name, prev, wp, side="right", divided=True)
+    return {B: _exact(c.num, c.den * den,
+                      "gamma of {} at weight {}, row {}, column {}",
+                      name, p.conserved1(A), A, B)
+            for B, c in v.items()}
+
+
+def _tilde_entry(name, A, B, g):
+    """gamma-tilde^A_B = gamma^A_B * F1(A) / F2(B)."""
+    return ratio(g.num * _factorial_laurent(name, 1, A),
+                 g.den * _factorial_laurent(name, 2, B))
 
 
 def build_pbw(name, label, A):
     """The monomial c_1^{a_1}...c_l^{a_l} of the given word, normal-ordered.
 
     For word 2 this is already a basis monomial; for word 1 the result's
-    coefficients are the gamma-tilde^A_B row.
+    coefficients are the gamma-tilde^A_B row, rescaled from gamma.
     """
     p = preset(name)
     A = tuple(A)
@@ -99,7 +165,8 @@ def build_pbw(name, label, A):
         return {A: ONE}
     if label != 1:
         raise ValueError(f"word label must be 1 or 2, got {label!r}")
-    return dict(_word1_monomial(name, A))
+    return {B: _tilde_entry(name, A, B, g)
+            for B, g in _word1_divided(name, A).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +226,25 @@ def factorial_product(name, label, t):
 
 
 class TransitionBlock:
-    """gamma-tilde and gamma on one weight block.
+    """gamma and gamma-tilde on one weight block.
 
     rows: word-1 exponent tuples (lexicographic); cols: word-2 tuples.
-    Entry (A, B) expands the word-1 monomial of A over word-2 monomials.
+    Entry (A, B) expands the word-1 monomial of A over word-2 monomials:
+    gamma in the divided bases, gamma-tilde (rescaled on each call) in the
+    plain ones.
     """
 
-    def __init__(self, name, weight, rows, cols, tilde, gamma):
+    def __init__(self, name, weight, rows, cols, gamma):
         self.name = name
         self.weight = weight
         self.rows = rows
         self.cols = cols
-        self._tilde = tilde
         self._gamma = gamma
 
     def tilde(self, A, B):
-        return self._tilde.get((tuple(A), tuple(B)), rf(0))
+        A, B = tuple(A), tuple(B)
+        g = self._gamma.get((A, B))
+        return rf(0) if g is None else _tilde_entry(self.name, A, B, g)
 
     def gamma(self, A, B):
         return self._gamma.get((tuple(A), tuple(B)), rf(0))
@@ -186,16 +256,9 @@ def transition_block(name, weight):
     cols = tuples_with_weight(name, 2, weight)
     if not rows or not cols:
         raise ValueError(f"no tuples of weight {weight} for {name}")
-    tilde = {}
-    gamma = {}
-    col_fact = {B: _factorial_laurent(name, 2, B) for B in cols}
-    for A in rows:
-        row_fact = _factorial_laurent(name, 1, A)
-        v = _word1_monomial(name, A)
-        for B, c in v.items():
-            tilde[(A, B)] = c
-            gamma[(A, B)] = ratio(c.num * col_fact[B], c.den * row_fact)
-    return TransitionBlock(name, weight, rows, cols, tilde, gamma)
+    gamma = {(A, B): c for A in rows
+             for B, c in _word1_divided(name, A).items()}
+    return TransitionBlock(name, weight, rows, cols, gamma)
 
 
 def serre_residuals(name):

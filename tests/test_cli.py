@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from qpbw import cli, verify
+from qpbw import cli, pbw, verify
 from qpbw.cli import (
     TableRecord, compute_records, main, record_from_json, record_to_json,
     records_from_csv, records_to_csv,
 )
-from qpbw.qfield import parse
+from qpbw.qfield import LaurentPoly, RationalFunction, parse
 
 
 def run(argv, capsys):
@@ -173,6 +173,60 @@ def test_arithmetic_error_exits_one(monkeypatch, capsys, exc):
     assert rc == 1
     assert out == ""
     assert err == f"qpbw: {exc}\n"
+
+
+@pytest.fixture
+def fresh_pbw_caches():
+    caches = (pbw._divided_rule_terms, pbw._word1_divided,
+              pbw.transition_block)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+# 1 + q divides no q-integer in an even power of q, so dividing by it
+# makes the next exact division on the gamma path inexact
+_ONE_PLUS_Q = RationalFunction(LaurentPoly({0: 1, 1: 1}))
+
+
+def _off_rule_terms(monkeypatch):
+    rule_terms = pbw._rule_terms
+
+    def broken(name, side, letter, t):
+        terms = list(rule_terms(name, side, letter, t))
+        if letter == 2:
+            c, u = terms[0]
+            terms[0] = (c / _ONE_PLUS_Q, u)
+        return tuple(terms)
+    monkeypatch.setattr(pbw, "_rule_terms", broken)
+
+
+def _off_root_vector(monkeypatch):
+    root_vector = pbw._root_vector
+
+    def broken(name, r):
+        wp, den = root_vector(name, r)
+        return wp, den * _ONE_PLUS_Q.num
+    monkeypatch.setattr(pbw, "_root_vector", broken)
+
+
+@pytest.mark.parametrize("patch,message", [
+    (_off_rule_terms, "inexact division in the divided right rule of C2 "
+                      "at weight (0, 0): e_2 on (0, 0, 0, 0), "
+                      "term (1, 0, 0, 0)\n"),
+    (_off_root_vector, "inexact division in gamma of C2 at weight (1, 1), "
+                       "row (0, 0, 1, 0), column (0, 1, 0, 0)\n"),
+])
+def test_inexact_division_exits_one(monkeypatch, capsys, fresh_pbw_caches,
+                                    patch, message):
+    patch(monkeypatch)
+    rc, out, err = run(["compute", "--algebra", "C2", "--kind", "gamma",
+                        "--in", "0,1,0,0"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == f"qpbw: {message}"
 
 
 # ---------------------------------------------------------------------------

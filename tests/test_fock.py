@@ -20,7 +20,7 @@ from qpbw.fock import (
 )
 from qpbw.fock import _mono_apply, _mono_mul_word
 from qpbw.pbw import rho_matrix
-from qpbw.qfield import LaurentPoly, canonical_string
+from qpbw.qfield import LaurentPoly, canonical_string, d_norm
 from qpbw.presets import ONE, preset, qfact, qint, qpow, rf
 
 _TOKEN = re.compile(r"([aA][+-]|[kK])(\d)(')?$")
@@ -377,6 +377,30 @@ def test_key_property_spot():
     for name, label, w in cases:
         for i in (1, 2):
             assert rho_matrix(name, label, i, w) == xi_matrix(name, label, i, w)
+
+
+def test_bare_xi_matrix_matches_scaled():
+    # xi_bar = xi / lambda on bare kets |m>, with |m>> = D(m)|m>: each entry
+    # is the scaled-ket entry times D(row) / (D(col) lambda)
+    for name in ("A2", "C2", "G2"):
+        p = preset(name)
+        for label in (1, 2):
+            word = p.word(label)
+
+            def D(t):
+                out = ONE
+                for m, node in zip(t, word):
+                    out = out * d_norm(m, p.d[node])
+                return out
+            for i in (1, 2):
+                for w in ((0, 0), (1, 1), (2, 1), (1, 3)):
+                    rows, cols, bare = xi_matrix(name, label, i, w, bare=True)
+                    assert (rows, cols) == xi_matrix(name, label, i, w)[:2]
+                    _, _, scaled = xi_matrix(name, label, i, w)
+                    want = {(B, A): c * D(B) / (D(A) * p.lam(i))
+                            for (B, A), c in scaled.items()}
+                    assert bare == want, (name, label, i, w)
+                    assert all(c.den.is_one() for c in bare.values())
 
 
 def test_sigma_is_invertible_monomial():

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbw import intertwiner
+from qpbw import intertwiner, qfield
+from qpbw.fock import xi_matrix
 from qpbw.intertwiner import (
     CheckedTable, PhiTable, checked_table, compute_phi,
     pbw_expansion_identity, solve_exact,
@@ -13,7 +14,9 @@ from qpbw.presets import (
     ONE, ZERO, preset, qpow, reverse, rf, tuples_with_weight, weights_up_to,
     zero_tuple,
 )
-from qpbw.qfield import LaurentPoly, RationalFunction, canonical_string, d_norm
+from qpbw.qfield import (
+    LaurentPoly, RationalFunction, canonical_string, d_norm, sum_products,
+)
 
 Q = qpow(1)
 
@@ -159,7 +162,7 @@ def test_main_theorem_low_blocks():
 def test_compute_phi_extends_and_validates():
     phi = compute_phi("A2", 3)
     assert phi.max_height == 3
-    assert set(weights_up_to("A2", 3)) <= set(phi._tilde)
+    assert set(weights_up_to("A2", 3)) <= set(phi._blocks)
     with pytest.raises(ValueError):
         compute_phi("A2", -1)
     with pytest.raises(ValueError):
@@ -256,6 +259,94 @@ def test_block_matches_two_step_rescale(name, hmax):
     fresh = PhiTable(name)
     for w in reversed(weights):
         assert fresh.block(w) == phi.block(w), (name, w)
+
+
+def _scaled_blocks(name, hmax):
+    """Phi on scaled kets |m>> by the recursion the bare-ket solve
+    replaces: xi_i with its lambda_i, on scaled kets, block by block."""
+    p = preset(name)
+    blocks = {}
+    for w in weights_up_to(name, hmax):
+        rows = tuples_with_weight(name, 2, w)
+        cols = tuples_with_weight(name, 1, w)
+        if w == (0, 0):
+            blocks[w] = {(rows[0], cols[0]): ONE}
+            continue
+        prows, qrows = [], []
+        for i in (1, 2):
+            inc = p.letter_increment(i)
+            below = (w[0] - inc[0], w[1] - inc[1])
+            if min(below) < 0:
+                continue
+            _, src_cols, m_ent = xi_matrix(name, 1, i, below)
+            _, _, mp_ent = xi_matrix(name, 2, i, below)
+            prev = blocks[below]
+            for A in src_cols:
+                prows.append([m_ent.get((B, A), ZERO) for B in cols])
+                sums = sum_products((C, c, v) for (C, D), c in mp_ent.items()
+                                    for (D2, A2), v in prev.items()
+                                    if D2 == D and A2 == A)
+                qrows.append([sums.get(C, ZERO) for C in rows])
+        Y = solve_exact(prows, qrows)
+        blocks[w] = {(C, B): Y[bi][ci] for bi, B in enumerate(cols)
+                     for ci, C in enumerate(rows) if Y[bi][ci]}
+    return blocks
+
+
+@pytest.mark.parametrize("name,hmax", (("A2", 8), ("C2", 6), ("G2", 5)))
+def test_bare_block_matches_scaled_recursion(name, hmax):
+    phi = PhiTable(name)
+    p = preset(name)
+    for w, scaled in _scaled_blocks(name, hmax).items():
+        _, _, bare = phi.block(w)
+        want = {}
+        for (C, B), v in scaled.items():
+            for m, node in zip(C, p.word2):
+                v = v * d_norm(m, p.d[node])
+            for m, node in zip(B, p.word1):
+                v = v / d_norm(m, p.d[node])
+            want[(C, B)] = v
+        assert bare == want, (name, w)
+        assert ({k: canonical_string(v) for k, v in bare.items()}
+                == {k: canonical_string(v) for k, v in want.items()})
+        assert all(v.den.is_one() for v in bare.values())
+        assert phi.tilde_block(w)[2] == scaled, (name, w)
+
+
+@pytest.mark.parametrize("name,hmax", (("A2", 8), ("C2", 6), ("G2", 5)))
+def test_bare_solve_divides_exactly(monkeypatch, name, hmax):
+    # every quotient of the bare-ket solve is an exact Laurent division
+    def strict(num, den):
+        return rf(qfield.poly_divexact(num, den))
+    monkeypatch.setattr(intertwiner, "ratio", strict)
+    phi = PhiTable(name, hmax)
+    assert set(weights_up_to(name, hmax)) <= set(phi._blocks)
+
+
+def test_bare_block_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def poly(p):
+        return sum((sympy.Rational(v.numerator, v.denominator) * q ** e
+                    for e, v in p.c.items()), sympy.Integer(0))
+
+    def to_sympy(x):
+        return poly(x.num) / poly(x.den)
+
+    # C2 (2, 2): the scaled-ket entries carry denominators
+    p = preset("C2")
+    scaled = _scaled_blocks("C2", 4)[(2, 2)]
+    assert any(not v.den.is_one() for v in scaled.values())
+    _, _, bare = PhiTable("C2").block((2, 2))
+    assert set(bare) == set(scaled)
+    for (C, B), v in scaled.items():
+        want = to_sympy(v)
+        for m, node in zip(C, p.word2):
+            want = want * to_sympy(d_norm(m, p.d[node]))
+        for m, node in zip(B, p.word1):
+            want = want / to_sympy(d_norm(m, p.d[node]))
+        assert sympy.cancel(to_sympy(bare[(C, B)]) - sympy.cancel(want)) == 0
 
 
 @pytest.mark.parametrize("name,hmax", DIFF_HEIGHTS)
@@ -379,4 +470,4 @@ def test_phi_blocks_need_no_fallback(monkeypatch, name, hmax):
         raise AssertionError("Bareiss fallback reached")
     monkeypatch.setattr(intertwiner, "_solve_bareiss", refuse)
     phi = PhiTable(name, hmax)
-    assert set(weights_up_to(name, hmax)) <= set(phi._tilde)
+    assert set(weights_up_to(name, hmax)) <= set(phi._blocks)

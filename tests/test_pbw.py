@@ -22,7 +22,7 @@ from qpbw.pbw import (
     weights_up_to,
     zero_tuple,
 )
-from qpbw.pbw import _rule_terms
+from qpbw.pbw import _divided_rule_terms, _rule_terms
 
 
 def lp(d):
@@ -280,20 +280,52 @@ def test_zero_tuple():
 
 
 # ---------------------------------------------------------------------------
-# gamma by one exact division and the cached rule terms, against the
-# RationalFunction rescale and the preset rules they replace
+# gamma in the divided basis against the plain-power normal ordering and
+# factorial rescale it replaces; the cached and divided rule terms
+
+
+_plain_rows = {}
+
+
+def _plain_tilde_row(name, A):
+    """gamma-tilde^A by the plain-power route: c_1^{a_1}...c_l^{a_l}
+    normal-ordered over plain word-2 monomials, one root vector at a time."""
+    key = (name, A)
+    if key not in _plain_rows:
+        p = preset(name)
+        r = max((k for k in range(p.length) if A[k]), default=-1)
+        if r < 0:
+            row = {zero_tuple(name): rf(1)}
+        else:
+            prev = _plain_tilde_row(name, A[:r] + (A[r] - 1,) + A[r + 1:])
+            row = mul_word_expr(name, prev, p.root_vectors1[r], "right")
+        _plain_rows[key] = row
+    return _plain_rows[key]
+
+
+def _rescaled_gamma(name, A, B, tilde):
+    return (tilde * factorial_product(name, 2, B)
+            / factorial_product(name, 1, A))
 
 
 @pytest.mark.parametrize("name,height", [("A2", 8), ("C2", 6), ("G2", 5)])
 def test_gamma_matches_factorial_rescale(name, height):
     for w in weights_up_to(name, height):
         t = transition_block(name, w)
-        for (A, B), g in t._gamma.items():
-            want = (t.tilde(A, B) * factorial_product(name, 2, B)
-                    / factorial_product(name, 1, A))
-            assert g == want, (name, w, A, B)
-            assert canonical_string(g) == canonical_string(want)
-        assert set(t._gamma) == set(t._tilde)
+        want = {(A, B): _rescaled_gamma(name, A, B, c) for A in t.rows
+                for B, c in _plain_tilde_row(name, A).items()}
+        assert t._gamma == want, (name, w)
+        assert ({k: canonical_string(v) for k, v in t._gamma.items()}
+                == {k: canonical_string(v) for k, v in want.items()})
+        # the plain-power views are rescaled back to the same values
+        for A in t.rows:
+            row = _plain_tilde_row(name, A)
+            assert build_pbw(name, 1, A) == row, (name, A)
+            for B in t.cols:
+                got = t.tilde(A, B)
+                assert got == row.get(B, rf(0)), (name, A, B)
+                assert canonical_string(got) == canonical_string(
+                    row.get(B, rf(0)))
 
 
 def test_gamma_entry_matches_sympy():
@@ -307,14 +339,35 @@ def test_gamma_entry_matches_sympy():
     def to_sympy(x):
         return poly(x.num) / poly(x.den)
 
-    # the smallest block with a tilde entry that carries a denominator
+    # the smallest block whose plain-power row carries a denominator
     t = transition_block("C2", (2, 2))
-    assert any(not c.den.is_one() for c in t._tilde.values())
-    for A, B in t._tilde:
-        want = sympy.cancel(to_sympy(t.tilde(A, B))
-                            * to_sympy(factorial_product("C2", 2, B))
-                            / to_sympy(factorial_product("C2", 1, A)))
-        assert sympy.cancel(to_sympy(t.gamma(A, B)) - want) == 0
+    rows = {A: _plain_tilde_row("C2", A) for A in t.rows}
+    assert any(not c.den.is_one() for row in rows.values()
+               for c in row.values())
+    for A, row in rows.items():
+        for B in t.cols:
+            want = sympy.cancel(to_sympy(row.get(B, rf(0)))
+                                * to_sympy(factorial_product("C2", 2, B))
+                                / to_sympy(factorial_product("C2", 1, A)))
+            assert sympy.cancel(to_sympy(t.gamma(A, B)) - want) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALGEBRAS), st.data(), st.sampled_from([1, 2]),
+       st.sampled_from(["right", "left"]))
+def test_divided_rule_terms_are_laurent(name, data, letter, side):
+    p = preset(name)
+    t = tuple(data.draw(st.integers(min_value=0, max_value=6))
+              for _ in range(p.length))
+    got = _divided_rule_terms(name, side, letter, t)
+    plain = _rule_terms(name, side, letter, t)
+    assert [u for _, u in got] == [u for _, u in plain]
+    for (c, u), (c0, _) in zip(got, plain):
+        assert c.den.is_one(), (name, side, letter, t, u)
+        want = (c0 * factorial_product(name, 2, u)
+                / factorial_product(name, 2, t))
+        assert c == want
+        assert canonical_string(c) == canonical_string(want)
 
 
 @settings(max_examples=200, deadline=None)
