@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import sys
-import time
 from collections import namedtuple
 
 from . import pbw, verify
@@ -170,15 +169,9 @@ def compute_records(algebra, kind, inp=None, max_height=None):
 # ---------------------------------------------------------------------------
 # verify dispatch
 
-def _merge(suite, reports, elapsed):
-    checks = [c for r in reports for c in r.checks]
-    return verify.VerifyReport(suite, checks, elapsed)
-
-
 def run_suite(suite, algebras=ALGEBRAS, max_height=None, max_occ=None,
               mode=None):
     """One verification suite as a single VerifyReport."""
-    t0 = time.perf_counter()
     if suite == "tetra":
         return verify.verify_tetrahedron(
             max_occ=2 if max_occ is None else max_occ,
@@ -190,23 +183,18 @@ def run_suite(suite, algebras=ALGEBRAS, max_height=None, max_occ=None,
     heights = None if max_height is None \
         else {a: max_height for a in algebras}
     if suite == "theorem":
-        reports = [verify.verify_theorem(heights=heights, algebras=(a,))
-                   for a in algebras]
-    elif suite == "props":
+        return verify.verify_theorem(heights=heights, algebras=algebras)
+    if suite == "props":
         kw = {}
         if max_occ is not None:
             kw = {"key_prop_entries": max_occ, "serre_entries": max_occ}
-        reports = [verify.verify_properties(heights=heights,
-                                            algebras=(a,), **kw)
-                   for a in algebras]
-    elif suite == "intertwine":
+        return verify.verify_properties(heights=heights, algebras=algebras,
+                                        **kw)
+    if suite == "intertwine":
         bounds = None if max_occ is None else {a: max_occ for a in algebras}
-        reports = [verify.verify_t_intertwining(
-                       bounds=bounds, heights=heights, algebras=(a,))
-                   for a in algebras]
-    else:
-        raise UsageError(f"unknown suite {suite!r}")
-    return _merge(reports[0].suite, reports, time.perf_counter() - t0)
+        return verify.verify_t_intertwining(
+            bounds=bounds, heights=heights, algebras=algebras)
+    raise UsageError(f"unknown suite {suite!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ xi_i is kept without its scalar lambda_i = 1/(1 - q_i^2): the operator
 (sigma_i e_i) sigma_i^{-1} has Laurent coefficients, so applying it to
 scaled kets multiplies Laurent polynomials only, and lambda_i is applied
 once per output entry, by one exact division where it divides.  On bare
-kets every slot factor is Laurent too, so xi_matrix(..., bare=True), the
-matrix of xi_i / lambda_i on bare kets, has Laurent entries throughout;
-the intertwiner recursion reads it, since lambda_i cancels from both
-sides of its relations.
+kets every slot factor is Laurent too, so xi_matrix, the matrix of
+xi_i / lambda_i on bare kets, has Laurent entries throughout; the
+intertwiner recursion reads it, since lambda_i cancels from both sides of
+its relations.
 """
 
 from functools import lru_cache
@@ -347,13 +347,13 @@ def xi_op(name, word, i):
     return op_scale(xi_bar_op(name, word, i), preset(name).lam(i))
 
 
-def xi_apply(name, word, i, vec, tilde=True):
-    """xi_i on a Fock vector: xi_divided_apply with r = 1."""
-    return xi_divided_apply(name, word, i, vec, 1, tilde=tilde)
+def xi_apply(name, word, i, vec):
+    """xi_i on a Fock vector over scaled kets: xi_divided_apply, r = 1."""
+    return xi_divided_apply(name, word, i, vec, 1)
 
 
-def xi_divided_apply(name, word, i, vec, r, tilde=True):
-    """Apply the divided power xi_i^{(r)} = xi_i^r / [r]_{q_i}!.
+def xi_divided_apply(name, word, i, vec, r):
+    """Apply the divided power xi_i^{(r)} = xi_i^r / [r]_{q_i}! to scaled kets.
 
     Applies the Laurent xi_bar_op r times and divides each output entry
     once, by (1 - q_i^2)^r [r]_{q_i}!, with one exact division where the
@@ -362,19 +362,18 @@ def xi_divided_apply(name, word, i, vec, r, tilde=True):
     d = preset(name).d[i]
     bar = xi_bar_op(name, word, i)
     for _ in range(r):
-        vec = apply_op(name, word, bar, vec, tilde=tilde)
+        vec = apply_op(name, word, bar, vec, tilde=True)
     den = LaurentPoly({0: 1, 2 * d: -1}) ** r * q_factorial(r, d)
     return {A: ratio(c.num, c.den * den) for A, c in vec.items()}
 
 
-def xi_matrix(name, label, i, weight, bare=False):
-    """Matrix of xi_i on scaled kets, shaped like pbw.rho_matrix.
+def xi_matrix(name, label, i, weight):
+    """Matrix of the Laurent xi_bar_op = xi_i / lambda_i on bare kets |m>.
 
     Returns (rows, cols, entries): cols enumerate the kets of the source
     weight for the given word label, rows those of the raised weight,
-    entries {(row tuple, col tuple): coefficient}.  bare=True gives
-    instead the matrix of the Laurent xi_bar_op on bare kets |m>, whose
-    entries are all Laurent polynomials.
+    entries {(row tuple, col tuple): coefficient}, all Laurent
+    polynomials.
     """
     p = preset(name)
     cols = tuples_with_weight(name, label, weight)
@@ -384,10 +383,6 @@ def xi_matrix(name, label, i, weight, bare=False):
     bar = xi_bar_op(name, label, i)
     entries = {}
     for A in cols:
-        if bare:
-            img = apply_op(name, label, bar, {A: ONE})
-        else:
-            img = xi_apply(name, label, i, {A: ONE}, tilde=True)
-        for B, c in img.items():
+        for B, c in apply_op(name, label, bar, {A: ONE}).items():
             entries[(B, A)] = c
     return rows, cols, entries

@@ -14,10 +14,7 @@ The checked table composes Phi with full reversal of the input slots;
 depending on the algebra it is the R, K or F family of coefficients.
 """
 
-from .qfield import (
-    LaurentPoly, RationalFunction, canonical_string, poly_divexact, poly_gcd,
-    ratio, sum_products,
-)
+from .qfield import poly_divexact, poly_gcd, ratio, sum_products
 from .presets import (
     ALGEBRA_KIND, ONE, ZERO, preset, reverse, rf, tuples_with_weight,
     weights_up_to,
@@ -157,10 +154,8 @@ class PhiTable:
     conserved pair.  block holds Phi on bare kets |m>, which is the
     divided-power normalisation: every entry lies in Z[q].  Each block is
     solved once per weight from the Laurent operators xi_i / lambda_i on
-    bare kets and shared by every later call, so callers must not mutate
-    it.  tilde_block and phi_tilde give Phi on the scaled kets
-    |m>> = D(m)|m> (the plain-power normalisation), rescaled from the
-    bare block on each call.
+    bare kets (fock.xi_matrix) and shared by every later call, so callers
+    must not mutate it.
     """
 
     def __init__(self, name, max_height=0):
@@ -203,9 +198,9 @@ class PhiTable:
             below = (m2 - inc[0], m1 - inc[1])
             if below[0] < 0 or below[1] < 0:
                 continue
-            _, src_cols, m_ent = xi_matrix(self.name, 1, i, below, bare=True)
+            _, src_cols, m_ent = xi_matrix(self.name, 1, i, below)
             srows, _, prev_ent = self.block(below)
-            _, _, mp_ent = xi_matrix(self.name, 2, i, below, bare=True)
+            _, _, mp_ent = xi_matrix(self.name, 2, i, below)
             for A in src_cols:
                 prows.append([m_ent.get((B, A), ZERO) for B in cols])
                 sums = sum_products(
@@ -225,35 +220,6 @@ class PhiTable:
                 if not v.num.is_zero():
                     entries[(C, B)] = v
         return rows, cols, entries
-
-    def _d_factor(self, label, t):
-        """prod_k d_norm(t_k, d_k), formed with a single normalisation.
-
-        Each d_norm(m, d) is q^(-d m(m-1)/2) / (1 - q^(2d))^m, so the
-        product is one monomial over one product of powers.
-        """
-        shift, den = 0, LaurentPoly.one()
-        for m, node in zip(t, self.preset.word(label)):
-            if m:
-                d = self.preset.d[node]
-                shift -= d * (m * (m - 1) // 2)
-                den = den * LaurentPoly({0: 1, 2 * d: -1}) ** m
-        return RationalFunction(LaurentPoly.qpow(shift), den)
-
-    def _scaled(self, C, B, v):
-        """A bare-ket entry v on scaled kets: v * D(B) / D(C)."""
-        r, c = self._d_factor(2, C), self._d_factor(1, B)
-        return ratio(v.num * c.num * r.den, v.den * c.den * r.num)
-
-    def tilde_block(self, weight):
-        """Phi on scaled kets |m>>, rescaled from block on each call."""
-        rows, cols, bare = self.block(weight)
-        return rows, cols, {(C, B): self._scaled(C, B, v)
-                            for (C, B), v in bare.items()}
-
-    def phi_tilde(self, C, B):
-        v = self.phi(C, B)
-        return self._scaled(tuple(C), tuple(B), v) if v else ZERO
 
     def phi(self, C, B):
         C, B = tuple(C), tuple(B)
@@ -302,38 +268,3 @@ class CheckedTable:
 
 def checked_table(name, phi):
     return CheckedTable(name, phi)
-
-
-def pbw_expansion_identity(name, A, phi=None):
-    """Both sides of E^A_[2] = sum_I T^A_I E^{reverse(I)}_[1], cross-checked.
-
-    The expansion coefficients come from the checked table; each one is
-    compared against the PBW-side transition entry before being reported.
-    Returns a record with the surviving terms; raises ArithmeticError on
-    any mismatch between the two pipelines.
-    """
-    from .pbw import transition_block
-
-    p = preset(name)
-    A = tuple(A)
-    if phi is None:
-        phi = PhiTable(name)
-    table = CheckedTable(name, phi)
-    weight = p.conserved2(A)
-    tb = transition_block(name, weight)
-    terms = []
-    for I in tuples_with_weight(name, 2, weight):
-        via_phi = table.entry(A, I)
-        via_gamma = tb.gamma(reverse(A), I)
-        if via_phi != via_gamma:
-            raise ArithmeticError(
-                f"expansion mismatch for {name} output {A} at {I}: "
-                f"{canonical_string(via_phi)} != {canonical_string(via_gamma)}")
-        if not via_phi.num.is_zero():
-            terms.append((I, reverse(I), canonical_string(via_phi)))
-    return {
-        "algebra": name,
-        "kind": table.kind,
-        "output": A,
-        "terms": terms,
-    }

@@ -14,18 +14,16 @@ E_1^(A) over the divided word-2 basis: these coefficients are the
 entries gamma^A_B.  E_1^(A) is built one root vector at a time, each step
 one exact division by [a_r] times that root vector's [2]/[3]
 denominator, so normal ordering multiplies Laurent polynomials only and
-runs no gcd.  An inexact division raises ArithmeticError.  The
-plain-power rows gamma-tilde (build_pbw of word 1, TransitionBlock.tilde)
-are rescaled from gamma on request.
+runs no gcd.  An inexact division raises ArithmeticError.
 """
 
 from functools import lru_cache
 
 from .qfield import (
-    LaurentPoly, poly_divexact, q_factorial, q_int, ratio, sum_products,
+    LaurentPoly, poly_divexact, q_factorial, q_int, sum_products,
 )
 from .presets import (
-    preset, rf, ONE, reverse, serre_relations,
+    preset, rf, ONE, ZERO, reverse, serre_relations,
     tuples_with_weight, weights_up_to, zero_tuple,
 )
 
@@ -109,7 +107,7 @@ def normal_order(name, wp):
 
 
 # ---------------------------------------------------------------------------
-# PBW monomials of either word
+# divided word-1 monomials
 
 
 @lru_cache(maxsize=None)
@@ -143,30 +141,6 @@ def _word1_divided(name, A):
                       "gamma of {} at weight {}, row {}, column {}",
                       name, p.conserved1(A), A, B)
             for B, c in v.items()}
-
-
-def _tilde_entry(name, A, B, g):
-    """gamma-tilde^A_B = gamma^A_B * F1(A) / F2(B)."""
-    return ratio(g.num * _factorial_laurent(name, 1, A),
-                 g.den * _factorial_laurent(name, 2, B))
-
-
-def build_pbw(name, label, A):
-    """The monomial c_1^{a_1}...c_l^{a_l} of the given word, normal-ordered.
-
-    For word 2 this is already a basis monomial; for word 1 the result's
-    coefficients are the gamma-tilde^A_B row, rescaled from gamma.
-    """
-    p = preset(name)
-    A = tuple(A)
-    if len(A) != p.length or min(A) < 0:
-        raise ValueError(f"exponent tuple {A} invalid for {name}")
-    if label == 2:
-        return {A: ONE}
-    if label != 1:
-        raise ValueError(f"word label must be 1 or 2, got {label!r}")
-    return {B: _tilde_entry(name, A, B, g)
-            for B, g in _word1_divided(name, A).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -220,34 +194,25 @@ def _factorial_laurent(name, label, t):
     return out
 
 
-def factorial_product(name, label, t):
-    """prod_k [t_k]! as a RationalFunction."""
-    return rf(_factorial_laurent(name, label, t))
-
-
 class TransitionBlock:
-    """gamma and gamma-tilde on one weight block.
+    """gamma on one weight block.
 
     rows: word-1 exponent tuples (lexicographic); cols: word-2 tuples.
-    Entry (A, B) expands the word-1 monomial of A over word-2 monomials:
-    gamma in the divided bases, gamma-tilde (rescaled on each call) in the
-    plain ones.
+    Entry (A, B) is gamma^A_B, the coefficient of B^(B) in the divided
+    word-1 monomial E_1^(A); each row is the cached _word1_divided dict,
+    held without a copy.
     """
 
-    def __init__(self, name, weight, rows, cols, gamma):
+    def __init__(self, name, weight, rows, cols):
         self.name = name
         self.weight = weight
         self.rows = rows
         self.cols = cols
-        self._gamma = gamma
-
-    def tilde(self, A, B):
-        A, B = tuple(A), tuple(B)
-        g = self._gamma.get((A, B))
-        return rf(0) if g is None else _tilde_entry(self.name, A, B, g)
+        self._rows = {A: _word1_divided(name, A) for A in rows}
 
     def gamma(self, A, B):
-        return self._gamma.get((tuple(A), tuple(B)), rf(0))
+        row = self._rows.get(tuple(A))
+        return ZERO if row is None else row.get(tuple(B), ZERO)
 
 
 @lru_cache(maxsize=None)
@@ -256,9 +221,7 @@ def transition_block(name, weight):
     cols = tuples_with_weight(name, 2, weight)
     if not rows or not cols:
         raise ValueError(f"no tuples of weight {weight} for {name}")
-    gamma = {(A, B): c for A in rows
-             for B, c in _word1_divided(name, A).items()}
-    return TransitionBlock(name, weight, rows, cols, gamma)
+    return TransitionBlock(name, weight, rows, cols)
 
 
 def serre_residuals(name):

@@ -368,6 +368,39 @@ def _golden_check(name):
     return Check(cid, True, f"{len(expect)} entries via both routes")
 
 
+def pbw_expansion_identity(name, A, phi=None):
+    """Both sides of E^A_[2] = sum_I T^A_I E^{reverse(I)}_[1], cross-checked.
+
+    The expansion coefficients come from the checked table; each one is
+    compared against the PBW-side transition entry before being reported.
+    Returns a record with the surviving terms; raises ArithmeticError on
+    any mismatch between the two pipelines.
+    """
+    p = preset(name)
+    A = tuple(A)
+    if phi is None:
+        phi = PhiTable(name)
+    table = checked_table(name, phi)
+    weight = p.conserved2(A)
+    tb = pbw.transition_block(name, weight)
+    terms = []
+    for I in tuples_with_weight(name, 2, weight):
+        via_phi = table.entry(A, I)
+        via_gamma = tb.gamma(reverse(A), I)
+        if via_phi != via_gamma:
+            raise ArithmeticError(
+                f"expansion mismatch for {name} output {A} at {I}: "
+                f"{canonical_string(via_phi)} != {canonical_string(via_gamma)}")
+        if not via_phi.num.is_zero():
+            terms.append((I, reverse(I), canonical_string(via_phi)))
+    return {
+        "algebra": name,
+        "kind": table.kind,
+        "output": A,
+        "terms": terms,
+    }
+
+
 # ---------------------------------------------------------------------------
 # property suite
 

@@ -21,7 +21,9 @@ from qpbw.fock import (
 from qpbw.fock import _mono_apply, _mono_mul_word
 from qpbw.pbw import rho_matrix
 from qpbw.qfield import LaurentPoly, canonical_string, d_norm
-from qpbw.presets import ONE, preset, qfact, qint, qpow, rf
+from qpbw.presets import (
+    ONE, preset, qfact, qint, qpow, rf, tuples_with_weight,
+)
 
 _TOKEN = re.compile(r"([aA][+-]|[kK])(\d)(')?$")
 
@@ -371,12 +373,24 @@ def test_xi_divided_powers():
     assert out == {A: c / qfact(2, 1) for A, c in direct.items()}
 
 
+def _scaled_xi_matrix(name, label, i, weight):
+    """xi_i on scaled kets, column by column from xi_apply, shaped like
+    rho_matrix."""
+    inc = preset(name).letter_increment(i)
+    cols = tuples_with_weight(name, label, weight)
+    rows = tuples_with_weight(name, label,
+                              (weight[0] + inc[0], weight[1] + inc[1]))
+    return rows, cols, {(B, A): c for A in cols
+                        for B, c in xi_apply(name, label, i, {A: ONE}).items()}
+
+
 def test_key_property_spot():
     cases = [("A2", 1, (1, 1)), ("A2", 2, (1, 1)), ("C2", 1, (2, 1)),
              ("C2", 2, (1, 2)), ("G2", 1, (1, 1)), ("G2", 2, (1, 2))]
     for name, label, w in cases:
         for i in (1, 2):
-            assert rho_matrix(name, label, i, w) == xi_matrix(name, label, i, w)
+            assert rho_matrix(name, label, i, w) \
+                == _scaled_xi_matrix(name, label, i, w)
 
 
 def test_bare_xi_matrix_matches_scaled():
@@ -394,9 +408,9 @@ def test_bare_xi_matrix_matches_scaled():
                 return out
             for i in (1, 2):
                 for w in ((0, 0), (1, 1), (2, 1), (1, 3)):
-                    rows, cols, bare = xi_matrix(name, label, i, w, bare=True)
-                    assert (rows, cols) == xi_matrix(name, label, i, w)[:2]
-                    _, _, scaled = xi_matrix(name, label, i, w)
+                    rows, cols, bare = xi_matrix(name, label, i, w)
+                    *shape, scaled = _scaled_xi_matrix(name, label, i, w)
+                    assert [rows, cols] == shape
                     want = {(B, A): c * D(B) / (D(A) * p.lam(i))
                             for (B, A), c in scaled.items()}
                     assert bare == want, (name, label, i, w)
@@ -445,12 +459,11 @@ def _strings(vec):
 
 
 @settings(max_examples=150, deadline=None)
-@given(fock_vectors(), st.sampled_from([1, 2]), st.sampled_from([1, 2]),
-       st.booleans())
-def test_xi_apply_matches_scaled_operator(name_vec, word, i, tilde):
+@given(fock_vectors(), st.sampled_from([1, 2]), st.sampled_from([1, 2]))
+def test_xi_apply_matches_scaled_operator(name_vec, word, i):
     name, vec = name_vec
-    got = xi_apply(name, word, i, vec, tilde=tilde)
-    want = apply_op(name, word, xi_op(name, word, i), vec, tilde=tilde)
+    got = xi_apply(name, word, i, vec)
+    want = apply_op(name, word, xi_op(name, word, i), vec, tilde=True)
     assert got == want
     assert _strings(got) == _strings(want)
 

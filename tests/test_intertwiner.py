@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpbw import intertwiner, qfield
-from qpbw.fock import xi_matrix
+from qpbw.fock import xi_apply
 from qpbw.intertwiner import (
-    CheckedTable, PhiTable, checked_table, compute_phi,
-    pbw_expansion_identity, solve_exact,
+    CheckedTable, PhiTable, checked_table, compute_phi, solve_exact,
 )
 from qpbw.pbw import transition_block
 from qpbw.presets import (
@@ -15,8 +14,10 @@ from qpbw.presets import (
     zero_tuple,
 )
 from qpbw.qfield import (
-    LaurentPoly, RationalFunction, canonical_string, d_norm, sum_products,
+    LaurentPoly, RationalFunction, canonical_string, d_norm, q_factorial,
+    sum_products,
 )
+from qpbw.verify import pbw_expansion_identity
 
 Q = qpow(1)
 
@@ -24,6 +25,29 @@ Q = qpow(1)
 def val(s):
     """Evaluate a coefficient written in source form, e.g. "q^2*(1-q^4)"."""
     return eval(s.replace("^", "**"), {"q": Q})
+
+
+def _d(name, label, t):
+    """D(t) = prod_k d_norm(t_k, d_k): the scaled ket is |t>> = D(t)|t>."""
+    p = preset(name)
+    out = ONE
+    for m, node in zip(t, p.word(label)):
+        out = out * d_norm(m, p.d[node])
+    return out
+
+
+def _to_scaled(name, C, B, v):
+    """A bare-ket entry of Phi on scaled kets: v * D(B) / D(C)."""
+    return v * _d(name, 1, B) / _d(name, 2, C)
+
+
+def _factorials(name, label, t):
+    """prod_k [t_k]! in the base of the word's k-th letter."""
+    p = preset(name)
+    out = ONE
+    for x, node in zip(t, p.word(label)):
+        out = out * rf(q_factorial(x, p.d[node]))
+    return out
 
 
 GOLDEN = {
@@ -97,15 +121,16 @@ def test_solve_exact_underdetermined():
 def test_zero_block_is_one():
     for name in ("A2", "C2", "G2"):
         z = zero_tuple(name)
-        rows, cols, ent = PhiTable(name).tilde_block((0, 0))
+        rows, cols, ent = PhiTable(name).block((0, 0))
         assert rows == (z,) and cols == (z,)
         assert ent == {(z, z): ONE}
 
 
 def test_a2_block_11_values():
     phi = PhiTable("A2")
-    rows, cols, ent = phi.tilde_block((1, 1))
+    rows, cols, bare = phi.block((1, 1))
     assert rows == ((0, 1, 0), (1, 0, 1)) and cols == rows
+    ent = {(C, B): _to_scaled("A2", C, B, v) for (C, B), v in bare.items()}
     assert ent[((0, 1, 0), (0, 1, 0))] == -Q
     assert ent[((0, 1, 0), (1, 0, 1))] == ONE
     assert ent[((1, 0, 1), (0, 1, 0))] == ONE - Q * Q
@@ -113,20 +138,26 @@ def test_a2_block_11_values():
 
 
 def test_transpose_of_pbw_tilde():
+    # Phi on scaled kets is the transpose of the plain-power transition
+    # matrix gamma-tilde^B_C = gamma^B_C * F1(B) / F2(C)
     for name, hmax in (("A2", 4), ("C2", 4), ("G2", 3)):
         phi = PhiTable(name)
         for w in weights_up_to(name, hmax):
-            rows, cols, _ = phi.tilde_block(w)
+            rows, cols, _ = phi.block(w)
             tb = transition_block(name, w)
             for C in rows:
                 for B in cols:
-                    assert phi.phi_tilde(C, B) == tb.tilde(B, C), (name, w, C, B)
+                    phi_tilde = _to_scaled(name, C, B, phi.phi(C, B))
+                    tilde = (tb.gamma(B, C) * _factorials(name, 1, B)
+                             / _factorials(name, 2, C))
+                    assert phi_tilde == tilde, (name, w, C, B)
 
 
 def test_divided_power_conversion():
     phi = PhiTable("A2")
     p = preset("A2")
     rows, cols, div = phi.block((1, 1))
+    scaled = _scaled_blocks("A2", 2)[(1, 1)]
     for C in rows:
         for B in cols:
             num = den = ONE
@@ -134,7 +165,7 @@ def test_divided_power_conversion():
                 num = num * d_norm(m, p.d[node])
             for m, node in zip(B, p.word1):
                 den = den * d_norm(m, p.d[node])
-            want = phi.phi_tilde(C, B) * num / den
+            want = scaled.get((C, B), ZERO) * num / den
             assert div.get((C, B), ZERO) == want
 
 
@@ -142,7 +173,7 @@ def test_phi_conservation_short_circuit():
     phi = PhiTable("A2")
     # (1,0,0) on word 1 reverses to (0,0,1): conserved pair (0,1) vs (1,0)
     assert phi.phi((1, 0, 0), (1, 0, 0)) == ZERO
-    assert phi.phi_tilde((0, 1, 0), (0, 0, 0)) == ZERO
+    assert phi.phi((0, 1, 0), (0, 0, 0)) == ZERO
     # matching conservation across different slot patterns is a 1x1 block
     assert phi.phi((1, 0, 0), (0, 0, 1)) == ONE
 
@@ -166,7 +197,7 @@ def test_compute_phi_extends_and_validates():
     with pytest.raises(ValueError):
         compute_phi("A2", -1)
     with pytest.raises(ValueError):
-        PhiTable("C2").tilde_block((-1, 0))
+        PhiTable("C2").block((-1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -232,33 +263,37 @@ def test_pbw_expansion_identity_c2():
 
 
 # ---------------------------------------------------------------------------
-# the divided-power block against the per-entry rescale it replaces
+# the bare-ket block against the scaled-ket recursion it replaces
 
 DIFF_HEIGHTS = (("A2", 6), ("C2", 5), ("G2", 3))
 
 
-def _rescaled_the_old_way(phi, weight):
-    _, _, tilde = phi.tilde_block(weight)
-    return {(C, B): v * phi._d_factor(2, C) / phi._d_factor(1, B)
-            for (C, B), v in tilde.items()}
-
-
 @pytest.mark.parametrize("name,hmax", DIFF_HEIGHTS)
 def test_block_matches_two_step_rescale(name, hmax):
+    # the bare block, rescaled entry by entry to scaled kets, is the
+    # scaled-ket recursion's block
     phi = PhiTable(name)
-    weights = list(weights_up_to(name, hmax))
-    for w in weights:
+    scaled = _scaled_blocks(name, hmax)
+    for w, want in scaled.items():
         rows, cols, ent = phi.block(w)
         assert phi.block(w) is phi.block(w)
-        assert (rows, cols) == phi.tilde_block(w)[:2]
-        want = _rescaled_the_old_way(phi, w)
-        assert ent == want, (name, w)
-        assert ({k: canonical_string(v) for k, v in ent.items()}
+        assert (rows, cols) == (tuples_with_weight(name, 2, w),
+                                tuples_with_weight(name, 1, w))
+        got = {(C, B): _to_scaled(name, C, B, v) for (C, B), v in ent.items()}
+        assert got == want, (name, w)
+        assert ({k: canonical_string(v) for k, v in got.items()}
                 == {k: canonical_string(v) for k, v in want.items()})
     # blocks requested in the opposite order come out the same
     fresh = PhiTable(name)
-    for w in reversed(weights):
+    for w in reversed(list(scaled)):
         assert fresh.block(w) == phi.block(w), (name, w)
+
+
+def _scaled_xi(name, label, i, weight):
+    """xi_i (with its lambda_i) on the scaled kets of one weight, column by
+    column from xi_apply: {(row tuple, col tuple): coefficient}."""
+    return {(B, A): c for A in tuples_with_weight(name, label, weight)
+            for B, c in xi_apply(name, label, i, {A: ONE}).items()}
 
 
 def _scaled_blocks(name, hmax):
@@ -278,10 +313,10 @@ def _scaled_blocks(name, hmax):
             below = (w[0] - inc[0], w[1] - inc[1])
             if min(below) < 0:
                 continue
-            _, src_cols, m_ent = xi_matrix(name, 1, i, below)
-            _, _, mp_ent = xi_matrix(name, 2, i, below)
+            m_ent = _scaled_xi(name, 1, i, below)
+            mp_ent = _scaled_xi(name, 2, i, below)
             prev = blocks[below]
-            for A in src_cols:
+            for A in tuples_with_weight(name, 1, below):
                 prows.append([m_ent.get((B, A), ZERO) for B in cols])
                 sums = sum_products((C, c, v) for (C, D), c in mp_ent.items()
                                     for (D2, A2), v in prev.items()
@@ -310,7 +345,6 @@ def test_bare_block_matches_scaled_recursion(name, hmax):
         assert ({k: canonical_string(v) for k, v in bare.items()}
                 == {k: canonical_string(v) for k, v in want.items()})
         assert all(v.den.is_one() for v in bare.values())
-        assert phi.tilde_block(w)[2] == scaled, (name, w)
 
 
 @pytest.mark.parametrize("name,hmax", (("A2", 8), ("C2", 6), ("G2", 5)))
@@ -347,23 +381,6 @@ def test_bare_block_matches_sympy():
         for m, node in zip(B, p.word1):
             want = want / to_sympy(d_norm(m, p.d[node]))
         assert sympy.cancel(to_sympy(bare[(C, B)]) - sympy.cancel(want)) == 0
-
-
-@pytest.mark.parametrize("name,hmax", DIFF_HEIGHTS)
-def test_d_factor_is_product_of_d_norms(name, hmax):
-    # _d_factor forms the product with one normalisation; compare it with
-    # the factor-by-factor product of d_norm, by value and by string
-    phi = PhiTable(name)
-    p = preset(name)
-    for w in weights_up_to(name, hmax):
-        for label in (1, 2):
-            for t in tuples_with_weight(name, label, w):
-                want = ONE
-                for m, node in zip(t, p.word(label)):
-                    want = want * d_norm(m, p.d[node])
-                got = phi._d_factor(label, t)
-                assert got == want, (name, label, t)
-                assert canonical_string(got) == canonical_string(want)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbw.qfield import LaurentPoly, canonical_string, is_integer_polynomial
+from qpbw.qfield import (
+    LaurentPoly, canonical_string, is_integer_polynomial, q_factorial,
+)
 from qpbw.presets import (
-    ALGEBRAS, preset, rf, qpow, qint, qbracket, wp_mul, reverse,
+    ALGEBRAS, ZERO, preset, rf, qpow, qint, qbracket, wp_mul, reverse,
 )
 from qpbw.pbw import (
-    build_pbw,
-    factorial_product,
     mul_letter,
     mul_word_expr,
     normal_order,
@@ -22,11 +22,22 @@ from qpbw.pbw import (
     weights_up_to,
     zero_tuple,
 )
-from qpbw.pbw import _divided_rule_terms, _rule_terms
+from qpbw.pbw import (
+    _divided_rule_terms, _factorial_laurent, _rule_terms, _word1_divided,
+)
 
 
 def lp(d):
     return rf(LaurentPoly(d))
+
+
+def _factorials(name, label, t):
+    """prod_k [t_k]! in the base of the word's k-th letter."""
+    p = preset(name)
+    out = rf(1)
+    for x, node in zip(t, p.word(label)):
+        out = out * rf(q_factorial(x, p.d[node]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +145,6 @@ def test_fold_direction_independence():
             assert whole == mul_word_expr(name, tail, {w1: rf(1)}, "left")
 
 
-def test_build_pbw_examples():
-    assert build_pbw("A2", 2, (1, 2, 0)) == {(1, 2, 0): rf(1)}
-    assert build_pbw("A2", 1, (1, 0, 0)) == {(0, 0, 1): rf(1)}
-    assert build_pbw("A2", 1, (0, 1, 0)) == {
-        (1, 0, 1): lp({0: 1, 2: -1}), (0, 1, 0): -qpow(1)}
-    with pytest.raises(ValueError):
-        build_pbw("A2", 1, (1, 0))
-    with pytest.raises(ValueError):
-        build_pbw("A2", 3, (0, 0, 0))
-
-
 @st.composite
 def word1_tuple(draw):
     name = draw(st.sampled_from(ALGEBRAS))
@@ -164,7 +164,7 @@ def test_build_pbw_weight_conservation(name_tuple):
     name, A = name_tuple
     p = preset(name)
     w = p.conserved1(A)
-    for B in build_pbw(name, 1, A):
+    for B in _word1_divided(name, A):
         assert p.conserved2(B) == w
 
 
@@ -205,12 +205,12 @@ def test_rho_matrix_word1_left_consistency():
         w = p.conserved1(A)
         for i in (1, 2):
             _, cols, entries = rho_matrix(name, 1, i, w)
-            direct = mul_letter(name, build_pbw(name, 1, A), i, "left")
+            direct = mul_letter(name, _plain_tilde_row(name, A), i, "left")
             recombined = {}
             for (C, a), c in entries.items():
                 if a != A:
                     continue
-                for B, x in build_pbw(name, 1, C).items():
+                for B, x in _plain_tilde_row(name, C).items():
                     s = recombined.get(B, rf(0)) + c * x
                     if s.num.is_zero():
                         recombined.pop(B, None)
@@ -236,8 +236,8 @@ def test_transition_block_a2_weight_11():
     t = transition_block("A2", (1, 1))
     assert t.rows == ((0, 1, 0), (1, 0, 1))
     assert t.cols == ((0, 1, 0), (1, 0, 1))
-    assert t.tilde((0, 1, 0), (1, 0, 1)) == lp({0: 1, 2: -1})
-    assert t.tilde((0, 1, 0), (0, 1, 0)) == -qpow(1)
+    # every factorial is 1 on this block, so gamma-tilde = gamma
+    assert t.gamma((0, 1, 0), (1, 0, 1)) == lp({0: 1, 2: -1})
     assert t.gamma((0, 1, 0), (0, 1, 0)) == -qpow(1)
     assert t.gamma((0, 0, 0), (0, 1, 0)) == rf(0)
     z = transition_block("A2", (0, 0))
@@ -270,9 +270,9 @@ def test_gamma_integrality_small_blocks():
 
 
 def test_factorial_product():
-    assert factorial_product("C2", 2, (0, 1, 2, 0)) == qint(2, 2)
-    assert factorial_product("C2", 1, (0, 1, 2, 0)) == qint(2, 1)
-    assert factorial_product("A2", 1, (0, 0, 0)) == rf(1)
+    assert rf(_factorial_laurent("C2", 2, (0, 1, 2, 0))) == qint(2, 2)
+    assert rf(_factorial_laurent("C2", 1, (0, 1, 2, 0))) == qint(2, 1)
+    assert rf(_factorial_laurent("A2", 1, (0, 0, 0))) == rf(1)
 
 
 def test_zero_tuple():
@@ -304,28 +304,22 @@ def _plain_tilde_row(name, A):
 
 
 def _rescaled_gamma(name, A, B, tilde):
-    return (tilde * factorial_product(name, 2, B)
-            / factorial_product(name, 1, A))
+    return tilde * _factorials(name, 2, B) / _factorials(name, 1, A)
 
 
 @pytest.mark.parametrize("name,height", [("A2", 8), ("C2", 6), ("G2", 5)])
 def test_gamma_matches_factorial_rescale(name, height):
     for w in weights_up_to(name, height):
         t = transition_block(name, w)
-        want = {(A, B): _rescaled_gamma(name, A, B, c) for A in t.rows
-                for B, c in _plain_tilde_row(name, A).items()}
-        assert t._gamma == want, (name, w)
-        assert ({k: canonical_string(v) for k, v in t._gamma.items()}
-                == {k: canonical_string(v) for k, v in want.items()})
-        # the plain-power views are rescaled back to the same values
         for A in t.rows:
-            row = _plain_tilde_row(name, A)
-            assert build_pbw(name, 1, A) == row, (name, A)
+            want = {B: _rescaled_gamma(name, A, B, c)
+                    for B, c in _plain_tilde_row(name, A).items()}
+            row = _word1_divided(name, A)
+            assert row == want, (name, A)
+            assert ({B: canonical_string(v) for B, v in row.items()}
+                    == {B: canonical_string(v) for B, v in want.items()})
             for B in t.cols:
-                got = t.tilde(A, B)
-                assert got == row.get(B, rf(0)), (name, A, B)
-                assert canonical_string(got) == canonical_string(
-                    row.get(B, rf(0)))
+                assert t.gamma(A, B) == want.get(B, ZERO), (name, A, B)
 
 
 def test_gamma_entry_matches_sympy():
@@ -347,8 +341,8 @@ def test_gamma_entry_matches_sympy():
     for A, row in rows.items():
         for B in t.cols:
             want = sympy.cancel(to_sympy(row.get(B, rf(0)))
-                                * to_sympy(factorial_product("C2", 2, B))
-                                / to_sympy(factorial_product("C2", 1, A)))
+                                * to_sympy(_factorials("C2", 2, B))
+                                / to_sympy(_factorials("C2", 1, A)))
             assert sympy.cancel(to_sympy(t.gamma(A, B)) - want) == 0
 
 
@@ -364,8 +358,7 @@ def test_divided_rule_terms_are_laurent(name, data, letter, side):
     assert [u for _, u in got] == [u for _, u in plain]
     for (c, u), (c0, _) in zip(got, plain):
         assert c.den.is_one(), (name, side, letter, t, u)
-        want = (c0 * factorial_product(name, 2, u)
-                / factorial_product(name, 2, t))
+        want = c0 * _factorials(name, 2, u) / _factorials(name, 2, t)
         assert c == want
         assert canonical_string(c) == canonical_string(want)
 

@@ -1,0 +1,72 @@
+"""The Phi and gamma pipelines share no code above qfield.
+
+The guard parses the pipeline modules and lists every package module each
+one imports, at module level or inside a function, in any spelling
+(`from .pbw import ...`, `from . import pbw`, `import qpbw.pbw`, ...).
+The Fock side (fock, intertwiner) must not import pbw, and pbw must not
+import the Fock side; only verify reads both.  The second test shows the
+guard fires on each spelling.
+"""
+
+import ast
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import qpbw
+
+SRC = Path(qpbw.__file__).parent
+
+FORBIDDEN = {
+    "fock.py": {"pbw"},
+    "intertwiner.py": {"pbw"},
+    "pbw.py": {"fock", "intertwiner"},
+}
+
+
+def package_imports(source):
+    """Names of the qpbw modules a source imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "qpbw" and len(parts) > 1:
+                    found.add(parts[1])
+        elif isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if not parts or parts[0] != "qpbw":
+                    continue
+                parts = parts[1:]
+            if parts:
+                found.add(parts[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(FORBIDDEN))
+def test_pipelines_import_each_other_nowhere(path):
+    crossed = package_imports((SRC / path).read_text()) & FORBIDDEN[path]
+    assert not crossed, f"{path} imports {sorted(crossed)}"
+
+
+@pytest.mark.parametrize("snippet,module", [
+    pytest.param("from .pbw import transition_block", "pbw",
+                 id="relative-from-module"),
+    pytest.param("""
+    def f(name, weight):
+        from .pbw import transition_block
+        return transition_block(name, weight)
+    """, "pbw", id="inside-a-function"),
+    pytest.param("from . import fock, pbw", "pbw", id="relative-from-package"),
+    pytest.param("import qpbw.intertwiner as it", "intertwiner",
+                 id="absolute-import"),
+    pytest.param("from qpbw import fock", "fock", id="absolute-from-package"),
+    pytest.param("from qpbw.fock import xi_matrix", "fock",
+                 id="absolute-from-module"),
+])
+def test_guard_catches_each_spelling(snippet, module):
+    assert module in package_imports(textwrap.dedent(snippet))
