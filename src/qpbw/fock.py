@@ -6,8 +6,7 @@ One oscillator per Dynkin node, base p = q^d: generators a+, a-, k with
     a- a+ = 1 - p^2 k^2,   a+ a- = 1 - k^2,
 
 acting on kets by a+|m> = |m+1>, a-|m> = (1-p^{2m})|m-1>, k|m> = p^m|m>.
-Scaled kets |m>> = p^{-m(m-1)/2} (1-p^2)^{-m} |m> turn these into
-a+|m>> = lambda^{-1} p^m |m+1>>, a-|m>> = [m]|m-1>>, k|m>> = p^m|m>>.
+These bare kets are the only normalisation the module works in.
 
 Operators on a tensor product of modes are kept in a canonical form: each
 term assigns every slot a monomial (a+)^x k^t (a-)^y (t may be negative; k
@@ -22,18 +21,16 @@ slipped, and we raise).  xi_i = lambda_i (sigma_i e_i) sigma_i^{-1} is then
 an honest operator with finite-support columns.
 
 xi_i is kept without its scalar lambda_i = 1/(1 - q_i^2): the operator
-(sigma_i e_i) sigma_i^{-1} has Laurent coefficients, so applying it to
-scaled kets multiplies Laurent polynomials only, and lambda_i is applied
-once per output entry, by one exact division where it divides.  On bare
-kets every slot factor is Laurent too, so xi_matrix, the matrix of
-xi_i / lambda_i on bare kets, has Laurent entries throughout; the
-intertwiner recursion reads it, since lambda_i cancels from both sides of
-its relations.
+xi_bar_op = (sigma_i e_i) sigma_i^{-1} = xi_i / lambda_i has Laurent
+coefficients, and so does every slot factor on bare kets, so xi_matrix,
+its matrix on bare kets, has Laurent entries throughout.  The intertwiner
+recursion reads it, since lambda_i cancels from both sides of its
+relations; the property checks carry lambda_i as the scalar it is.
 """
 
 from functools import lru_cache
 
-from .qfield import LaurentPoly, d_norm, q_factorial, ratio, sum_products
+from .qfield import LaurentPoly, sum_products
 from .presets import preset, rf, ONE, qpow, tuples_with_weight
 
 
@@ -119,8 +116,11 @@ def _mono_mul(m1, m2, d):
     return _mono_mul_word(m1, atoms, d)
 
 
+@lru_cache(maxsize=None)
 def _mono_apply(mono, m, d):
     """Apply to a bare ket |m>; returns (coefficient, image occupation).
+
+    Cached: operator application meets the same slot action many times.
 
     The lower-power factor prod_t (1 - p^{2(m-t)}) hits zero exactly when
     the ket would drop below the vacuum, so we bail out there.
@@ -202,24 +202,9 @@ def op_from_terms(name, word, terms):
     return sum_products(products())
 
 
-@lru_cache(maxsize=None)
-def _slot_factor(mono, m, d, tilde):
-    """Cached one-slot action on |m> (tilde includes the rescaling ratio)."""
-    r = _mono_apply(mono, m, d)
-    if r is None:
-        return None
-    coeff, n = r
-    if tilde and n != m:
-        coeff = coeff * d_norm(m, d) / d_norm(n, d)
-    return coeff, n
-
-
-def apply_op(name, word, op, vec, tilde=False):
-    """Apply an operator to a Fock vector {occupation tuple: coeff}.
-
-    tilde=True reads the input and writes the output in the scaled-ket
-    normalization |A>>.
-    """
+def apply_op(name, word, op, vec):
+    """Apply an operator to a Fock vector {occupation tuple: coeff} of bare
+    kets |A>."""
     profile = _profile(name, letters_arg(name, word))
 
     def terms():
@@ -228,7 +213,7 @@ def apply_op(name, word, op, vec, tilde=False):
                 coeff = cA
                 occ = []
                 for s, d in enumerate(profile):
-                    r = _slot_factor(monos[s], A[s], d, tilde)
+                    r = _mono_apply(monos[s], A[s], d)
                     if r is None:
                         break
                     coeff = coeff * r[0]
@@ -337,34 +322,6 @@ def _xi_cached(name, word, i):
 def xi_bar_op(name, word, i):
     """pi_word(xi_i / lambda_i) = pi_word((sigma_i e_i) sigma_i^{-1})."""
     return _xi_cached(name, word_arg(name, word), i)
-
-
-def xi_op(name, word, i):
-    """pi_word(xi_i) with xi_i = lambda_i (sigma_i e_i) sigma_i^{-1}.
-
-    Built from the cached xi_bar_op on every call; xi_apply never forms it.
-    """
-    return op_scale(xi_bar_op(name, word, i), preset(name).lam(i))
-
-
-def xi_apply(name, word, i, vec):
-    """xi_i on a Fock vector over scaled kets: xi_divided_apply, r = 1."""
-    return xi_divided_apply(name, word, i, vec, 1)
-
-
-def xi_divided_apply(name, word, i, vec, r):
-    """Apply the divided power xi_i^{(r)} = xi_i^r / [r]_{q_i}! to scaled kets.
-
-    Applies the Laurent xi_bar_op r times and divides each output entry
-    once, by (1 - q_i^2)^r [r]_{q_i}!, with one exact division where the
-    divisor divides.
-    """
-    d = preset(name).d[i]
-    bar = xi_bar_op(name, word, i)
-    for _ in range(r):
-        vec = apply_op(name, word, bar, vec, tilde=True)
-    den = LaurentPoly({0: 1, 2 * d: -1}) ** r * q_factorial(r, d)
-    return {A: ratio(c.num, c.den * den) for A, c in vec.items()}
 
 
 def xi_matrix(name, label, i, weight):

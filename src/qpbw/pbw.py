@@ -1,47 +1,33 @@
 """Normal-form arithmetic in the positive half of the quantized algebra.
 
-Elements are kept in a word-2 monomial basis: a PBW vector is a dict
-{exponent tuple -> RationalFunction}.  In the plain basis it represents
-sum c_A B[A] with B[A] = b_1^{a_1} ... b_l^{a_l}; multiplying by a
-generator on either side is a table lookup in the preset rules.
+Elements are kept in the divided word-2 monomial basis: a PBW vector is a
+dict {exponent tuple -> RationalFunction} representing sum c_A B^(A), with
+B^(A) = B[A] / F2(A), B[A] = b_1^{a_1} ... b_l^{a_l} and F2(A) = prod_k
+[a_k]! in the base of the word's k-th letter.  This is the only basis the
+module works in.  Multiplying by a generator on either side reads the
+preset rule, rescaled to the divided basis.
 
-The transition matrices live in the divided basis B^(A) = B[A] / F2(A),
-F2(A) = prod_k [a_k]! in the base of the word's k-th letter.  The divided
-monomials of either word span Lusztig's Z[q, q^-1]-form, so every rule
-term rescaled to the divided basis, c * F2(u) / F2(t), is a Laurent
-polynomial, and so is every coefficient of a divided word-1 monomial
-E_1^(A) over the divided word-2 basis: these coefficients are the
+The divided monomials of either word span Lusztig's Z[q, q^-1]-form, so
+every rule term rescaled to the divided basis, c * F2(u) / F2(t), is a
+Laurent polynomial, and so is every coefficient of a divided word-1
+monomial E_1^(A) over the divided word-2 basis: these coefficients are the
 entries gamma^A_B.  E_1^(A) is built one root vector at a time, each step
-one exact division by [a_r] times that root vector's [2]/[3]
-denominator, so normal ordering multiplies Laurent polynomials only and
-runs no gcd.  An inexact division raises ArithmeticError.
+one exact division by [a_r] times that root vector's [2]/[3] denominator,
+so normal ordering multiplies Laurent polynomials only and runs no gcd.
+An inexact division raises ArithmeticError.
 """
 
 from functools import lru_cache
 
-from .qfield import (
-    LaurentPoly, poly_divexact, q_factorial, q_int, sum_products,
-)
+from .qfield import LaurentPoly, poly_divexact, q_int, sum_products
 from .presets import (
-    preset, rf, ONE, ZERO, reverse, serre_relations,
-    tuples_with_weight, weights_up_to, zero_tuple,
+    preset, rf, ONE, ZERO, reverse, serre_relations, tuples_with_weight,
+    zero_tuple,
 )
 
 
 # ---------------------------------------------------------------------------
 # the multiplication primitive
-
-
-@lru_cache(maxsize=None)
-def _rule_terms(name, side, letter, t):
-    """The preset's side rule for the letter on t, as a tuple of terms.
-
-    Normal ordering meets the same tuple many times, and a rule rebuilds
-    its coefficients (with their q-integer quotients) on every call.
-    """
-    p = preset(name)
-    rules = p.right_rules if side == "right" else p.left_rules
-    return tuple(rules[letter](t))
 
 
 def _exact(num, den, where, *args):
@@ -57,39 +43,57 @@ def _exact(num, den, where, *args):
 
 
 @lru_cache(maxsize=None)
+def _factorial_run(lo, hi, d):
+    """[lo+1] ... [hi] in base q^d, that is [hi]! / [lo]!."""
+    out = LaurentPoly.one()
+    for t in range(lo + 1, hi + 1):
+        out = out * q_int(t, d)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _divided_rule_terms(name, side, letter, t):
-    """The side rule for the letter on B^(t), over the divided basis.
+    """The preset's side rule for the letter on B^(t), over the divided basis.
 
-    Each term's coefficient is rescaled by F2(u) / F2(t), one exact
-    division of Laurent polynomials.
+    Each term's coefficient c is rescaled by F2(u) / F2(t): every slot
+    that changes multiplies the numerator or the denominator by its
+    factorial run, and one exact division of Laurent polynomials follows.
+    Normal ordering meets the same tuple many times, so the terms are
+    cached.
     """
-    ft = _factorial_laurent(name, 2, t)
-    return tuple(
-        (_exact(c.num * _factorial_laurent(name, 2, u), c.den * ft,
-                "the divided {} rule of {} at weight {}: e_{} on {}, term {}",
-                side, name, preset(name).conserved2(t), letter, t, u), u)
-        for c, u in _rule_terms(name, side, letter, t))
+    p = preset(name)
+    rules = p.right_rules if side == "right" else p.left_rules
+    weight = p.conserved2(t)
+    out = []
+    for c, u in rules[letter](t):
+        num, den = c.num, c.den
+        for x, y, i in zip(t, u, p.word2):
+            if y > x:
+                num = num * _factorial_run(x, y, p.d[i])
+            elif x > y:
+                den = den * _factorial_run(y, x, p.d[i])
+        out.append((_exact(num, den, "the divided {} rule of {} at weight "
+                           "{}: e_{} on {}, term {}", side, name, weight,
+                           letter, t, u), u))
+    return tuple(out)
 
 
-def mul_letter(name, v, letter, side="right", divided=False):
-    """Multiply a PBW vector by one generator on the given side.
-
-    divided=True reads and writes the divided basis B^(A).
-    """
+def mul_letter(name, v, letter, side="right"):
+    """Multiply a divided PBW vector by one generator on the given side."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    rule = _divided_rule_terms if divided else _rule_terms
     return sum_products((u, coeff, c) for t, c in v.items()
-                        for coeff, u in rule(name, side, letter, t))
+                        for coeff, u in _divided_rule_terms(name, side,
+                                                            letter, t))
 
 
-def mul_word_expr(name, v, wp, side="right", divided=False):
+def mul_word_expr(name, v, wp, side="right"):
     """v . wp (side right) or wp . v (side left) for a word expression wp."""
     def terms():
         for w, c in wp.items():
             cur = v
             for i in (w if side == "right" else reverse(w)):
-                cur = mul_letter(name, cur, i, side, divided)
+                cur = mul_letter(name, cur, i, side)
             for t, x in cur.items():
                 yield t, x, c
 
@@ -97,7 +101,7 @@ def mul_word_expr(name, v, wp, side="right", divided=False):
 
 
 def normal_order(name, wp):
-    """Expand a word expression in the word-2 monomial basis.
+    """Expand a word expression in the divided word-2 basis B^(A).
 
     Right-folds the right-multiplication rules, building each word
     left-to-right from the empty monomial.
@@ -136,7 +140,7 @@ def _word1_divided(name, A):
     prev = _word1_divided(name, A[:r] + (A[r] - 1,) + A[r + 1:])
     wp, den = _root_vector(name, r)
     den = den * q_int(A[r], p.d[p.word1[r]])
-    v = mul_word_expr(name, prev, wp, side="right", divided=True)
+    v = mul_word_expr(name, prev, wp, side="right")
     return {B: _exact(c.num, c.den * den,
                       "gamma of {} at weight {}, row {}, column {}",
                       name, p.conserved1(A), A, B)
@@ -148,50 +152,22 @@ def _word1_divided(name, A):
 
 
 def rho_column(name, label, letter, A):
-    """Left multiplication by e_letter on one tilde monomial: {tuple: coeff}.
+    """Left multiplication by e_letter on one divided monomial: {tuple: coeff}.
 
-    Word 2 reads the left rules directly; word 1 conjugates the word-2
-    right rules by the reversing anti-involution, since
-    e_i . E^A_1 = chi(E^{rev A}_2 . e_i).
+    Word 2 reads the divided left rules directly; word 1 conjugates the
+    divided word-2 right rules by the reversing anti-involution, since
+    e_i . E_1^(A) = chi(B^(rev A) . e_i).
     """
     if label == 2:
-        terms = _rule_terms(name, "left", letter, A)
+        terms = _divided_rule_terms(name, "left", letter, A)
     else:
-        terms = [(c, reverse(t))
-                 for c, t in _rule_terms(name, "right", letter, reverse(A))]
+        terms = [(c, reverse(t)) for c, t in
+                 _divided_rule_terms(name, "right", letter, reverse(A))]
     return sum_products((t, coeff, ONE) for coeff, t in terms)
-
-
-def rho_matrix(name, label, letter, weight):
-    """Matrix of left multiplication by e_letter on tilde monomials.
-
-    Returns (rows, cols, entries): cols are the word-`label` tuples of the
-    source weight, rows those of the weight incremented by the letter's
-    root, entries a dict {(row tuple, col tuple) -> coefficient} holding
-    the rho_column of every col.
-    """
-    p = preset(name)
-    cols = tuples_with_weight(name, label, weight)
-    inc = p.letter_increment(letter)
-    target = (weight[0] + inc[0], weight[1] + inc[1])
-    rows = tuples_with_weight(name, label, target)
-    entries = {(t, A): v for A in cols
-               for t, v in rho_column(name, label, letter, A).items()}
-    return rows, cols, entries
 
 
 # ---------------------------------------------------------------------------
 # transition matrices
-
-
-def _factorial_laurent(name, label, t):
-    """prod_k [t_k]! in the base attached to the word's k-th letter."""
-    p = preset(name)
-    word = p.word(label)
-    out = LaurentPoly.one()
-    for x, i in zip(t, word):
-        out = out * q_factorial(x, p.d[i])
-    return out
 
 
 class TransitionBlock:

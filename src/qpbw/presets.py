@@ -143,10 +143,6 @@ class AlgebraPreset:
         self.pi_matrix = pi_matrix              # {node: NxN mode-op sums}
         self.n_gen = n_gen
 
-    def lam(self, node):
-        """lambda_i = (1 - q_i^2)^{-1}."""
-        return ONE / rf(LaurentPoly({0: 1, 2 * self.d[node]: -1}))
-
     def word(self, label):
         if label == 1:
             return self.word1

@@ -9,6 +9,7 @@ from qpbw.cli import (
     TableRecord, compute_records, main, record_from_json, record_to_json,
     records_from_csv, records_to_csv,
 )
+from qpbw.presets import preset
 from qpbw.qfield import LaurentPoly, RationalFunction, parse
 
 
@@ -192,15 +193,14 @@ _ONE_PLUS_Q = RationalFunction(LaurentPoly({0: 1, 1: 1}))
 
 
 def _off_rule_terms(monkeypatch):
-    rule_terms = pbw._rule_terms
+    rule = preset("C2").right_rules[2]
 
-    def broken(name, side, letter, t):
-        terms = list(rule_terms(name, side, letter, t))
-        if letter == 2:
-            c, u = terms[0]
-            terms[0] = (c / _ONE_PLUS_Q, u)
-        return tuple(terms)
-    monkeypatch.setattr(pbw, "_rule_terms", broken)
+    def broken(t):
+        terms = list(rule(t))
+        c, u = terms[0]
+        terms[0] = (c / _ONE_PLUS_Q, u)
+        return terms
+    monkeypatch.setitem(preset("C2").right_rules, 2, broken)
 
 
 def _off_root_vector(monkeypatch):

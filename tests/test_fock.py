@@ -7,22 +7,19 @@ non-canonical orderings in the sources are handled by the algebra itself.
 """
 
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpbw import fock
 from qpbw.fock import (
-    apply_op, letters_arg, op_add, op_from_terms, op_identity, op_mul,
-    op_scale, pi_generator, sigma_e_op, sigma_op, word_arg, xi_apply,
-    xi_divided_apply, xi_matrix, xi_op,
+    apply_op, letters_arg, op_from_terms, op_mul, op_scale, pi_generator,
+    sigma_e_op, sigma_op, word_arg, xi_matrix,
 )
 from qpbw.fock import _mono_apply, _mono_mul_word
-from qpbw.pbw import rho_matrix
-from qpbw.qfield import LaurentPoly, canonical_string, d_norm
+from qpbw.qfield import d_norm, sum_products
 from qpbw.presets import (
-    ONE, preset, qfact, qint, qpow, rf, tuples_with_weight,
+    ONE, preset, qfact, qint, qpow, reverse, rf, tuples_with_weight,
 )
 
 _TOKEN = re.compile(r"([aA][+-]|[kK])(\d)(')?$")
@@ -57,6 +54,41 @@ def disp(name, word, *specs):
         else:
             terms.append(term(name, word, s[0], s[1]))
     return op_from_terms(name, word, terms)
+
+
+# ---------------------------------------------------------------------------
+# scaled kets and lambda, formed here: the package works on bare kets only
+
+
+def _lam(name, i):
+    """lambda_i = 1 / (1 - q_i^2)."""
+    return ONE / (ONE - qpow(2 * preset(name).d[i]))
+
+
+def _D(name, word, t):
+    """D(t) = prod_k d_norm(t_k, d_k): the scaled ket is |t>> = D(t)|t>."""
+    p = preset(name)
+    out = ONE
+    for m, node in zip(t, letters_arg(name, word)):
+        out = out * d_norm(m, p.d[node])
+    return out
+
+
+def _apply_scaled(name, word, op, vec):
+    """op on a vector over scaled kets, through the bare-ket apply_op."""
+    out = apply_op(name, word, op,
+                   {A: c * _D(name, word, A) for A, c in vec.items()})
+    return {B: c / _D(name, word, B) for B, c in out.items()}
+
+
+def _xi(name, word, i):
+    """pi_word(xi_i) = lambda_i xi_bar_op."""
+    return op_scale(fock.xi_bar_op(name, word, i), _lam(name, i))
+
+
+def _xi_scaled(name, word, i, vec):
+    """xi_i on a vector over scaled kets."""
+    return _apply_scaled(name, word, _xi(name, word, i), vec)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +170,10 @@ def test_scaled_ket_actions():
         for m in range(5):
             ket = {tuple(m if s == slot - 1 else 0 for s in range(len(w))): ONE}
             (up_t,) = [t for t in ket][:1]
-            raised = apply_op(name, word, up, ket, tilde=True)
-            lowered = apply_op(name, word, down, ket, tilde=True)
-            diagged = apply_op(name, word, diag, ket, tilde=True)
-            lam = p.lam(2 if d > 1 else 1)
+            raised = _apply_scaled(name, word, up, ket)
+            lowered = _apply_scaled(name, word, down, ket)
+            diagged = _apply_scaled(name, word, diag, ket)
+            lam = _lam(name, 2 if d > 1 else 1)
             tgt = tuple(m + 1 if s == slot - 1 else 0 for s in range(len(w)))
             assert raised == {tgt: qpow(d * m) / lam}
             assert diagged == {up_t: qpow(d * m)}
@@ -298,31 +330,31 @@ def test_sigma_commutation():
 
 
 def test_xi_displays():
-    lam = {(n, i): preset(n).lam(i) for n in ("A2", "C2", "G2") for i in (1, 2)}
-    assert xi_op("A2", 1, 1) == op_scale(disp("A2", 1, "a+1 k1'"), lam["A2", 1])
-    assert xi_op("A2", 1, 2) == op_scale(
+    lam = {(n, i): _lam(n, i) for n in ("A2", "C2", "G2") for i in (1, 2)}
+    assert _xi("A2", 1, 1) == op_scale(disp("A2", 1, "a+1 k1'"), lam["A2", 1])
+    assert _xi("A2", 1, 2) == op_scale(
         disp("A2", 1, "a-1 a+2 k2'", "k1 k2' a+3 k3'"), lam["A2", 2])
     for i in (1, 2):
-        assert xi_op("A2", 2, i) == xi_op("A2", 1, 3 - i)
+        assert _xi("A2", 2, i) == _xi("A2", 1, 3 - i)
 
     two1 = qint(2, 1)
-    assert xi_op("C2", 1, 1) == op_scale(disp("C2", 1, "a+1 k1'"), lam["C2", 1])
-    assert xi_op("C2", 1, 2) == op_scale(disp(
+    assert _xi("C2", 1, 1) == op_scale(disp("C2", 1, "a+1 k1'"), lam["C2", 1])
+    assert _xi("C2", 1, 2) == op_scale(disp(
         "C2", 1,
         "a-1 a-1 A+2 K2'",
         "k1 k1 A-2 K2' a+3 a+3 k3' k3'",
         ("a-1 k1 K2' a+3 k3'", two1),
         "k1 k1 k3' k3' A+4 K4'"), lam["C2", 2])
-    assert xi_op("C2", 2, 1) == op_scale(disp(
+    assert _xi("C2", 2, 1) == op_scale(disp(
         "C2", 2,
         "A-1 a+2 k2'",
         "K1 a-2 k2' A+3 K3'",
         "K1 K3' a+4 k4'"), lam["C2", 1])
-    assert xi_op("C2", 2, 2) == op_scale(disp("C2", 2, "A+1 K1'"), lam["C2", 2])
+    assert _xi("C2", 2, 2) == op_scale(disp("C2", 2, "A+1 K1'"), lam["C2", 2])
 
     two2, three1 = qint(2, 3), qint(3, 1)
-    assert xi_op("G2", 1, 1) == op_scale(disp("G2", 1, "a+1 k1'"), lam["G2", 1])
-    assert xi_op("G2", 1, 2) == op_scale(disp(
+    assert _xi("G2", 1, 1) == op_scale(disp("G2", 1, "a+1 k1'"), lam["G2", 1])
+    assert _xi("G2", 1, 2) == op_scale(disp(
         "G2", 1,
         "a-1 a-1 a-1 A+2 K2'",
         ("k1 k1 k1 A-2 k3' k3' k3' A+4 K4'", two2),
@@ -340,7 +372,7 @@ def test_xi_displays():
         ("k1 k1 k1 K2 a-3 a-3 k3' k3' A+4 K4' K4' a+5 k5'", three1)),
         lam["G2", 2])
     two1 = qint(2, 1)
-    assert xi_op("G2", 2, 1) == op_scale(disp(
+    assert _xi("G2", 2, 1) == op_scale(disp(
         "G2", 2,
         "A-1 a+2 k2'",
         ("K1 a-2 K3' a+4 k4'", two1),
@@ -348,7 +380,7 @@ def test_xi_displays():
         "K1 k2 a-4 k4' k4' A+5 K5'",
         "K1 k2 k4' K5' a+6 k6'",
         "K1 k2 A-3 K3' a+4 a+4 k4' k4'"), lam["G2", 1])
-    assert xi_op("G2", 2, 2) == op_scale(disp("G2", 2, "A+1 K1'"), lam["G2", 2])
+    assert _xi("G2", 2, 2) == op_scale(disp("G2", 2, "A+1 K1'"), lam["G2", 2])
 
 
 def test_xi_ket_action_a2():
@@ -356,62 +388,81 @@ def test_xi_ket_action_a2():
         for b in range(4):
             for c in range(3):
                 ket = {(a, b, c): ONE}
-                assert xi_apply("A2", 1, 1, ket) == {(a + 1, b, c): ONE}
+                assert _xi_scaled("A2", 1, 1, ket) == {(a + 1, b, c): ONE}
                 expect = {(a, b, c + 1): qpow(a - b)}
                 if a:
                     expect[(a - 1, b + 1, c)] = qint(a, 1)
-                assert xi_apply("A2", 1, 2, ket) == expect
+                assert _xi_scaled("A2", 1, 2, ket) == expect
+
+
+def _xi_divided(name, word, i, vec, r):
+    """xi_i^(r) = xi_i^r / [r]_{q_i}! on a vector over scaled kets."""
+    for _ in range(r):
+        vec = _xi_scaled(name, word, i, vec)
+    return {A: c / qfact(r, preset(name).d[i]) for A, c in vec.items()}
 
 
 def test_xi_divided_powers():
     vac = {(0, 0, 0): ONE}
-    assert xi_divided_apply("A2", 1, 1, vac, 3) \
+    assert _xi_divided("A2", 1, 1, vac, 3) \
         == {(3, 0, 0): ONE / qfact(3, 1)}
     # q-binomial spreading: xi_2^(2) on a mixed ket stays exact
-    out = xi_divided_apply("A2", 1, 2, {(2, 0, 0): ONE}, 2)
-    direct = xi_apply("A2", 1, 2, xi_apply("A2", 1, 2, {(2, 0, 0): ONE}))
-    assert out == {A: c / qfact(2, 1) for A, c in direct.items()}
+    assert _xi_divided("A2", 1, 2, {(2, 0, 0): ONE}, 2) == {
+        (2, 0, 2): qpow(4) / qint(2), (1, 1, 1): ONE + qpow(2),
+        (0, 2, 0): ONE}
 
 
 def _scaled_xi_matrix(name, label, i, weight):
-    """xi_i on scaled kets, column by column from xi_apply, shaped like
-    rho_matrix."""
+    """xi_i on scaled kets, column by column: (rows, cols, entries)."""
     inc = preset(name).letter_increment(i)
     cols = tuples_with_weight(name, label, weight)
     rows = tuples_with_weight(name, label,
                               (weight[0] + inc[0], weight[1] + inc[1]))
     return rows, cols, {(B, A): c for A in cols
-                        for B, c in xi_apply(name, label, i, {A: ONE}).items()}
+                        for B, c in _xi_scaled(name, label, i,
+                                               {A: ONE}).items()}
+
+
+def _plain_rho(name, label, i, A):
+    """e_i times the plain monomial B[A] of word label, off the preset
+    rules; word 1 conjugates the word-2 right rules by reversal."""
+    p = preset(name)
+    if label == 2:
+        terms = p.left_rules[i](A)
+    else:
+        terms = [(c, reverse(t)) for c, t in p.right_rules[i](reverse(A))]
+    return sum_products((t, c, ONE) for c, t in terms)
 
 
 def test_key_property_spot():
+    # rho(e_i) on plain monomials is xi_i on scaled kets
     cases = [("A2", 1, (1, 1)), ("A2", 2, (1, 1)), ("C2", 1, (2, 1)),
              ("C2", 2, (1, 2)), ("G2", 1, (1, 1)), ("G2", 2, (1, 2))]
     for name, label, w in cases:
         for i in (1, 2):
-            assert rho_matrix(name, label, i, w) \
-                == _scaled_xi_matrix(name, label, i, w)
+            rows, cols, xi = _scaled_xi_matrix(name, label, i, w)
+            rho = {(B, A): c for A in cols
+                   for B, c in _plain_rho(name, label, i, A).items()}
+            assert {B for B, _ in rho} <= set(rows)
+            assert rho == xi, (name, label, i, w)
 
 
 def test_bare_xi_matrix_matches_scaled():
     # xi_bar = xi / lambda on bare kets |m>, with |m>> = D(m)|m>: each entry
-    # is the scaled-ket entry times D(row) / (D(col) lambda)
+    # is the scaled-ket entry times D(row) / (D(col) lambda).  The scaled
+    # entries are those of plain rho, by the key property, so the
+    # reference shares no code with xi_matrix
     for name in ("A2", "C2", "G2"):
-        p = preset(name)
         for label in (1, 2):
-            word = p.word(label)
-
-            def D(t):
-                out = ONE
-                for m, node in zip(t, word):
-                    out = out * d_norm(m, p.d[node])
-                return out
             for i in (1, 2):
                 for w in ((0, 0), (1, 1), (2, 1), (1, 3)):
                     rows, cols, bare = xi_matrix(name, label, i, w)
-                    *shape, scaled = _scaled_xi_matrix(name, label, i, w)
+                    *shape, _ = _scaled_xi_matrix(name, label, i, w)
                     assert [rows, cols] == shape
-                    want = {(B, A): c * D(B) / (D(A) * p.lam(i))
+                    scaled = {(B, A): c for A in cols for B, c
+                              in _plain_rho(name, label, i, A).items()}
+                    want = {(B, A): c * _D(name, label, B)
+                            / (_D(name, label, A) * _lam(name, i))
                             for (B, A), c in scaled.items()}
                     assert bare == want, (name, label, i, w)
                     assert all(c.den.is_one() for c in bare.values())
@@ -429,57 +480,7 @@ def test_sigma_is_invertible_monomial():
 
 
 # ---------------------------------------------------------------------------
-# xi without lambda: xi_apply divides once per output entry; it must agree
-# with applying the lambda-scaled operator, the path it replaces
-
-
-_DENS = (ONE, ONE / qint(2), ONE / (ONE - qpow(2)), ONE / qint(3, 2))
-
-
-@st.composite
-def fock_vectors(draw):
-    name = draw(st.sampled_from(("A2", "C2", "G2")))
-    length = preset(name).length
-    kets = draw(st.lists(
-        st.tuples(*[st.integers(min_value=0, max_value=3)] * length),
-        min_size=1, max_size=3, unique=True))
-    vec = {}
-    for ket in kets:
-        lp = {e: v for e, v in draw(st.dictionaries(
-            st.integers(min_value=-3, max_value=3),
-            st.integers(min_value=-3, max_value=3), min_size=1,
-            max_size=3)).items() if v}
-        if lp:
-            vec[ket] = rf(LaurentPoly(lp)) * draw(st.sampled_from(_DENS))
-    return name, vec or {kets[0]: ONE}
-
-
-def _strings(vec):
-    return {A: canonical_string(c) for A, c in vec.items()}
-
-
-@settings(max_examples=150, deadline=None)
-@given(fock_vectors(), st.sampled_from([1, 2]), st.sampled_from([1, 2]))
-def test_xi_apply_matches_scaled_operator(name_vec, word, i):
-    name, vec = name_vec
-    got = xi_apply(name, word, i, vec)
-    want = apply_op(name, word, xi_op(name, word, i), vec, tilde=True)
-    assert got == want
-    assert _strings(got) == _strings(want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(fock_vectors(), st.sampled_from([1, 2]), st.sampled_from([1, 2]),
-       st.integers(min_value=0, max_value=3))
-def test_xi_divided_apply_matches_stepwise(name_vec, word, i, r):
-    name, vec = name_vec
-    got = xi_divided_apply(name, word, i, vec, r)
-    want = vec
-    for _ in range(r):
-        want = apply_op(name, word, xi_op(name, word, i), want, tilde=True)
-    want = {A: c / qfact(r, preset(name).d[i]) for A, c in want.items()}
-    assert got == want
-    assert _strings(got) == _strings(want)
+# xi without lambda
 
 
 def test_xi_bar_op_is_laurent():
@@ -488,8 +489,6 @@ def test_xi_bar_op_is_laurent():
             for i in (1, 2):
                 bar = fock.xi_bar_op(name, word, i)
                 assert all(c.den.is_one() for c in bar.values())
-                assert op_scale(bar, preset(name).lam(i)) \
-                    == xi_op(name, word, i)
 
 
 def test_xi_apply_matches_sympy():
@@ -504,13 +503,15 @@ def test_xi_apply_matches_sympy():
         return poly(x.num) / poly(x.den)
 
     # G2 word 1, xi_2 on scaled kets: base q^3, so lambda_2 = 1/(1 - q^6);
-    # the input coefficient 1/[2] leaves a denominator in every output
+    # the input coefficient 1/[2] leaves a denominator in every output.
+    # sympy forms each entry from the bare-ket entry and the D ratio
     ket = (1, 1, 0, 1, 0, 1)
     start = ONE / qint(2)
-    got = xi_apply("G2", 1, 2, {ket: start})
-    bar = apply_op("G2", 1, fock.xi_bar_op("G2", 1, 2), {ket: ONE},
-                   tilde=True)
+    got = _xi_scaled("G2", 1, 2, {ket: start})
+    bar = apply_op("G2", 1, fock.xi_bar_op("G2", 1, 2), {ket: ONE})
     assert set(got) == set(bar) and len(got) > 1
     for A, c in got.items():
-        want = sympy.cancel(to_sympy(bar[A]) * to_sympy(start) / (1 - q ** 6))
+        want = sympy.cancel(
+            to_sympy(bar[A]) * to_sympy(start) * to_sympy(_D("G2", 1, ket))
+            / (to_sympy(_D("G2", 1, A)) * (1 - q ** 6)))
         assert sympy.cancel(to_sympy(c) - want) == 0

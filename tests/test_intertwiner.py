@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpbw import intertwiner, qfield
-from qpbw.fock import xi_apply
+from qpbw.fock import apply_op, xi_bar_op
 from qpbw.intertwiner import (
     CheckedTable, PhiTable, checked_table, compute_phi, solve_exact,
 )
@@ -17,7 +17,6 @@ from qpbw.qfield import (
     LaurentPoly, RationalFunction, canonical_string, d_norm, q_factorial,
     sum_products,
 )
-from qpbw.verify import pbw_expansion_identity
 
 Q = qpow(1)
 
@@ -236,32 +235,6 @@ def test_checked_is_phi_with_reversed_input():
     assert tabc.entry((1, 0, 0, 2), I) == tabc.phi.phi((1, 0, 0, 2), reverse(I))
 
 
-def test_pbw_expansion_identity_trivial():
-    rec = pbw_expansion_identity("A2", (0, 0, 0))
-    assert rec["algebra"] == "A2" and rec["kind"] == "R"
-    assert rec["terms"] == [((0, 0, 0), (0, 0, 0), "1")]
-
-
-def test_pbw_expansion_identity_a2_golden_block():
-    phi = PhiTable("A2")
-    rec = pbw_expansion_identity("A2", (3, 1, 4), phi)
-    assert len(rec["terms"]) == 5
-    by_input = {I: c for I, _, c in rec["terms"]}
-    assert set(by_input) == set(GOLDEN["A2"][1])
-    # the diagonal coefficient is shared with the golden column
-    assert val(by_input[(3, 1, 4)]) == val(GOLDEN["A2"][1][(3, 1, 4)])
-    for I, revI, _ in rec["terms"]:
-        assert revI == reverse(I)
-
-
-def test_pbw_expansion_identity_c2():
-    rec = pbw_expansion_identity("C2", (2, 1, 1, 0), PhiTable("C2"))
-    assert rec["kind"] == "K"
-    assert len(rec["terms"]) == 6
-    by_input = {I: c for I, _, c in rec["terms"]}
-    assert val(by_input[(2, 1, 1, 0)]) == val("-q^4*(1-q^8+q^14)")
-
-
 # ---------------------------------------------------------------------------
 # the bare-ket block against the scaled-ket recursion it replaces
 
@@ -290,10 +263,14 @@ def test_block_matches_two_step_rescale(name, hmax):
 
 
 def _scaled_xi(name, label, i, weight):
-    """xi_i (with its lambda_i) on the scaled kets of one weight, column by
-    column from xi_apply: {(row tuple, col tuple): coefficient}."""
-    return {(B, A): c for A in tuples_with_weight(name, label, weight)
-            for B, c in xi_apply(name, label, i, {A: ONE}).items()}
+    """xi_i (with its lambda_i) on the scaled kets |A>> = D(A)|A> of one
+    weight, column by column from the bare-ket xi_bar_op:
+    {(row tuple, col tuple): coefficient}."""
+    lam = ONE / (ONE - qpow(2 * preset(name).d[i]))
+    bar = xi_bar_op(name, label, i)
+    return {(B, A): c * lam * _d(name, label, A) / _d(name, label, B)
+            for A in tuples_with_weight(name, label, weight)
+            for B, c in apply_op(name, label, bar, {A: ONE}).items()}
 
 
 def _scaled_blocks(name, hmax):

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbw import cli, verify
-from qpbw.presets import ONE, preset, zero_tuple
+from qpbw import cli, pbw, verify
+from qpbw.presets import ONE, preset, qpow, zero_tuple
 from qpbw import fock
 from qpbw.qfield import LaurentPoly, RationalFunction
 
@@ -166,6 +166,38 @@ def test_properties_smoke():
     ids = {c.check_id for c in r.checks}
     assert "C2-involution" in ids
     assert "C2-q0-delta" in ids
+
+
+# ---------------------------------------------------------------------------
+# key-prop fails on mutated divided rule terms (the mutation wraps the
+# cache, so the cached terms stay the true ones)
+
+
+def _drop_second_term(terms):
+    """A monomial change: every rule with two or more terms loses one."""
+    return terms[:1] + terms[2:]
+
+
+def _first_times_q(terms):
+    """A scalar change: every rule's first coefficient gains a factor q."""
+    (c, u), *rest = terms
+    return ((c * qpow(1), u), *rest)
+
+
+@pytest.mark.parametrize("change,witness", [
+    (_drop_second_term, {"A2": "word 1 e_2 ket (1, 0, 0)",
+                         "C2": "word 1 e_2 ket (0, 1, 0, 0)",
+                         "G2": "word 1 e_2 ket (0, 0, 0, 1, 0, 0)"}),
+    (_first_times_q, {n: f"word 1 e_1 ket {zero_tuple(n)}"
+                      for n in ("A2", "C2", "G2")}),
+])
+@pytest.mark.parametrize("name", ["A2", "C2", "G2"])
+def test_key_prop_catches_mutated_rule(monkeypatch, change, witness, name):
+    rule_terms = pbw._divided_rule_terms
+    monkeypatch.setattr(pbw, "_divided_rule_terms",
+                        lambda *key: change(rule_terms(*key)))
+    check = verify._key_prop_check(name, 1)
+    assert check == (f"{name}-key-prop", False, witness[name])
 
 
 def test_t_intertwining_smoke():
