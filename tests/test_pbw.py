@@ -376,11 +376,22 @@ def test_divided_rule_terms_are_laurent(name, data, letter, side):
     p = preset(name)
     t = tuple(data.draw(st.integers(min_value=0, max_value=6))
               for _ in range(p.length))
+    for c, u in _divided_rule_terms(name, side, letter, t):
+        assert c.den.is_one(), (name, side, letter, t, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALGEBRAS), st.data(), st.sampled_from([1, 2]),
+       st.sampled_from(["right", "left"]))
+def test_rule_terms_match_rules(name, data, letter, side):
+    """The cached divided rule terms are the preset rule, rescaled by F2."""
+    p = preset(name)
+    t = tuple(data.draw(st.integers(min_value=0, max_value=6))
+              for _ in range(p.length))
     got = _divided_rule_terms(name, side, letter, t)
     plain = (p.right_rules if side == "right" else p.left_rules)[letter](t)
     assert [u for _, u in got] == [u for _, u in plain]
     for (c, u), (c0, _) in zip(got, plain):
-        assert c.den.is_one(), (name, side, letter, t, u)
         want = c0 * _factorials(name, 2, u) / _factorials(name, 2, t)
         assert c == want
         assert canonical_string(c) == canonical_string(want)
