@@ -19,6 +19,14 @@ Under these rules the representation of a given element of Q(q) is unique,
 so equality is structural.  Polynomial gcds are computed by the primitive
 pseudo-remainder sequence over Z, which keeps every intermediate exact.
 
+Sparse sums of products have two entry points that share one way of
+accumulating and one finalisation: sum_products over (key, x, y) triples,
+and apply_on_slots, which applies an operator acting on some slots of
+occupation tuples (the checked tables on kets) in one fused pass.  Laurent
+products are kept lazily, a key's lone product as its two factors until
+the end, so a factor ONE costs nothing and a monomial factor one shift;
+everything else takes the exact RationalFunction (or Fraction) path.
+
 String form (used by the CLI and the golden tables): terms in ascending
 exponent, coefficient 1 suppressed, "q^1" written "q", "q^0" omitted, terms
 joined by " + " / " - ", e.g. "-q^2 + q^6 + q^8 - q^10".  A rational
@@ -29,7 +37,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _igcd
+from operator import itemgetter
 
 
 class LaurentPoly:
@@ -688,57 +698,177 @@ _RF_ONE = RationalFunction.from_laurent(_LP_ONE)
 
 # ---------------------------------------------------------------------------
 # sparse sums of products
+#
+# sum_products and apply_on_slots accumulate the same way.  Per output key
+# they keep the key's lone Laurent product as its two factors, not yet
+# multiplied; from a second Laurent product on, a plain {exponent:
+# coefficient} dict; and, apart, the exact sum of every other product.
+# _finish turns all three into values once, at the end.
 # ---------------------------------------------------------------------------
+
+def _add_product(acc, xc, yc):
+    """acc += xc * yc on {exponent: coefficient} dicts; returns acc."""
+    if len(xc) > len(yc):
+        xc, yc = yc, xc
+    get = acc.get
+    for ea, va in xc.items():
+        for eb, vb in yc.items():
+            e = ea + eb
+            acc[e] = get(e, 0) + va * vb
+    return acc
+
+
+def _product(xc, yc):
+    """xc * yc as a new dict; a monomial factor shifts and scales the other."""
+    if len(xc) > len(yc):
+        xc, yc = yc, xc
+    if len(xc) == 1:
+        (ea, va), = xc.items()
+        return {e + ea: v * va for e, v in yc.items()}
+    return _add_product({}, xc, yc)
+
+
+def _grow(cur, x, y):
+    """A key's lone pair or exponent dict, plus the Laurent product x * y."""
+    if type(cur) is tuple:
+        a, b = cur
+        cur = _product(a.num.c, b.num.c)
+    return _add_product(cur, x.num.c, y.num.c)
+
+
+def _add_exact(rest, key, p):
+    cur = rest.get(key)
+    rest[key] = p if cur is None else cur + p
+
+
+def _finish(laurent, rest):
+    """{key: value} from the accumulators, zero sums dropped.
+
+    A lone pair is multiplied only here, and a factor ONE gives the other
+    factor itself, no copy.  Keys come out in order of first appearance,
+    the Laurent ones first.
+    """
+    out = {}
+    lp_new, rf_new, one = LaurentPoly.__new__, RationalFunction.__new__, _LP_ONE
+    for key, cur in laurent.items():
+        if type(cur) is tuple:
+            x, y = cur
+            xc, yc = x.num.c, y.num.c
+            if len(xc) == 1 and xc.get(0) == 1:
+                if yc:
+                    out[key] = y
+                continue
+            if len(yc) == 1 and yc.get(0) == 1:
+                if xc:
+                    out[key] = x
+                continue
+            cur = _product(xc, yc)
+        c = {e: v for e, v in cur.items() if v}
+        if c:
+            p = lp_new(LaurentPoly)
+            p.c = c
+            r = rf_new(RationalFunction)
+            r.num, r.den = p, one
+            out[key] = r
+    for key, total in rest.items():
+        p = out.get(key)
+        if p is not None:
+            total = total + p
+        if total:
+            out[key] = total
+        elif p is not None:
+            del out[key]
+    return out
+
 
 def sum_products(terms):
     """{key: sum of x * y} over an iterable of (key, x, y) triples.
 
-    The one accumulate loop of the package: ``out[key] += x * y`` with
-    zero sums dropped.  When x and y are RationalFunctions with
-    denominator 1, the product is added term by term into a plain
-    {exponent: coefficient} dict per key, so no LaurentPoly or
-    RationalFunction is built per term; every other product and sum goes
-    through the exact arithmetic of its operands (RationalFunction, or
-    Fraction for values sampled at a point).  Each key is converted once
-    at the end.  Keys come out in order of first appearance, the Laurent
-    ones first.
+    ``out[key] += x * y`` with zero sums dropped, the accumulate loop of
+    the package (apply_on_slots is the same loop fused with building the
+    keys).  When x and y are RationalFunctions with denominator 1, a key's
+    first product is kept as its two factors and only later ones are added
+    term by term into a plain {exponent: coefficient} dict, so no
+    LaurentPoly or RationalFunction is built per term.  Every other
+    product and sum goes through the exact arithmetic of its operands
+    (RationalFunction, or Fraction for values sampled at a point).  Each
+    key is converted once at the end; a key whose lone product has a
+    factor ONE gets the other factor itself.  Keys come out in order of
+    first appearance, the Laurent ones first.
     """
-    laurent = {}
-    rest = {}
+    laurent, rest = {}, {}
+    get = laurent.get
     # every denominator-1 value built here shares _LP_ONE; another one
     # would only take the slower exact path
     rf, one = RationalFunction, _LP_ONE
     for key, x, y in terms:
         if type(x) is rf and type(y) is rf and x.den is one and y.den is one:
-            acc = laurent.get(key)
-            if acc is None:
-                acc = laurent[key] = {}
-            xc, yc = x.num.c, y.num.c
-            if len(xc) > len(yc):
-                xc, yc = yc, xc
-            for ea, va in xc.items():
-                for eb, vb in yc.items():
-                    e = ea + eb
-                    acc[e] = acc.get(e, 0) + va * vb
+            cur = get(key)
+            laurent[key] = (x, y) if cur is None else _grow(cur, x, y)
         else:
-            p = x * y
-            cur = rest.get(key)
-            rest[key] = p if cur is None else cur + p
-    out = {}
-    for key, acc in laurent.items():
-        c = {e: v for e, v in acc.items() if v}
-        total = rest.pop(key, None)
-        if c:
-            p = LaurentPoly.__new__(LaurentPoly)
-            p.c = c
-            p = RationalFunction.from_laurent(p)
-            total = p if total is None else total + p
-        if total:
-            out[key] = total
-    for key, total in rest.items():
-        if total:
-            out[key] = total
-    return out
+            _add_exact(rest, key, x * y)
+    return _finish(laurent, rest)
+
+
+def slot_column(col):
+    """A column {out: value} as apply_on_slots reads it.
+
+    Returns (items, laurent): the (out, value) pairs, and whether every
+    value is a RationalFunction with denominator 1.
+    """
+    rf, one = RationalFunction, _LP_ONE
+    return (tuple(col.items()),
+            all(type(v) is rf and v.den is one for v in col.values()))
+
+
+def _tuple_getter(idx):
+    """t -> (t[i] for i in idx) as a tuple, also for a single index."""
+    if len(idx) == 1:
+        i, = idx
+        return lambda t: (t[i],)
+    return itemgetter(*idx)
+
+
+@lru_cache(maxsize=None)
+def _slot_getters(width, pos):
+    """(state + out -> output key, state -> input tuple) for these slots."""
+    src = list(range(width))
+    for j, p in enumerate(pos):
+        src[p] = width + j
+    return _tuple_getter(src), _tuple_getter(pos)
+
+
+def apply_on_slots(vec, pos, column):
+    """{state: coefficient} under an operator acting on the slots `pos`.
+
+    pos holds distinct 0-based positions of the states; the operator maps
+    the input tuple of a state at `pos` to outputs and keeps every other
+    slot.  column(inp) returns the cached slot_column of the operator's
+    column at the input tuple inp.  The result is sum_products over the
+    triples (state with `pos` set to out, value, coefficient), in one
+    pass: each output key is one itemgetter over ``state + out``, and the
+    Laurent test runs once per cached column and once per coefficient,
+    not once per term.  Products of a Laurent column and a Laurent
+    coefficient are accumulated lazily as in sum_products; every other
+    product takes the exact path.
+    """
+    if not vec:
+        return {}
+    key_of, inp_of = _slot_getters(len(next(iter(vec))), pos)
+    rf, one = RationalFunction, _LP_ONE
+    laurent, rest = {}, {}
+    get = laurent.get
+    for state, c in vec.items():
+        items, col_laurent = column(inp_of(state))
+        if col_laurent and type(c) is rf and c.den is one:
+            for out, v in items:
+                key = key_of(state + out)
+                cur = get(key)
+                laurent[key] = (v, c) if cur is None else _grow(cur, v, c)
+        else:
+            for out, v in items:
+                _add_exact(rest, key_of(state + out), v * c)
+    return _finish(laurent, rest)
 
 
 def ratio(num, den):

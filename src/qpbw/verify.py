@@ -20,7 +20,10 @@ from .presets import (
     KIND_ALGEBRA, ONE, ZERO, preset, qbinom, qpow, reverse,
     tuples_with_weight, weights_up_to, zero_tuple,
 )
-from .qfield import canonical_string, is_integer_polynomial, sum_products
+from .qfield import (
+    apply_on_slots, canonical_string, is_integer_polynomial, slot_column,
+    sum_products,
+)
 
 Check = namedtuple("Check", ["check_id", "passed", "witness"])
 
@@ -118,13 +121,21 @@ def _guarded_sample(point, run):
 # checked tables as operators on occupation states
 
 class KetOperator:
-    """A checked table acting on chosen slots of occupation states."""
+    """A checked table acting on chosen slots of occupation states.
+
+    apply(vec, slots) maps {state: coefficient} to its image under the
+    table acting on the 1-based `slots` of every state, each other slot
+    kept, in one pass of the slot kernel qfield.apply_on_slots.  Every
+    column it reads comes through `column` and is cached here, one per
+    input tuple, so an image may hold the very value objects of a column.
+    """
 
     def __init__(self, name, point=None):
         self.table = shared_table(name)
         self.arity = preset(name).length
         self.point = point
         self._columns = {}
+        self._slot_columns = {}
 
     def column(self, inp):
         col = self._columns.get(inp)
@@ -136,18 +147,29 @@ class KetOperator:
             self._columns[inp] = col
         return col
 
+    def _slot_column(self, inp):
+        sc = self._slot_columns.get(inp)
+        if sc is None:
+            sc = self._slot_columns[inp] = slot_column(self.column(inp))
+        return sc
+
     def apply(self, vec, slots):
-        pos = tuple(s - 1 for s in slots)
+        """Raises ValueError unless `slots` are `arity` distinct slots in
+        1..len(state)."""
+        width = len(next(iter(vec))) if vec else None
+        pos = _slot_positions(self.table.kind, self.arity, tuple(slots), width)
+        return apply_on_slots(vec, pos, self._slot_column)
 
-        def terms():
-            for state, c in vec.items():
-                ns = list(state)   # every column entry rewrites all of pos
-                for tup, v in self.column(tuple(state[p] for p in pos)).items():
-                    for p, a in zip(pos, tup):
-                        ns[p] = a
-                    yield tuple(ns), v, c
 
-        return sum_products(terms())
+@lru_cache(maxsize=None)
+def _slot_positions(kind, arity, slots, width):
+    """0-based positions of `slots`, checked against the states' width."""
+    if (len(slots) != arity or len(set(slots)) != arity or min(slots) < 1
+            or (width is not None and max(slots) > width)):
+        within = f" in 1..{width}" if width is not None else ""
+        raise ValueError(f"{kind} acts on {arity} distinct slots{within}, "
+                         f"got {slots}")
+    return tuple(s - 1 for s in slots)
 
 
 # Sides are stored in application order (rightmost factor first).

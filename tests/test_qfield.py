@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qpbw.qfield import (
     LaurentPoly,
     RationalFunction,
+    apply_on_slots,
     canonical_string,
     d_norm,
     parse,
@@ -19,6 +20,7 @@ from qpbw.qfield import (
     q_pochhammer,
     qmq,
     ratio,
+    slot_column,
     sum_products,
 )
 
@@ -293,9 +295,18 @@ def _get_add_pop(terms):
 
 @st.composite
 def factors(draw):
-    """Mostly Laurent polynomials (the fast path), some with a denominator."""
-    if draw(st.booleans()):
+    """Laurent polynomials (the fast path) with ONE, -ONE and single-term
+    monomials among them (a lone product's shortcuts), and values with a
+    denominator (the exact path)."""
+    kind = draw(st.sampled_from(("laurent", "unit", "monomial", "rational")))
+    if kind == "laurent":
         return RationalFunction(draw(laurents()))
+    if kind == "unit":
+        return draw(st.sampled_from((RationalFunction.one(),
+                                     -RationalFunction.one())))
+    if kind == "monomial":
+        return RationalFunction.qpow(draw(exps),
+                                     draw(coeffs.filter(lambda v: v)))
     return draw(rationals())
 
 
@@ -339,6 +350,46 @@ def test_sum_products_matches_sympy(drawn):
         v = got[key]
         _assert_reduced_like_sympy(v, v.num, v.den)
         assert sympy.cancel(_to_sympy(v.num) / _to_sympy(v.den) - want) == 0
+
+
+@st.composite
+def slot_operators(draw):
+    """(vec, pos, columns): states of width 1-3, an operator on 1-3 of
+    their slots as {input tuple: {output tuple: value}}, and a vector."""
+    width = draw(st.integers(1, 3))
+    pos = tuple(draw(st.permutations(range(width)))[
+        :draw(st.integers(1, width))])
+    occ = st.integers(0, 2)
+    tuples = st.lists(occ, min_size=len(pos), max_size=len(pos)).map(tuple)
+    columns = draw(st.dictionaries(
+        tuples, st.dictionaries(tuples, factors(), max_size=3), max_size=6))
+    states = st.lists(occ, min_size=width, max_size=width).map(tuple)
+    vec = draw(st.dictionaries(states, factors(), max_size=4))
+    return vec, pos, columns
+
+
+@given(slot_operators())
+@settings(max_examples=150, deadline=None)
+def test_apply_on_slots_matches_get_add_pop(drawn):
+    vec, pos, columns = drawn
+
+    def column(inp):
+        return columns.get(inp, {})
+
+    def key(state, out):
+        s = list(state)
+        for p, a in zip(pos, out):
+            s[p] = a
+        return tuple(s)
+
+    got = apply_on_slots(vec, pos, lambda inp: slot_column(column(inp)))
+    want = _get_add_pop([
+        (key(state, out), v, c) for state, c in vec.items()
+        for out, v in column(tuple(state[p] for p in pos)).items()])
+    assert got == want
+    assert {k: canonical_string(v) for k, v in got.items()} \
+        == {k: canonical_string(v) for k, v in want.items()}
+    assert all(not v.is_zero() for v in got.values())
 
 
 @given(st.lists(st.tuples(st.sampled_from("abc"),

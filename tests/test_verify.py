@@ -4,6 +4,7 @@ The heavyweight acceptance bounds live in test_acceptance.py; here every
 suite is exercised at sizes that keep the whole file under a minute.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qpbw import cli, pbw, verify
 from qpbw.presets import ONE, preset, qpow, zero_tuple
 from qpbw import fock
-from qpbw.qfield import LaurentPoly, RationalFunction
+from qpbw.qfield import LaurentPoly, RationalFunction, canonical_string
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,8 @@ def _per_term_apply(op, vec, slots):
 
 # (algebra, width of the state, slots of one factor in an equation)
 _FACTORS = [("A2", 6, (1, 2, 3)), ("A2", 6, (2, 4, 6)), ("A2", 9, (4, 8, 9)),
-            ("C2", 9, (1, 2, 3, 4)), ("C2", 9, (3, 5, 7, 9))]
+            ("A2", 6, (5, 1, 3)), ("C2", 9, (1, 2, 3, 4)),
+            ("C2", 9, (3, 5, 7, 9))]
 _coeffs = st.sampled_from([
     ONE, -ONE, RationalFunction(LaurentPoly({-1: 2, 3: -1})),
     RationalFunction(LaurentPoly({0: 1}), LaurentPoly({0: 1, 2: -1})),
@@ -268,16 +270,51 @@ def ket_vectors(draw):
     return name, slots, vec
 
 
-@given(ket_vectors())
+# a column scaled by this value has a denominator, so its terms take the
+# exact path of the kernel
+_SKEW = RationalFunction(LaurentPoly({1: 1}), LaurentPoly({0: 1, 2: -1}))
+
+
+def _column_strings(op, vec, slots):
+    """Canonical strings of every column `vec` reads, read now."""
+    inps = {tuple(state[s - 1] for s in slots) for state in vec}
+    return {inp: {out: canonical_string(v) for out, v in op.column(inp).items()}
+            for inp in inps}
+
+
+@given(ket_vectors(), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_ket_apply_matches_per_term_loop(drawn):
+def test_ket_apply_matches_per_term_loop(drawn, skew):
     name, slots, vec = drawn
     op = verify.KetOperator(name)
+    if skew:
+        state = next(iter(vec))
+        inp = tuple(state[s - 1] for s in slots)
+        op._columns[inp] = {out: v * _SKEW
+                            for out, v in op.column(inp).items()}
+    strings = _column_strings(op, vec, slots)
     image = op.apply(vec, slots)
     assert image == _per_term_apply(op, vec, slots)
-    # each checked table squares to the identity, so applying it twice
-    # must cancel every other state exactly
-    assert op.apply(image, slots) == vec
+    strings.update(_column_strings(op, image, slots))
+    again = op.apply(image, slots)
+    # an image may hold a column's own value objects: neither apply may
+    # have changed one
+    for inp, col in strings.items():
+        assert {out: canonical_string(v)
+                for out, v in op.column(inp).items()} == col
+    if not skew:
+        # each checked table squares to the identity, so applying it
+        # twice must cancel every other state exactly
+        assert again == vec
+
+
+@pytest.mark.parametrize("slots", [(1, 2), (1, 2, 3, 4), (0, 1, 2),
+                                   (1, 1, 2), (5, 6, 7), [2, 3]])
+def test_ket_apply_rejects_bad_slots(slots):
+    op = verify.KetOperator("A2")
+    with pytest.raises(ValueError, match=re.escape(str(tuple(slots)))):
+        op.apply({(1, 0, 2, 0, 1, 1): ONE}, slots)
+
 
 
 @given(ket_vectors())
