@@ -16,7 +16,7 @@ weight = (2, 2)          # conserved pair (m2, m1)
 
 p = preset(name)
 phi = PhiTable(name)
-rows, cols, ent = phi.block(weight)
+rows, cols, columns = phi.block(weight)
 tb = transition_block(name, weight)
 
 print(f"{name} block at weight {weight}: "
@@ -24,7 +24,7 @@ print(f"{name} block at weight {weight}: "
 print("output ket      input ket       Phi == gamma")
 for C in rows:
     for B in cols:
-        a = ent.get((C, B))
+        a = columns[B].get(C)
         if a is None:
             continue
         g = tb.gamma(reverse(C), reverse(B))
@@ -32,6 +32,6 @@ for C in rows:
         assert canonical_string(g) == s
         print(f"{str(C):15} {str(B):15} {s}")
 
-n = sum(1 for (C, B) in ent)
+n = sum(len(col) for col in columns.values())
 print(f"\n{n} nonzero entries; every one equals its PBW counterpart.")
 print("Nothing here is numeric: each value is an exact polynomial in q.")

@@ -112,11 +112,9 @@ def _phi_records(name, inputs):
     p = phi.preset
     out = []
     for B in inputs:
-        _, _, ent = phi.block(p.conserved1(B))
-        for (C, Bc), v in ent.items():
-            if Bc == B and not v.num.is_zero():
-                out.append(TableRecord(name, "phi", B, C,
-                                       canonical_string(v)))
+        _, _, columns = phi.block(p.conserved1(B))
+        for C, v in columns[B].items():
+            out.append(TableRecord(name, "phi", B, C, canonical_string(v)))
     return out
 
 
@@ -125,9 +123,7 @@ def _checked_records(name, kind, inputs):
     out = []
     for I in inputs:
         for C, v in sorted(tab.column(I).items()):
-            if not v.num.is_zero():
-                out.append(TableRecord(name, kind, I, C,
-                                       canonical_string(v)))
+            out.append(TableRecord(name, kind, I, C, canonical_string(v)))
     return out
 
 
@@ -292,6 +288,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         _apply_config(args)
+        for key in ("max_height", "max_occ"):
+            val = getattr(args, key, None)
+            if val is not None and val < 0:
+                raise UsageError(f"--{key.replace('_', '-')} must be "
+                                 f"nonnegative, got {val}")
         if args.command == "compute":
             if args.algebra is None or args.kind is None:
                 raise UsageError("compute needs --algebra and --kind")

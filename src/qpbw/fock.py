@@ -327,10 +327,10 @@ def xi_bar_op(name, word, i):
 def xi_matrix(name, label, i, weight):
     """Matrix of the Laurent xi_bar_op = xi_i / lambda_i on bare kets |m>.
 
-    Returns (rows, cols, entries): cols enumerate the kets of the source
-    weight for the given word label, rows those of the raised weight,
-    entries {(row tuple, col tuple): coefficient}, all Laurent
-    polynomials.
+    Returns (rows, cols, columns): cols enumerate the kets of the source
+    weight for the given word label, rows those of the raised weight, and
+    columns maps each A of cols to its image {row tuple: coefficient}, the
+    apply_op result for {A: ONE}: nonzero Laurent polynomials only.
     """
     p = preset(name)
     cols = tuples_with_weight(name, label, weight)
@@ -338,8 +338,4 @@ def xi_matrix(name, label, i, weight):
     rows = tuples_with_weight(name, label,
                               (weight[0] + inc[0], weight[1] + inc[1]))
     bar = xi_bar_op(name, label, i)
-    entries = {}
-    for A in cols:
-        for B, c in apply_op(name, label, bar, {A: ONE}).items():
-            entries[(B, A)] = c
-    return rows, cols, entries
+    return rows, cols, {A: apply_op(name, label, bar, {A: ONE}) for A in cols}

@@ -153,9 +153,11 @@ class PhiTable:
     both in ascending lexicographic order; blocks are keyed by the
     conserved pair.  block holds Phi on bare kets |m>, which is the
     divided-power normalisation: every entry lies in Z[q].  Each block is
-    solved once per weight from the Laurent operators xi_i / lambda_i on
-    bare kets (fock.xi_matrix) and shared by every later call, so callers
-    must not mutate it.
+    stored column by column, the layout solve_exact returns it in: one
+    {output: entry} dict per input, nonzero entries only, outputs in row
+    order.  It is solved once per weight from the Laurent operators
+    xi_i / lambda_i on bare kets (fock.xi_matrix) and shared by every later
+    call, so callers must not mutate it.
     """
 
     def __init__(self, name, max_height=0):
@@ -173,7 +175,7 @@ class PhiTable:
         self.max_height = max(self.max_height, max_height)
 
     def block(self, weight):
-        """Phi on bare kets: (rows, cols, {(C, B): entry}), built once."""
+        """Phi on bare kets: (rows, cols, {B: {C: entry}}), built once."""
         got = self._blocks.get(weight)
         if got is None:
             got = self._compute_block(weight)
@@ -187,7 +189,7 @@ class PhiTable:
         rows = tuples_with_weight(self.name, 2, weight)
         cols = tuples_with_weight(self.name, 1, weight)
         if m2 == 0 and m1 == 0:
-            return rows, cols, {(rows[0], cols[0]): ONE}
+            return rows, cols, {cols[0]: {rows[0]: ONE}}
         # X . M^i = M'^i . Phi(below), transposed and stacked over i.  The
         # scalar lambda_i of xi_i stands on both sides and cancels, so M and
         # M' are the Laurent xi_i / lambda_i on bare kets, P and Q are
@@ -198,35 +200,28 @@ class PhiTable:
             below = (m2 - inc[0], m1 - inc[1])
             if below[0] < 0 or below[1] < 0:
                 continue
-            _, src_cols, m_ent = xi_matrix(self.name, 1, i, below)
-            srows, _, prev_ent = self.block(below)
-            _, _, mp_ent = xi_matrix(self.name, 2, i, below)
+            _, src_cols, m_cols = xi_matrix(self.name, 1, i, below)
+            _, _, prev = self.block(below)
+            _, _, mp_cols = xi_matrix(self.name, 2, i, below)
             for A in src_cols:
-                prows.append([m_ent.get((B, A), ZERO) for B in cols])
-                sums = sum_products(
-                    (C, mp_ent[(C, D)], prev_ent[(D, A)])
-                    for D in srows if (D, A) in prev_ent
-                    for C in rows if (C, D) in mp_ent)
+                prows.append([m_cols[A].get(B, ZERO) for B in cols])
+                sums = sum_products((C, c, v) for D, v in prev[A].items()
+                                    for C, c in mp_cols[D].items())
                 qrows.append([sums.get(C, ZERO) for C in rows])
         try:
             Y = solve_exact(prows, qrows)
         except ArithmeticError as exc:
             raise ArithmeticError(
                 f"{self.name} block {weight}: {exc}") from None
-        entries = {}
-        for bi, B in enumerate(cols):
-            for ci, C in enumerate(rows):
-                v = Y[bi][ci]
-                if not v.num.is_zero():
-                    entries[(C, B)] = v
-        return rows, cols, entries
+        return rows, cols, {B: {C: v for C, v in zip(rows, y) if v}
+                            for B, y in zip(cols, Y)}
 
     def phi(self, C, B):
         C, B = tuple(C), tuple(B)
         if self.preset.conserved2(C) != self.preset.conserved1(B):
             return ZERO
-        _, _, entries = self.block(self.preset.conserved2(C))
-        return entries.get((C, B), ZERO)
+        _, _, columns = self.block(self.preset.conserved2(C))
+        return columns[B].get(C, ZERO)
 
 
 def compute_phi(name, max_height):
@@ -259,11 +254,14 @@ class CheckedTable:
         return tuples_with_weight(self.name, 2, w)
 
     def column(self, in_t):
-        """Nonzero entries {output tuple: coefficient} above one input."""
+        """Nonzero entries {output tuple: coefficient} above one input.
+
+        This is the block's own column of Phi, shared by every caller, so
+        callers must not mutate it.
+        """
         I = tuple(in_t)
-        B = reverse(I)
-        _, _, entries = self.phi.block(self.phi.preset.conserved2(I))
-        return {C: v for (C, Bc), v in entries.items() if Bc == B}
+        _, _, columns = self.phi.block(self.phi.preset.conserved2(I))
+        return columns[reverse(I)]
 
 
 def checked_table(name, phi):

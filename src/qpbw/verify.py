@@ -126,25 +126,23 @@ class KetOperator:
     apply(vec, slots) maps {state: coefficient} to its image under the
     table acting on the 1-based `slots` of every state, each other slot
     kept, in one pass of the slot kernel qfield.apply_on_slots.  Every
-    column it reads comes through `column` and is cached here, one per
-    input tuple, so an image may hold the very value objects of a column.
+    column it reads comes through `column`, which returns the table's own
+    column (or, at a sample point, a freshly evaluated copy); the kernel's
+    view of it is cached here, one per input tuple, so an image may hold
+    the very value objects of a column.
     """
 
     def __init__(self, name, point=None):
         self.table = shared_table(name)
         self.arity = preset(name).length
         self.point = point
-        self._columns = {}
         self._slot_columns = {}
 
     def column(self, inp):
-        col = self._columns.get(inp)
-        if col is None:
-            col = self.table.column(inp)
-            if self.point is not None:
-                col = {c: v.eval_at(self.point) for c, v in col.items()}
-                col = {c: v for c, v in col.items() if v != 0}
-            self._columns[inp] = col
+        col = self.table.column(inp)
+        if self.point is not None:
+            col = {c: v.eval_at(self.point) for c, v in col.items()}
+            col = {c: v for c, v in col.items() if v != 0}
         return col
 
     def _slot_column(self, inp):
@@ -344,11 +342,11 @@ def verify_theorem(heights=None, algebras=("A2", "C2", "G2")):
         witness = None
         n = 0
         for wgt in weights_up_to(name, h):
-            rows, cols, ent = phi.block(wgt)
+            rows, cols, columns = phi.block(wgt)
             tb = pbw.transition_block(name, wgt)
             for c_out in rows:
                 for b_in in cols:
-                    a = ent.get((c_out, b_in), ZERO)
+                    a = columns[b_in].get(c_out, ZERO)
                     b = tb.gamma(reverse(c_out), reverse(b_in))
                     n += 1
                     if a != b:
@@ -680,15 +678,9 @@ def verify_t_intertwining(bounds=None, heights=None,
         p = preset(name)
         phi = shared_phi(name)
         allowed = set(weights_up_to(name, heights[name]))
-        cache = {}
 
-        def phi_column(ket, phi=phi, p=p, cache=cache):
-            col = cache.get(ket)
-            if col is None:
-                _, _, ent = phi.block(p.conserved1(ket))
-                col = {c: v for (c, b), v in ent.items() if b == ket}
-                cache[ket] = col
-            return col
+        def phi_column(ket, phi=phi, p=p):
+            return phi.block(p.conserved1(ket))[2][ket]
 
         # t_11 starts with a lowering factor and kills the vacuum; the
         # anti-diagonal entry t_{1,n} is the all-k path and fixes it up to

@@ -152,6 +152,19 @@ def test_usage_errors(argv, capsys):
     assert err.startswith("qpbw: ")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["compute", "--algebra", "A2", "--kind", "R", "--max-height", "-1"],
+     "--max-height"),
+    (["verify", "theorem", "--max-height", "-1"], "--max-height"),
+    (["verify", "tetra", "--max-occ", "-1"], "--max-occ"),
+    (["verify", "intertwine", "--max-occ", "-1"], "--max-occ"),
+])
+def test_negative_bounds_exit_two(argv, flag, capsys):
+    rc, out, err = run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("qpbw: ") and flag in err
+
+
 def test_failing_suite_exits_one(monkeypatch, capsys):
     bad = verify.VerifyReport(
         "tetrahedron", [verify.Check("occ1-exact", False, "state (1,)")], 0.1)
@@ -278,6 +291,9 @@ def test_config_bad_key_and_missing_file(tmp_path, capsys):
     assert rc == 2 and "speed" in err
     rc, _, _ = run(["compute", "--config", str(tmp_path / "nope")], capsys)
     assert rc == 2
+    cfg.write_text("max-occ = -1\n")
+    rc, out, err = run(["verify", "reflect3d", "--config", str(cfg)], capsys)
+    assert rc == 2 and out == "" and "--max-occ" in err
 
 
 def test_selftest_command(capsys):

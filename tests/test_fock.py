@@ -413,14 +413,14 @@ def test_xi_divided_powers():
 
 
 def _scaled_xi_matrix(name, label, i, weight):
-    """xi_i on scaled kets, column by column: (rows, cols, entries)."""
+    """xi_i on scaled kets, column by column:
+    (rows, cols, {col tuple: {row tuple: coefficient}})."""
     inc = preset(name).letter_increment(i)
     cols = tuples_with_weight(name, label, weight)
     rows = tuples_with_weight(name, label,
                               (weight[0] + inc[0], weight[1] + inc[1]))
-    return rows, cols, {(B, A): c for A in cols
-                        for B, c in _xi_scaled(name, label, i,
-                                               {A: ONE}).items()}
+    return rows, cols, {A: _xi_scaled(name, label, i, {A: ONE})
+                        for A in cols}
 
 
 def _plain_rho(name, label, i, A):
@@ -441,9 +441,8 @@ def test_key_property_spot():
     for name, label, w in cases:
         for i in (1, 2):
             rows, cols, xi = _scaled_xi_matrix(name, label, i, w)
-            rho = {(B, A): c for A in cols
-                   for B, c in _plain_rho(name, label, i, A).items()}
-            assert {B for B, _ in rho} <= set(rows)
+            rho = {A: _plain_rho(name, label, i, A) for A in cols}
+            assert all(set(col) <= set(rows) for col in rho.values())
             assert rho == xi, (name, label, i, w)
 
 
@@ -459,13 +458,30 @@ def test_bare_xi_matrix_matches_scaled():
                     rows, cols, bare = xi_matrix(name, label, i, w)
                     *shape, _ = _scaled_xi_matrix(name, label, i, w)
                     assert [rows, cols] == shape
-                    scaled = {(B, A): c for A in cols for B, c
-                              in _plain_rho(name, label, i, A).items()}
-                    want = {(B, A): c * _D(name, label, B)
-                            / (_D(name, label, A) * _lam(name, i))
-                            for (B, A), c in scaled.items()}
+                    want = {A: {B: c * _D(name, label, B)
+                                / (_D(name, label, A) * _lam(name, i))
+                                for B, c in _plain_rho(name, label, i,
+                                                       A).items()}
+                            for A in cols}
                     assert bare == want, (name, label, i, w)
-                    assert all(c.den.is_one() for c in bare.values())
+                    assert all(c.den.is_one() for col in bare.values()
+                               for c in col.values())
+
+
+def test_xi_matrix_columns_are_apply_op_images():
+    # one column per source ket, the apply_op image of {A: ONE}, which is
+    # the reference; outputs lie in the raised weight's kets, none zero
+    for name in ("A2", "C2", "G2"):
+        for label in (1, 2):
+            for i in (1, 2):
+                bar = fock.xi_bar_op(name, label, i)
+                for w in ((0, 0), (1, 1), (2, 1), (1, 3), (3, 2)):
+                    rows, cols, columns = xi_matrix(name, label, i, w)
+                    assert list(columns) == list(cols)
+                    for A, col in columns.items():
+                        assert col == apply_op(name, label, bar, {A: ONE})
+                        assert set(col) <= set(rows)
+                        assert all(c for c in col.values())
 
 
 def test_sigma_is_invertible_monomial():

@@ -40,6 +40,17 @@ def _to_scaled(name, C, B, v):
     return v * _d(name, 1, B) / _d(name, 2, C)
 
 
+def _columns_to_scaled(name, columns):
+    """A bare-ket block's columns, each entry moved to scaled kets."""
+    return {B: {C: _to_scaled(name, C, B, v) for C, v in col.items()}
+            for B, col in columns.items()}
+
+
+def _canonical(columns):
+    return {B: {C: canonical_string(v) for C, v in col.items()}
+            for B, col in columns.items()}
+
+
 def _factorials(name, label, t):
     """prod_k [t_k]! in the base of the word's k-th letter."""
     p = preset(name)
@@ -120,20 +131,20 @@ def test_solve_exact_underdetermined():
 def test_zero_block_is_one():
     for name in ("A2", "C2", "G2"):
         z = zero_tuple(name)
-        rows, cols, ent = PhiTable(name).block((0, 0))
+        rows, cols, columns = PhiTable(name).block((0, 0))
         assert rows == (z,) and cols == (z,)
-        assert ent == {(z, z): ONE}
+        assert columns == {z: {z: ONE}}
 
 
 def test_a2_block_11_values():
     phi = PhiTable("A2")
     rows, cols, bare = phi.block((1, 1))
     assert rows == ((0, 1, 0), (1, 0, 1)) and cols == rows
-    ent = {(C, B): _to_scaled("A2", C, B, v) for (C, B), v in bare.items()}
-    assert ent[((0, 1, 0), (0, 1, 0))] == -Q
-    assert ent[((0, 1, 0), (1, 0, 1))] == ONE
-    assert ent[((1, 0, 1), (0, 1, 0))] == ONE - Q * Q
-    assert ent[((1, 0, 1), (1, 0, 1))] == Q
+    scaled = _columns_to_scaled("A2", bare)
+    assert scaled[(0, 1, 0)][(0, 1, 0)] == -Q
+    assert scaled[(1, 0, 1)][(0, 1, 0)] == ONE
+    assert scaled[(0, 1, 0)][(1, 0, 1)] == ONE - Q * Q
+    assert scaled[(1, 0, 1)][(1, 0, 1)] == Q
 
 
 def test_transpose_of_pbw_tilde():
@@ -164,8 +175,8 @@ def test_divided_power_conversion():
                 num = num * d_norm(m, p.d[node])
             for m, node in zip(B, p.word1):
                 den = den * d_norm(m, p.d[node])
-            want = scaled.get((C, B), ZERO) * num / den
-            assert div.get((C, B), ZERO) == want
+            want = scaled[B].get(C, ZERO) * num / den
+            assert div[B].get(C, ZERO) == want
 
 
 def test_phi_conservation_short_circuit():
@@ -181,12 +192,12 @@ def test_main_theorem_low_blocks():
     for name, hmax in (("A2", 4), ("C2", 4), ("G2", 3)):
         phi = PhiTable(name)
         for w in weights_up_to(name, hmax):
-            rows, cols, ent = phi.block(w)
+            rows, cols, columns = phi.block(w)
             tb = transition_block(name, w)
             for C in rows:
                 for B in cols:
-                    assert ent.get((C, B), ZERO) == tb.gamma(reverse(C), reverse(B)), \
-                        (name, w, C, B)
+                    assert columns[B].get(C, ZERO) \
+                        == tb.gamma(reverse(C), reverse(B)), (name, w, C, B)
 
 
 def test_compute_phi_extends_and_validates():
@@ -197,6 +208,35 @@ def test_compute_phi_extends_and_validates():
         compute_phi("A2", -1)
     with pytest.raises(ValueError):
         PhiTable("C2").block((-1, 0))
+
+
+@pytest.mark.parametrize("name,hmax", (("A2", 6), ("C2", 5), ("G2", 4)))
+def test_block_layout_is_column_major(name, hmax):
+    # one column per input, nonzero entries only, outputs in row order
+    phi = PhiTable(name, hmax)
+    for w in weights_up_to(name, hmax):
+        rows, cols, columns = phi.block(w)
+        assert list(columns) == list(cols), (name, w)
+        for B, col in columns.items():
+            assert list(col) == [C for C in rows if C in col], (name, w, B)
+            assert all(v for v in col.values()), (name, w, B)
+
+
+def test_block_drops_zero_entries(monkeypatch):
+    # Phi blocks are dense at every tested height, so plant a zero in
+    # the solve of (1, 1), above blocks solved unpatched
+    phi = PhiTable("A2", 1)
+    solve = intertwiner.solve_exact
+
+    def zero_first(prows, qrows):
+        Y = solve(prows, qrows)
+        Y[0][0] = ZERO
+        return Y
+
+    monkeypatch.setattr(intertwiner, "solve_exact", zero_first)
+    rows, cols, columns = phi.block((1, 1))
+    assert list(columns[cols[0]]) == list(rows[1:])
+    assert list(columns[cols[1]]) == list(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +253,20 @@ def test_golden_columns_exact():
         for out in tab.block_outputs(I):
             if out not in want:
                 assert tab.entry(out, I) == ZERO
+
+
+def test_checked_column_is_the_block_column():
+    # column hands out the stored column itself, never a copy
+    for name, hmax in (("A2", 4), ("C2", 4), ("G2", 3)):
+        tab = checked_table(name, PhiTable(name))
+        p = tab.phi.preset
+        for w in weights_up_to(name, hmax):
+            for I in tuples_with_weight(name, 2, w):
+                col = tab.column(I)
+                assert col is tab.column(I)
+                assert col is tab.phi.block(p.conserved2(I))[2][reverse(I)]
+                assert col == {C: tab.entry(C, I) for C in tab.block_outputs(I)
+                               if tab.entry(C, I)}
 
 
 def test_checked_table_kinds_and_entry():
@@ -248,14 +302,13 @@ def test_block_matches_two_step_rescale(name, hmax):
     phi = PhiTable(name)
     scaled = _scaled_blocks(name, hmax)
     for w, want in scaled.items():
-        rows, cols, ent = phi.block(w)
+        rows, cols, columns = phi.block(w)
         assert phi.block(w) is phi.block(w)
         assert (rows, cols) == (tuples_with_weight(name, 2, w),
                                 tuples_with_weight(name, 1, w))
-        got = {(C, B): _to_scaled(name, C, B, v) for (C, B), v in ent.items()}
+        got = _columns_to_scaled(name, columns)
         assert got == want, (name, w)
-        assert ({k: canonical_string(v) for k, v in got.items()}
-                == {k: canonical_string(v) for k, v in want.items()})
+        assert _canonical(got) == _canonical(want)
     # blocks requested in the opposite order come out the same
     fresh = PhiTable(name)
     for w in reversed(list(scaled)):
@@ -265,12 +318,12 @@ def test_block_matches_two_step_rescale(name, hmax):
 def _scaled_xi(name, label, i, weight):
     """xi_i (with its lambda_i) on the scaled kets |A>> = D(A)|A> of one
     weight, column by column from the bare-ket xi_bar_op:
-    {(row tuple, col tuple): coefficient}."""
+    {col tuple: {row tuple: coefficient}}."""
     lam = ONE / (ONE - qpow(2 * preset(name).d[i]))
     bar = xi_bar_op(name, label, i)
-    return {(B, A): c * lam * _d(name, label, A) / _d(name, label, B)
-            for A in tuples_with_weight(name, label, weight)
-            for B, c in apply_op(name, label, bar, {A: ONE}).items()}
+    return {A: {B: c * lam * _d(name, label, A) / _d(name, label, B)
+                for B, c in apply_op(name, label, bar, {A: ONE}).items()}
+            for A in tuples_with_weight(name, label, weight)}
 
 
 def _scaled_blocks(name, hmax):
@@ -282,7 +335,7 @@ def _scaled_blocks(name, hmax):
         rows = tuples_with_weight(name, 2, w)
         cols = tuples_with_weight(name, 1, w)
         if w == (0, 0):
-            blocks[w] = {(rows[0], cols[0]): ONE}
+            blocks[w] = {cols[0]: {rows[0]: ONE}}
             continue
         prows, qrows = [], []
         for i in (1, 2):
@@ -290,18 +343,17 @@ def _scaled_blocks(name, hmax):
             below = (w[0] - inc[0], w[1] - inc[1])
             if min(below) < 0:
                 continue
-            m_ent = _scaled_xi(name, 1, i, below)
-            mp_ent = _scaled_xi(name, 2, i, below)
+            m_cols = _scaled_xi(name, 1, i, below)
+            mp_cols = _scaled_xi(name, 2, i, below)
             prev = blocks[below]
             for A in tuples_with_weight(name, 1, below):
-                prows.append([m_ent.get((B, A), ZERO) for B in cols])
-                sums = sum_products((C, c, v) for (C, D), c in mp_ent.items()
-                                    for (D2, A2), v in prev.items()
-                                    if D2 == D and A2 == A)
+                prows.append([m_cols[A].get(B, ZERO) for B in cols])
+                sums = sum_products((C, c, v) for D, v in prev[A].items()
+                                    for C, c in mp_cols[D].items())
                 qrows.append([sums.get(C, ZERO) for C in rows])
         Y = solve_exact(prows, qrows)
-        blocks[w] = {(C, B): Y[bi][ci] for bi, B in enumerate(cols)
-                     for ci, C in enumerate(rows) if Y[bi][ci]}
+        blocks[w] = {B: {C: v for C, v in zip(rows, y) if v}
+                     for B, y in zip(cols, Y)}
     return blocks
 
 
@@ -312,16 +364,18 @@ def test_bare_block_matches_scaled_recursion(name, hmax):
     for w, scaled in _scaled_blocks(name, hmax).items():
         _, _, bare = phi.block(w)
         want = {}
-        for (C, B), v in scaled.items():
-            for m, node in zip(C, p.word2):
-                v = v * d_norm(m, p.d[node])
-            for m, node in zip(B, p.word1):
-                v = v / d_norm(m, p.d[node])
-            want[(C, B)] = v
+        for B, col in scaled.items():
+            want[B] = {}
+            for C, v in col.items():
+                for m, node in zip(C, p.word2):
+                    v = v * d_norm(m, p.d[node])
+                for m, node in zip(B, p.word1):
+                    v = v / d_norm(m, p.d[node])
+                want[B][C] = v
         assert bare == want, (name, w)
-        assert ({k: canonical_string(v) for k, v in bare.items()}
-                == {k: canonical_string(v) for k, v in want.items()})
-        assert all(v.den.is_one() for v in bare.values())
+        assert _canonical(bare) == _canonical(want)
+        assert all(v.den.is_one() for col in bare.values()
+                   for v in col.values())
 
 
 @pytest.mark.parametrize("name,hmax", (("A2", 8), ("C2", 6), ("G2", 5)))
@@ -348,16 +402,20 @@ def test_bare_block_matches_sympy():
     # C2 (2, 2): the scaled-ket entries carry denominators
     p = preset("C2")
     scaled = _scaled_blocks("C2", 4)[(2, 2)]
-    assert any(not v.den.is_one() for v in scaled.values())
+    assert any(not v.den.is_one() for col in scaled.values()
+               for v in col.values())
     _, _, bare = PhiTable("C2").block((2, 2))
-    assert set(bare) == set(scaled)
-    for (C, B), v in scaled.items():
-        want = to_sympy(v)
-        for m, node in zip(C, p.word2):
-            want = want * to_sympy(d_norm(m, p.d[node]))
-        for m, node in zip(B, p.word1):
-            want = want / to_sympy(d_norm(m, p.d[node]))
-        assert sympy.cancel(to_sympy(bare[(C, B)]) - sympy.cancel(want)) == 0
+    assert {B: set(col) for B, col in bare.items()} \
+        == {B: set(col) for B, col in scaled.items()}
+    for B, col in scaled.items():
+        for C, v in col.items():
+            want = to_sympy(v)
+            for m, node in zip(C, p.word2):
+                want = want * to_sympy(d_norm(m, p.d[node]))
+            for m, node in zip(B, p.word1):
+                want = want / to_sympy(d_norm(m, p.d[node]))
+            assert sympy.cancel(to_sympy(bare[B][C])
+                                - sympy.cancel(want)) == 0
 
 
 # ---------------------------------------------------------------------------
