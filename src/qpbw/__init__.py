@@ -12,7 +12,8 @@ The package computes, over the exact field Q(q):
     resulting solutions of the tetrahedron and 3D reflection equations.
 
 Everything is exact: coefficients live in Q(q) (Laurent numerators over
-polynomial denominators with arbitrary-precision rational coefficients).
+polynomial denominators, both with arbitrary-precision integer
+coefficients).
 """
 
 from .qfield import (

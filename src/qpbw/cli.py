@@ -27,7 +27,15 @@ from .presets import (
 from .qfield import canonical_string, parse as parse_coefficient
 
 KINDS = ("gamma", "phi", "R", "K", "F")
-SUITES = ("tetra", "reflect3d", "theorem", "props", "intertwine")
+# the options each suite reads; setting any other one is a usage error
+SUITE_OPTIONS = {
+    "tetra": ("max_occ",),
+    "reflect3d": ("max_occ",),
+    "theorem": ("algebra", "max_height"),
+    "props": ("algebra", "max_height", "max_occ"),
+    "intertwine": ("algebra", "max_height", "max_occ"),
+}
+SUITES = tuple(SUITE_OPTIONS)
 
 
 class UsageError(Exception):
@@ -165,32 +173,41 @@ def compute_records(algebra, kind, inp=None, max_height=None):
 # ---------------------------------------------------------------------------
 # verify dispatch
 
-def run_suite(suite, algebras=ALGEBRAS, max_height=None, max_occ=None,
-              mode=None):
-    """One verification suite as a single VerifyReport."""
+def run_suite(suite, algebras=None, max_height=None, max_occ=None):
+    """One verification suite as a single VerifyReport.
+
+    An option left at None takes the suite's default; setting one that the
+    suite does not read raises UsageError.
+    """
+    if suite not in SUITE_OPTIONS:
+        raise UsageError(f"unknown suite {suite!r}")
+    given = {"algebra": algebras, "max_height": max_height,
+             "max_occ": max_occ}
+    for key, val in given.items():
+        if val is not None and key not in SUITE_OPTIONS[suite]:
+            raise UsageError(f"verify {suite} does not read "
+                             f"--{key.replace('_', '-')}")
     if suite == "tetra":
-        return verify.verify_tetrahedron(
-            max_occ=2 if max_occ is None else max_occ,
-            mode=mode or "sampled")
+        return verify.verify_tetrahedron(**_given(max_occ=max_occ))
     if suite == "reflect3d":
-        return verify.verify_3d_reflection(
-            max_occ=1 if max_occ is None else max_occ,
-            mode=mode or "sampled")
+        return verify.verify_3d_reflection(**_given(max_occ=max_occ))
+    algebras = algebras or ALGEBRAS
     heights = None if max_height is None \
         else {a: max_height for a in algebras}
     if suite == "theorem":
         return verify.verify_theorem(heights=heights, algebras=algebras)
     if suite == "props":
-        kw = {}
-        if max_occ is not None:
-            kw = {"key_prop_entries": max_occ, "serre_entries": max_occ}
+        kw = _given(key_prop_entries=max_occ, serre_entries=max_occ)
         return verify.verify_properties(heights=heights, algebras=algebras,
                                         **kw)
-    if suite == "intertwine":
-        bounds = None if max_occ is None else {a: max_occ for a in algebras}
-        return verify.verify_t_intertwining(
-            bounds=bounds, heights=heights, algebras=algebras)
-    raise UsageError(f"unknown suite {suite!r}")
+    bounds = None if max_occ is None else {a: max_occ for a in algebras}
+    return verify.verify_t_intertwining(
+        bounds=bounds, heights=heights, algebras=algebras)
+
+
+def _given(**kw):
+    """The keyword arguments that are not None."""
+    return {k: v for k, v in kw.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +233,7 @@ def _apply_config(args):
             k, v = line.split("=", 1)
             cfg[k.strip().replace("-", "_")] = v.strip()
     names = {"algebra": str, "kind": str, "inp": str, "max_height": int,
-             "max_occ": int, "mode": str, "fmt": str, "out": str}
+             "max_occ": int, "fmt": str, "out": str}
     alias = {"format": "fmt", "in": "inp"}
     for key, val in cfg.items():
         key = alias.get(key, key)
@@ -276,7 +293,6 @@ def _build_parser():
     pv.add_argument("--algebra", choices=ALGEBRAS)
     pv.add_argument("--max-height", dest="max_height", type=int)
     pv.add_argument("--max-occ", dest="max_occ", type=int)
-    pv.add_argument("--mode", choices=("exact", "sampled"))
 
     sub.add_parser("selftest", parents=[common],
                    help="fast pass over every suite")
@@ -306,9 +322,9 @@ def main(argv=None):
             print(f"{len(records)} records", file=sys.stderr)
             return 0
         if args.command == "verify":
-            algebras = (args.algebra,) if args.algebra else ALGEBRAS
+            algebras = (args.algebra,) if args.algebra else None
             report = run_suite(args.suite, algebras, args.max_height,
-                               args.max_occ, args.mode)
+                               args.max_occ)
             return _report_exit([report], args.out)
         return _report_exit(verify.selftest(), args.out)
     except (UsageError, ValueError) as e:

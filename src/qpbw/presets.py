@@ -155,8 +155,13 @@ class AlgebraPreset:
 
         Returns (total alpha_2 content, total alpha_1 content) of the
         associated product of root vectors; both bases of the transition
-        problem preserve the pair blockwise.
+        problem preserve the pair blockwise.  Every library entry point
+        that takes an exponent tuple comes through here, so a tuple of
+        the wrong length raises ValueError here.
         """
+        if len(t) != self.length:
+            raise ValueError(f"{self.name} exponent tuples have "
+                             f"{self.length} entries, got {len(t)}")
         m1 = sum(x * r[0] for x, r in zip(t, self.word2_roots))
         m2 = sum(x * r[1] for x, r in zip(t, self.word2_roots))
         return (m2, m1)

@@ -2,22 +2,23 @@
 
 Representation choices
 ----------------------
-LaurentPoly stores a sparse map {exponent: coefficient}.  Coefficients are
-plain ints whenever possible and fractions.Fraction otherwise; the two mix
-freely under arithmetic and compare/hash equal when they coincide, so no
-explicit coercion layer is needed.
+LaurentPoly stores a sparse map {exponent: coefficient} with int
+coefficients: an element of Z[q, q^-1].
 
 RationalFunction is a reduced pair num/den with the normalization
 
-  * den is an honest polynomial (valuation 0), i.e. every q-shift is pushed
-    into num, which may be a genuine Laurent polynomial;
-  * den has integer, collectively coprime coefficients and positive constant
-    term;
-  * gcd(num, den) = 1 as polynomials.
+  * num lies in Z[q, q^-1] and den in Z[q] with valuation 0, i.e. every
+    q-shift is pushed into num;
+  * gcd(num, den) = 1 as polynomials;
+  * the coefficients of num and den together have content 1, and den has
+    positive constant term (den is 1 when it is the constant 1).
 
 Under these rules the representation of a given element of Q(q) is unique,
-so equality is structural.  Polynomial gcds are computed by the primitive
-pseudo-remainder sequence over Z, which keeps every intermediate exact.
+so equality is structural, and no rational coefficient is ever needed: a
+scalar denominator stays in den.  Polynomial gcds are computed by the
+primitive pseudo-remainder sequence over Z, which keeps every intermediate
+exact, and exact division (poly_divexact) succeeds only when the quotient
+has integer coefficients.
 
 Sparse sums of products have two entry points that share one way of
 accumulating and one finalisation: sum_products over (key, x, y) triples,
@@ -25,7 +26,7 @@ and apply_on_slots, which applies an operator acting on some slots of
 occupation tuples (the checked tables on kets) in one fused pass.  Laurent
 products are kept lazily, a key's lone product as its two factors until
 the end, so a factor ONE costs nothing and a monomial factor one shift;
-everything else takes the exact RationalFunction (or Fraction) path.
+everything else takes the exact RationalFunction path.
 
 String form (used by the CLI and the golden tables): terms in ascending
 exponent, coefficient 1 suppressed, "q^1" written "q", "q^0" omitted, terms
@@ -36,14 +37,13 @@ function with nontrivial denominator renders "(<num>)/(<den>)".
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _igcd
 from operator import itemgetter
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in q over Q."""
+    """Sparse Laurent polynomial in q over Z."""
 
     __slots__ = ("c",)
 
@@ -100,7 +100,7 @@ class LaurentPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not LaurentPoly and _is_scalar(other):
+        if isinstance(other, int):
             other = LaurentPoly.const(other)
         if not self.c:
             return other
@@ -125,7 +125,7 @@ class LaurentPoly:
         return r
 
     def __sub__(self, other):
-        if type(other) is not LaurentPoly and _is_scalar(other):
+        if isinstance(other, int):
             other = LaurentPoly.const(other)
         return self + (-other)
 
@@ -133,7 +133,7 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is not LaurentPoly and _is_scalar(other):
+        if isinstance(other, int):
             if not other:
                 return _LP_ZERO
             r = LaurentPoly.__new__(LaurentPoly)
@@ -190,18 +190,6 @@ class LaurentPoly:
         r.c = {e + k: v for e, v in self.c.items()}
         return r
 
-    # -- evaluation ----------------------------------------------------
-
-    def eval_at(self, q0):
-        """Evaluate at a nonzero rational q0."""
-        q0 = Fraction(q0)
-        if q0 == 0:
-            raise ZeroDivisionError("Laurent polynomial evaluated at q = 0")
-        total = Fraction(0)
-        for e, v in self.c.items():
-            total += v * q0 ** e
-        return total
-
     def constant_term(self):
         if self.c and min(self.c) < 0:
             raise ZeroDivisionError("pole at q = 0")
@@ -210,7 +198,7 @@ class LaurentPoly:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if type(other) is not LaurentPoly and _is_scalar(other):
+        if isinstance(other, int):
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -233,35 +221,9 @@ _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly({0: 1})
 
 
-def _is_scalar(x):
-    """True for int and Fraction (bool included).
-
-    Exact type tests come first: isinstance against Fraction goes through
-    ABCMeta.__instancecheck__ for every other type.
-    """
-    t = type(x)
-    if t is int or t is Fraction:
-        return True
-    if t is LaurentPoly or t is RationalFunction:
-        return False
-    return isinstance(x, (int, Fraction))
-
-
-def _is_fraction(v):
-    """True for a Fraction coefficient; ints take the exact-type exit."""
-    return type(v) is not int and isinstance(v, Fraction)
-
-
 # ---------------------------------------------------------------------------
 # string form and parser
 # ---------------------------------------------------------------------------
-
-def _coeff_str(v):
-    """|v| as a plain string: '3', '3/2'."""
-    if isinstance(v, Fraction) and v.denominator != 1:
-        return f"{v.numerator}/{v.denominator}"
-    return str(int(v))
-
 
 def lp_to_str(p):
     if not p.c:
@@ -272,10 +234,10 @@ def lp_to_str(p):
         neg = v < 0
         mag = -v if neg else v
         if e == 0:
-            body = _coeff_str(mag)
+            body = str(mag)
         else:
             qs = "q" if e == 1 else f"q^{e}"
-            body = qs if mag == 1 else _coeff_str(mag) + qs
+            body = qs if mag == 1 else f"{mag}{qs}"
         if idx == 0:
             parts.append(("-" if neg else "") + body)
         else:
@@ -284,15 +246,9 @@ def lp_to_str(p):
 
 
 _TERM_RE = re.compile(
-    r"^\s*(?P<coeff>\d+(?:/\d+)?)?\s*"
+    r"^\s*(?P<coeff>\d+)?\s*"
     r"(?P<q>q(?:\^(?P<exp>-?\d+))?)?\s*$"
 )
-
-
-def _parse_coeff(s):
-    if "/" in s:
-        return Fraction(s)
-    return int(s)
 
 
 def parse_laurent(text):
@@ -314,7 +270,7 @@ def parse_laurent(text):
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coeff") is None and m.group("q") is None):
             raise ValueError(f"cannot parse term {chunk!r}")
-        mag = _parse_coeff(m.group("coeff")) if m.group("coeff") else 1
+        mag = int(m.group("coeff")) if m.group("coeff") else 1
         if m.group("q"):
             e = int(m.group("exp")) if m.group("exp") else 1
         else:
@@ -328,23 +284,14 @@ def parse_laurent(text):
 # ---------------------------------------------------------------------------
 
 def _to_int_list(p):
-    """LaurentPoly with valuation >= 0 -> dense int list, lowest degree first.
-
-    Rational coefficients are cleared by a common multiple (the result is
-    only used up to a scalar).
-    """
+    """LaurentPoly with valuation >= 0 -> dense int list, lowest degree first."""
     if not p.c:
         return []
     lo, hi = min(p.c), max(p.c)
     assert lo >= 0
-    denlcm = 1
-    for v in p.c.values():
-        if _is_fraction(v):
-            d = v.denominator
-            denlcm = denlcm // _igcd(denlcm, d) * d
     out = [0] * (hi + 1)
     for e, v in p.c.items():
-        out[e] = int(v * denlcm)
+        out[e] = v
     return out
 
 
@@ -416,18 +363,21 @@ def poly_gcd(p, q):
 
 
 def _exact_scalar_div(a, b):
-    """a / b for int/Fraction scalars, keeping ints when the result is integral."""
-    if type(a) is int and type(b) is int and b and a % b == 0:
-        return a // b
-    f = Fraction(a) / Fraction(b)
-    return int(f) if f.denominator == 1 else f
+    """a / b for ints; ValueError unless b divides a."""
+    f, r = divmod(a, b)
+    if r:
+        raise ValueError("inexact polynomial division")
+    return f
 
 
 def poly_divexact(a, b):
     """Exact division a / b of LaurentPolys; raises ValueError if inexact.
 
-    Runs from the low-exponent end, so b may be any Laurent polynomial; the
-    quotient's lowest term is determined by the lowest terms of a and b.
+    Inexact means that b does not divide a in Z[q, q^-1]: either the
+    quotient is not a Laurent polynomial or some coefficient of it is not
+    an integer.  Runs from the low-exponent end, so b may be any Laurent
+    polynomial; the quotient's lowest term is determined by the lowest
+    terms of a and b.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
@@ -468,11 +418,11 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if type(num) is not LaurentPoly and _is_scalar(num):
+        if isinstance(num, int):
             num = LaurentPoly.const(num)
         if den is None:
             den = _LP_ONE
-        elif type(den) is not LaurentPoly and _is_scalar(den):
+        elif isinstance(den, int):
             den = LaurentPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
@@ -489,42 +439,24 @@ class RationalFunction:
         if v:
             den = den.shift(-v)
             num = num.shift(-v)
-        if den.is_monomial():  # den is now a nonzero constant
-            (_, c), = den.c.items()
-            self.num = num * (Fraction(1, 1) / c if c != 1 else 1)
-            self.num = _intify(self.num)
-            self.den = _LP_ONE
-            return
-        # cancel the polynomial gcd (a monomial num is coprime to den)
-        if not num.is_monomial():
+        # cancel the polynomial gcd (a monomial is coprime to the other part)
+        if not num.is_monomial() and not den.is_monomial():
             nv = num.valuation()
             g = poly_gcd(num.shift(-nv), den)
-            if not g.is_one() and g.degree() > 0:
+            if g.degree() > 0:
                 num = poly_divexact(num.shift(-nv), g).shift(nv)
                 den = poly_divexact(den, g)
-        if den.is_monomial():
-            (_, c), = den.c.items()
-            self.num = _intify(num * (Fraction(1, 1) / c if c != 1 else 1))
-            self.den = _LP_ONE
-            return
-        # scalar-normalize den: integer coprime coefficients, positive constant
-        denlcm = 1
-        for c in den.c.values():
-            if _is_fraction(c):
-                d = c.denominator
-                denlcm = denlcm // _igcd(denlcm, d) * d
-        if denlcm != 1:
-            den = den * denlcm
-            num = num * denlcm
-        den = _intify(den)
-        g = _content(list(den.c.values()))
-        if den.c[den.valuation()] < 0:
+        # divide out the joint content; den's constant term made positive
+        g = _content(den.c.values())
+        if g != 1:
+            g = _igcd(g, _content(num.c.values()))
+        if den.c[0] < 0:
             g = -g
         if g != 1:
-            den = _intify(den * Fraction(1, g))
-            num = num * Fraction(1, g)
-        self.num = _intify(num)
-        self.den = den
+            num = LaurentPoly({e: c // g for e, c in num.c.items()})
+            den = LaurentPoly({e: c // g for e, c in den.c.items()})
+        self.num = num
+        self.den = _LP_ONE if den.is_one() else den
 
     # -- constructors ---------------------------------------------------
 
@@ -622,17 +554,6 @@ class RationalFunction:
             n >>= 1
         return result
 
-    # -- evaluation -----------------------------------------------------------
-
-    def eval_at(self, q0):
-        """Exact value at a nonzero rational point; ZeroDivisionError at poles."""
-        q0 = Fraction(q0)
-        nv = self.num.eval_at(q0) if not self.num.is_zero() else Fraction(0)
-        dv = self.den.eval_at(q0)
-        if dv == 0:
-            raise ZeroDivisionError(f"pole at q = {q0}")
-        return nv / dv
-
     def specialize_q0(self):
         """Constant term at q = 0, defined only for genuine polynomials.
 
@@ -670,26 +591,9 @@ def _as_rf(x):
         return x
     if t is LaurentPoly:
         return RationalFunction.from_laurent(x)
-    if _is_scalar(x):
+    if isinstance(x, int):
         return RationalFunction.from_laurent(LaurentPoly.const(x))
     return NotImplemented
-
-
-def _intify(p):
-    """Replace integral Fractions by ints in the coefficient dict."""
-    out = {}
-    dirty = False
-    for e, v in p.c.items():
-        if _is_fraction(v) and v.denominator == 1:
-            out[e] = int(v)
-            dirty = True
-        else:
-            out[e] = v
-    if not dirty:
-        return p
-    r = LaurentPoly.__new__(LaurentPoly)
-    r.c = out
-    return r
 
 
 _RF_ZERO = RationalFunction.from_laurent(_LP_ZERO)
@@ -790,11 +694,10 @@ def sum_products(terms):
     first product is kept as its two factors and only later ones are added
     term by term into a plain {exponent: coefficient} dict, so no
     LaurentPoly or RationalFunction is built per term.  Every other
-    product and sum goes through the exact arithmetic of its operands
-    (RationalFunction, or Fraction for values sampled at a point).  Each
-    key is converted once at the end; a key whose lone product has a
-    factor ONE gets the other factor itself.  Keys come out in order of
-    first appearance, the Laurent ones first.
+    product and sum goes through the exact RationalFunction arithmetic of
+    its operands.  Each key is converted once at the end; a key whose lone
+    product has a factor ONE gets the other factor itself.  Keys come out
+    in order of first appearance, the Laurent ones first.
     """
     laurent, rest = {}, {}
     get = laurent.get
@@ -874,8 +777,8 @@ def apply_on_slots(vec, pos, column):
 def ratio(num, den):
     """num / den for LaurentPolys, equal to RationalFunction(num, den).
 
-    Divides exactly when den divides num, which skips the gcd that the
-    normalisation would run; otherwise normalises as usual.
+    Divides exactly when den divides num in Z[q, q^-1], which skips the
+    gcd that the normalisation would run; otherwise normalises as usual.
     """
     try:
         return RationalFunction.from_laurent(poly_divexact(num, den))
@@ -957,5 +860,4 @@ def is_integer_polynomial(x):
         if not x.den.is_one():
             return False
         x = x.num
-    return (x.valuation() >= 0
-            and all(Fraction(v).denominator == 1 for v in x.c.values()))
+    return x.valuation() >= 0

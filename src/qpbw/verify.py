@@ -1,18 +1,17 @@
 """Verification suites with named checks and failure witnesses.
 
 Each suite returns a VerifyReport listing (check id, passed, witness)
-triples.  Exact checks compare rational functions; sampled checks
-evaluate at rational values of q with a re-sampling guard against
-vanishing denominators.  The operator equations (tetrahedron, 3D
-reflection) are run by applying the checked tables to occupation states
-of a multi-slot product space whose per-slot oscillator bases are
-derived mechanically from the operators' type signatures.
+triples.  Every check is exact: it compares reduced rational functions
+in Q(q), never values at chosen points.  The operator equations
+(tetrahedron, 3D reflection) are run by applying the checked tables to
+every occupation state of a multi-slot product space up to a total
+occupation, with per-slot oscillator bases derived mechanically from the
+operators' type signatures.
 """
 
 import time
 from collections import namedtuple
 from functools import lru_cache
-from fractions import Fraction
 
 from . import fock, pbw
 from .intertwiner import PhiTable, checked_table
@@ -88,10 +87,6 @@ GOLDEN_COLUMNS = {
     }),
 }
 
-SAMPLE_POINTS = (Fraction(1, 3), Fraction(2, 5), Fraction(-1, 2))
-_BACKUP_POINTS = (Fraction(3, 7), Fraction(-2, 7), Fraction(5, 11),
-                  Fraction(-3, 8), Fraction(7, 13))
-
 _PHI = {}
 
 
@@ -107,16 +102,6 @@ def shared_table(name):
     return checked_table(name, shared_phi(name))
 
 
-def _guarded_sample(point, run):
-    """run(q0), falling back to reserve points if a denominator vanishes."""
-    for q0 in (point,) + _BACKUP_POINTS:
-        try:
-            return q0, run(q0)
-        except ZeroDivisionError:
-            continue
-    raise ArithmeticError(f"every sample point starting from {point} hit a pole")
-
-
 # ---------------------------------------------------------------------------
 # checked tables as operators on occupation states
 
@@ -127,23 +112,17 @@ class KetOperator:
     table acting on the 1-based `slots` of every state, each other slot
     kept, in one pass of the slot kernel qfield.apply_on_slots.  Every
     column it reads comes through `column`, which returns the table's own
-    column (or, at a sample point, a freshly evaluated copy); the kernel's
-    view of it is cached here, one per input tuple, so an image may hold
-    the very value objects of a column.
+    column; the kernel's view of it is cached here, one per input tuple,
+    so an image may hold the very value objects of a column.
     """
 
-    def __init__(self, name, point=None):
+    def __init__(self, name):
         self.table = shared_table(name)
         self.arity = preset(name).length
-        self.point = point
         self._slot_columns = {}
 
     def column(self, inp):
-        col = self.table.column(inp)
-        if self.point is not None:
-            col = {c: v.eval_at(self.point) for c, v in col.items()}
-            col = {c: v for c, v in col.items() if v != 0}
-        return col
+        return self.table.column(inp)
 
     def _slot_column(self, inp):
         sc = self._slot_columns.get(inp)
@@ -251,79 +230,54 @@ def _states_with_total(width, max_total):
     return sorted(out)
 
 
-def _value_str(v):
-    return str(v) if isinstance(v, (int, Fraction)) else canonical_string(v)
-
-
-def _equation_mismatch(eq, states, point):
+def _equation_mismatch(eq, states):
     ops = {}
     for side in eq["sides"]:
         for kind, _ in side:
             if kind not in ops:
-                ops[kind] = KetOperator(KIND_ALGEBRA[kind], point=point)
-    one = Fraction(1) if point is not None else ONE
-    zero = Fraction(0) if point is not None else ZERO
+                ops[kind] = KetOperator(KIND_ALGEBRA[kind])
     for state in states:
         done = []
         for side in eq["sides"]:
-            vec = {state: one}
+            vec = {state: ONE}
             for kind, slots in side:
                 vec = ops[kind].apply(vec, slots)
             done.append(vec)
         lhs, rhs = done
         if lhs != rhs:
             for out in sorted(set(lhs) | set(rhs)):
-                a, b = lhs.get(out, zero), rhs.get(out, zero)
+                a, b = lhs.get(out, ZERO), rhs.get(out, ZERO)
                 if a != b:
                     return (f"state {state} -> {out}: "
-                            f"{_value_str(a)} != {_value_str(b)}")
+                            f"{canonical_string(a)} != {canonical_string(b)}")
             return f"state {state}: sides differ"
     return None
 
 
-def verify_tetrahedron(max_occ=2, exact_occ=1, mode="sampled"):
-    """Both products of four R factors agree on low-occupation states."""
+def verify_tetrahedron(max_occ=6):
+    """Both products of four R factors agree on every 6-slot state with
+    total occupation <= max_occ."""
     t0 = time.perf_counter()
     checks = [_slot_base_check(TETRAHEDRON)]
-    w = _equation_mismatch(TETRAHEDRON, [(0,) * 6], None)
+    w = _equation_mismatch(TETRAHEDRON, [(0,) * 6])
     checks.append(Check("vacuum-exact", w is None, w))
-    w = _equation_mismatch(TETRAHEDRON, _states_with_total(6, exact_occ), None)
-    checks.append(Check(f"occ{exact_occ}-exact", w is None, w))
-    states = _states_with_total(6, max_occ)
-    if mode == "sampled":
-        for p in SAMPLE_POINTS:
-            q0, w = _guarded_sample(
-                p, lambda q: _equation_mismatch(TETRAHEDRON, states, q))
-            checks.append(Check(f"occ{max_occ}-sampled-q={q0}", w is None, w))
-    elif mode == "exact":
-        if max_occ != exact_occ:
-            w = _equation_mismatch(TETRAHEDRON, states, None)
-            checks.append(Check(f"occ{max_occ}-exact", w is None, w))
-    else:
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    w = _equation_mismatch(TETRAHEDRON, _states_with_total(6, max_occ))
+    checks.append(Check(f"occ{max_occ}-exact", w is None, w))
     return VerifyReport("tetrahedron", checks, time.perf_counter() - t0)
 
 
-def verify_3d_reflection(max_occ=1, mode="sampled"):
-    """Both products of four K and three R factors agree on 9-slot states."""
+def verify_3d_reflection(max_occ=3):
+    """Both products of four K and three R factors agree on every 9-slot
+    state with total occupation <= max_occ."""
     t0 = time.perf_counter()
     checks = [_slot_base_check(REFLECTION_3D)]
-    w = _equation_mismatch(REFLECTION_3D, [(0,) * 9], None)
+    w = _equation_mismatch(REFLECTION_3D, [(0,) * 9])
     checks.append(Check("vacuum-exact", w is None, w))
     e5 = tuple(1 if s == 5 else 0 for s in range(1, 10))
-    w = _equation_mismatch(REFLECTION_3D, [e5], None)
+    w = _equation_mismatch(REFLECTION_3D, [e5])
     checks.append(Check("slot5-excitation-exact", w is None, w))
-    states = _states_with_total(9, max_occ)
-    if mode == "sampled":
-        for p in SAMPLE_POINTS:
-            q0, w = _guarded_sample(
-                p, lambda q: _equation_mismatch(REFLECTION_3D, states, q))
-            checks.append(Check(f"occ{max_occ}-sampled-q={q0}", w is None, w))
-    elif mode == "exact":
-        w = _equation_mismatch(REFLECTION_3D, states, None)
-        checks.append(Check(f"occ{max_occ}-exact", w is None, w))
-    else:
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    w = _equation_mismatch(REFLECTION_3D, _states_with_total(9, max_occ))
+    checks.append(Check(f"occ{max_occ}-exact", w is None, w))
     return VerifyReport("3d-reflection", checks, time.perf_counter() - t0)
 
 
@@ -737,7 +691,7 @@ def selftest():
         verify_theorem(heights={"A2": 4, "C2": 4, "G2": 3}),
         verify_properties(heights={"A2": 3, "C2": 3, "G2": 2},
                           key_prop_entries=1, serre_entries=1),
-        verify_tetrahedron(max_occ=1, exact_occ=1),
+        verify_tetrahedron(max_occ=1),
         verify_3d_reflection(max_occ=1),
         verify_t_intertwining(bounds={"A2": 2, "C2": 1, "G2": 0},
                               algebras=("A2", "C2", "G2")),

@@ -106,22 +106,23 @@ def test_criterion_3_xi_matrices_match_rho(property_report):
 
 
 def test_criterion_4_tetrahedron():
-    r = verify.verify_tetrahedron()      # occ <= 1 exact, occ <= 2 sampled
+    r = verify.verify_tetrahedron()      # exact on every state, occ <= 6
     assert r.passed, r.lines()
     assert r.duration < 120.0
-    ids = {c.check_id for c in r.checks}
-    assert "occ1-exact" in ids
-    assert sum(i.startswith("occ2-sampled-q=") for i in ids) == 3
-    announce(4, f"tetrahedron equation, {r.duration:.2f}s")
+    got = {c.check_id: c for c in r.checks}
+    assert got["occ6-exact"].passed
+    announce(4, f"tetrahedron equation, exact to occupation 6, "
+                f"{r.duration:.2f}s")
 
 
 def test_criterion_5_3d_reflection():
-    r = verify.verify_3d_reflection()    # occ <= 1 sampled
+    r = verify.verify_3d_reflection()    # exact on every state, occ <= 3
     assert r.passed, r.lines()
     assert r.duration < 600.0
-    ids = {c.check_id for c in r.checks}
-    assert sum(i.startswith("occ1-sampled-q=") for i in ids) == 3
-    announce(5, f"3D reflection equation, {r.duration:.2f}s")
+    got = {c.check_id: c for c in r.checks}
+    assert got["occ3-exact"].passed
+    announce(5, f"3D reflection equation, exact to occupation 3, "
+                f"{r.duration:.2f}s")
 
 
 def test_criterion_6_property_suite(property_report):

@@ -271,6 +271,38 @@ def test_verify_fanout_merges_all_algebras(capsys):
         assert sum(name in ln for ln in lines) == 2
 
 
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("suite, flag, value", [
+    ("tetra", "--max-height", "50"),
+    ("tetra", "--algebra", "A2"),
+    ("reflect3d", "--max-height", "1"),
+    ("reflect3d", "--algebra", "C2"),
+    ("theorem", "--max-occ", "99"),
+])
+def test_unread_option_exits_two(suite, flag, value, by_config, tmp_path,
+                                 capsys):
+    # a bound the suite does not read would otherwise pass at the defaults
+    argv = ["verify", suite, flag, value]
+    if by_config:
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        argv = ["verify", suite, "--config", str(cfg)]
+    rc, out, err = run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("qpbw: ") and flag in err and suite in err
+
+
+def test_mode_option_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "tetra", "--mode", "exact"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode = exact\n")
+    rc, out, err = run(["verify", "tetra", "--config", str(cfg)], capsys)
+    assert rc == 2 and out == "" and "'mode'" in err
+
+
 def test_config_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("algebra = A2\nkind = R\nin = 3,1,4\nformat = csv\n"

@@ -269,6 +269,21 @@ def test_checked_column_is_the_block_column():
                                if tab.entry(C, I)}
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: PhiTable("A2").phi((0, 1, 0), (0, 1)), id="phi"),
+    pytest.param(lambda: checked_table("A2", PhiTable("A2")).column((1, 0)),
+                 id="column"),
+    pytest.param(lambda: checked_table("A2", PhiTable("A2")).entry(
+        (0, 1, 0), (1, 0, 0, 0)), id="entry"),
+    pytest.param(lambda: checked_table("C2", PhiTable("C2")).block_outputs(
+        (1, 0, 1)), id="block_outputs"),
+])
+def test_wrong_length_tuple_rejected(call):
+    # the 2-tuple once read as its truncation: phi gave 0, column a KeyError
+    with pytest.raises(ValueError, match="tuples have"):
+        call()
+
+
 def test_checked_table_kinds_and_entry():
     phi = PhiTable("C2")
     tab = CheckedTable("C2", phi)

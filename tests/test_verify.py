@@ -5,7 +5,6 @@ suite is exercised at sizes that keep the whole file under a minute.
 """
 
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +20,7 @@ from qpbw.qfield import LaurentPoly, RationalFunction, canonical_string
 
 
 def test_report_lines_shape():
-    r = verify.verify_tetrahedron(max_occ=1, exact_occ=1, mode="sampled")
+    r = verify.verify_tetrahedron(max_occ=1)
     assert r.passed
     lines = r.lines()
     assert len(lines) == len(r.checks)
@@ -34,13 +33,6 @@ def test_failing_check_line_carries_witness():
         "demo", [verify.Check("one", False, "ket (1,2)")], 0.0)
     assert not bad.passed
     assert bad.lines() == ["FAIL demo:one  [ket (1,2)]"]
-
-
-def test_bad_mode_rejected():
-    with pytest.raises(ValueError):
-        verify.verify_tetrahedron(max_occ=1, mode="fast")
-    with pytest.raises(ValueError):
-        verify.verify_3d_reflection(max_occ=1, mode="numeric")
 
 
 # ---------------------------------------------------------------------------
@@ -87,52 +79,27 @@ def test_free_slots_fan_out():
 
 
 # ---------------------------------------------------------------------------
-# sampling guard
-
-
-def test_guarded_sample_falls_back():
-    seen = []
-
-    def run(q0):
-        seen.append(q0)
-        if len(seen) == 1:
-            raise ZeroDivisionError
-        return "ok"
-
-    q0, out = verify._guarded_sample(Fraction(1, 3), run)
-    assert out == "ok"
-    assert q0 == verify._BACKUP_POINTS[0]
-    assert seen[0] == Fraction(1, 3)
-
-
-def test_guarded_sample_exhaustion():
-    def run(q0):
-        raise ZeroDivisionError
-
-    with pytest.raises(ArithmeticError):
-        verify._guarded_sample(Fraction(1, 3), run)
-
-
-# ---------------------------------------------------------------------------
 # the suites at smoke size
 
 
 def test_tetrahedron_smoke():
-    r = verify.verify_tetrahedron(max_occ=1, exact_occ=1)
+    r = verify.verify_tetrahedron(max_occ=1)
     assert r.passed
     ids = [c.check_id for c in r.checks]
     assert "vacuum-exact" in ids and "slot-bases" in ids
 
 
 def test_tetrahedron_exact_mode():
-    r = verify.verify_tetrahedron(max_occ=1, exact_occ=0, mode="exact")
+    # every check is exact: the bound is met by one check, nothing sampled
+    r = verify.verify_tetrahedron(max_occ=1)
     assert r.passed
-    assert any(c.check_id == "occ1-exact" for c in r.checks)
+    assert [c.check_id for c in r.checks] == [
+        "slot-bases", "vacuum-exact", "occ1-exact"]
 
 
 @pytest.mark.parametrize("occ", [0, 1, 2])
 def test_tetrahedron_exact_bound_met_once(occ):
-    r = verify.verify_tetrahedron(max_occ=occ, exact_occ=occ, mode="exact")
+    r = verify.verify_tetrahedron(max_occ=occ)
     assert r.passed
     ids = [c.check_id for c in r.checks]
     assert ids.count(f"occ{occ}-exact") == 1
@@ -143,9 +110,44 @@ def test_tetrahedron_exact_bound_met_once(occ):
     ("intertwine", 0),
 ])
 def test_check_ids_unique_in_exact_mode(suite, max_occ):
-    r = cli.run_suite(suite, max_height=2, max_occ=max_occ, mode="exact")
+    height = 2 if "max_height" in cli.SUITE_OPTIONS[suite] else None
+    r = cli.run_suite(suite, max_height=height, max_occ=max_occ)
     ids = [c.check_id for c in r.checks]
     assert len(ids) == len(set(ids)), ids
+
+
+# ---------------------------------------------------------------------------
+# each equation check fails when one entry of one table column is wrong
+
+
+def _scale_entry(monkeypatch, name, inp, out):
+    """KetOperator reads entry (out, inp) of the named table times q."""
+    column = verify.KetOperator.column
+
+    def mutated(self, i):
+        col = column(self, i)
+        if self.table.name == name and i == inp:
+            col = {**col, out: col[out] * qpow(1)}
+        return col
+
+    monkeypatch.setattr(verify.KetOperator, "column", mutated)
+
+
+@pytest.mark.parametrize("run,name,inp,out,check_id", [
+    pytest.param(verify.verify_tetrahedron, "A2", (1, 1, 1), (0, 2, 0),
+                 "occ6-exact", id="tetrahedron-R"),
+    pytest.param(verify.verify_3d_reflection, "C2", (1, 0, 1, 0),
+                 (1, 1, 0, 1), "occ3-exact", id="3d-reflection-K"),
+])
+def test_equation_check_catches_one_wrong_entry(monkeypatch, run, name, inp,
+                                                out, check_id):
+    # the column's input lies inside the occupation bound; one entry, not
+    # a whole slot, is rescaled (a slot rescaling is an automorphism of A2)
+    _scale_entry(monkeypatch, name, inp, out)
+    got = {c.check_id: c for c in run().checks}
+    assert not got[check_id].passed
+    assert re.fullmatch(r"state \([\d, ]+\) -> \([\d, ]+\): .+ != .+",
+                        got[check_id].witness), got[check_id].witness
 
 
 def test_reflection_smoke():
@@ -245,8 +247,6 @@ def _per_term_apply(op, vec, slots):
             key = tuple(ns)
             cur = out.get(key)
             out[key] = v * c if cur is None else cur + v * c
-    if op.point is not None:
-        return {s: v for s, v in out.items() if v != 0}
     return {s: v for s, v in out.items() if not v.num.is_zero()}
 
 
@@ -315,18 +315,3 @@ def test_ket_apply_rejects_bad_slots(slots):
     op = verify.KetOperator("A2")
     with pytest.raises(ValueError, match=re.escape(str(tuple(slots)))):
         op.apply({(1, 0, 2, 0, 1, 1): ONE}, slots)
-
-
-
-@given(ket_vectors())
-@settings(max_examples=25, deadline=None)
-def test_ket_apply_sampled_mode_unchanged(drawn):
-    name, slots, vec = drawn
-    q0 = Fraction(2, 5)
-    op = verify.KetOperator(name, point=q0)
-    at_point = {s: c.eval_at(q0) for s, c in vec.items()}
-    image = op.apply(at_point, slots)
-    assert image == _per_term_apply(op, at_point, slots)
-    exact = verify.KetOperator(name).apply(vec, slots)
-    assert image == {s: v for s, v in
-                     ((s, c.eval_at(q0)) for s, c in exact.items()) if v}
