@@ -235,12 +235,17 @@ def _apply_config(args):
     names = {"algebra": str, "kind": str, "inp": str, "max_height": int,
              "max_occ": int, "fmt": str, "out": str}
     alias = {"format": "fmt", "in": "inp"}
-    for key, val in cfg.items():
-        key = alias.get(key, key)
+    command = args.command
+    if command == "verify":
+        command = f"verify {args.suite}"
+    for raw, val in cfg.items():
+        key = alias.get(raw, raw)
         if key not in names:
             raise UsageError(f"unknown config key {key!r}")
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue                      # flags win, or key not relevant
+        if not hasattr(args, key):
+            raise UsageError(f"{command} does not read config key {raw!r}")
+        if getattr(args, key) is not None:
+            continue                      # flags win
         try:
             setattr(args, key, names[key](val))
         except ValueError:

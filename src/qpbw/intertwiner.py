@@ -14,16 +14,12 @@ The checked table composes Phi with full reversal of the input slots;
 depending on the algebra it is the R, K or F family of coefficients.
 """
 
-from .qfield import poly_divexact, poly_gcd, ratio, sum_products
+from .qfield import ratio, sum_products
 from .presets import (
     ALGEBRA_KIND, ONE, ZERO, preset, reverse, rf, tuples_with_weight,
     weights_up_to,
 )
 from .fock import xi_matrix
-
-
-def _poly_lcm(a, b):
-    return poly_divexact(a * b, poly_gcd(a, b))
 
 
 def solve_exact(prows, qrows):
@@ -35,12 +31,11 @@ def solve_exact(prows, qrows):
     unknown column u left, Y[u] = (Q[r] - sum of P[r][c] Y[c] over its
     known columns c) / P[r][u].  When every unknown is reached this way,
     the rows used form a triangular n x n subsystem with nonzero diagonal,
-    so P has full column rank.  When substitution stalls (no row with a
-    single unknown), the whole system goes to fraction-free (Bareiss)
-    elimination instead, which also diagnoses rank deficiency.  Either
-    way the residual P Y - Q is then checked to vanish on every row, so
-    every equation holds and Y is the unique solution.  Raises
-    ArithmeticError on rank deficiency or inconsistency.
+    so P has full column rank.  The residual P Y - Q is then checked to
+    vanish on every row, so every equation holds and Y is the unique
+    solution.  Raises ArithmeticError when substitution stalls (no row
+    has a single unknown left), which every rank-deficient system does,
+    or when the system is inconsistent.  No Phi block stalls.
     """
     prows = [[rf(x) for x in row] for row in prows]
     qrows = [[rf(x) for x in row] for row in qrows]
@@ -52,7 +47,7 @@ def solve_exact(prows, qrows):
     sparse = [{c: x for c, x in enumerate(row) if x} for row in prows]
     Y = _substitute(sparse, qrows, n, k)
     if Y is None:
-        Y = _solve_bareiss(prows, qrows, n, k)
+        raise ArithmeticError("no row has a single unknown left")
     for r, (prow, qrow) in enumerate(zip(sparse, qrows)):
         sums = _row_products(prow, Y, k)
         if any(sums.get(j, ZERO) != qrow[j] for j in range(k)):
@@ -96,54 +91,6 @@ def _substitute(sparse, qrows, n, k):
             if left[r2] == 1:
                 ready.append(r2)
     return Y if solved == n else None
-
-
-def _solve_bareiss(prows, qrows, n, k):
-    """Y by dense fraction-free elimination; the residual is left to the caller.
-
-    Rows are scaled to polynomial entries, eliminated by fraction-free
-    (Bareiss) steps with the first not-yet-used row holding a nonzero
-    entry as pivot, then back-substituted over the fraction field.
-    """
-    m = len(prows)
-    P, Q = [], []
-    for prow, qrow in zip(prows, qrows):
-        den = None
-        for x in list(prow) + list(qrow):
-            den = x.den if den is None else _poly_lcm(den, x.den)
-        P.append([x.num * poly_divexact(den, x.den) for x in prow])
-        Q.append([x.num * poly_divexact(den, x.den) for x in qrow])
-    prev = None
-    for c in range(n):
-        pivot_row = next(
-            (r for r in range(c, m) if not P[r][c].is_zero()), None)
-        if pivot_row is None:
-            raise ArithmeticError(f"rank-deficient system at column {c}")
-        if pivot_row != c:
-            P[c], P[pivot_row] = P[pivot_row], P[c]
-            Q[c], Q[pivot_row] = Q[pivot_row], Q[c]
-        piv = P[c][c]
-        for r in range(c + 1, m):
-            fac = P[r][c]
-            for j in range(c, n):
-                t = P[r][j] * piv - fac * P[c][j]
-                P[r][j] = t if prev is None else poly_divexact(t, prev)
-            for j in range(k):
-                t = Q[r][j] * piv - fac * Q[c][j]
-                Q[r][j] = t if prev is None else poly_divexact(t, prev)
-        prev = piv
-    for r in range(n, m):
-        if any(not x.is_zero() for x in Q[r]):
-            raise ArithmeticError(f"inconsistent system at row {r}")
-    Y = [[ZERO] * k for _ in range(n)]
-    for r in range(n - 1, -1, -1):
-        piv = rf(P[r][r])
-        for j in range(k):
-            acc = rf(Q[r][j])
-            for c in range(r + 1, n):
-                acc = acc - rf(P[r][c]) * Y[c][j]
-            Y[r][j] = acc / piv
-    return Y
 
 
 class PhiTable:

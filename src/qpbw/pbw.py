@@ -4,17 +4,17 @@ Elements are kept in the divided word-2 monomial basis: a PBW vector is a
 dict {exponent tuple -> RationalFunction} representing sum c_A B^(A), with
 B^(A) = B[A] / F2(A), B[A] = b_1^{a_1} ... b_l^{a_l} and F2(A) = prod_k
 [a_k]! in the base of the word's k-th letter.  This is the only basis the
-module works in.  Multiplying by a generator on either side reads the
-preset rule, rescaled to the divided basis.
+module works in, and the one the preset rules are written in: multiplying
+by a generator on either side reads the rule's terms as they stand.
 
 The divided monomials of either word span Lusztig's Z[q, q^-1]-form, so
-every rule term rescaled to the divided basis, c * F2(u) / F2(t), is a
-Laurent polynomial, and so is every coefficient of a divided word-1
-monomial E_1^(A) over the divided word-2 basis: these coefficients are the
-entries gamma^A_B.  E_1^(A) is built one root vector at a time, each step
-one exact division by [a_r] times that root vector's [2]/[3] denominator,
-so normal ordering multiplies Laurent polynomials only and runs no gcd.
-An inexact division raises ArithmeticError.
+every rule coefficient is a Laurent polynomial, and so is every
+coefficient of a divided word-1 monomial E_1^(A) over the divided word-2
+basis: these coefficients are the entries gamma^A_B.  E_1^(A) is built one
+root vector at a time, each step one exact division by [a_r] times that
+root vector's [2]/[3] denominator, so normal ordering multiplies Laurent
+polynomials only and runs no gcd.  An inexact division raises
+ArithmeticError.
 """
 
 from functools import lru_cache
@@ -43,39 +43,15 @@ def _exact(num, den, where, *args):
 
 
 @lru_cache(maxsize=None)
-def _factorial_run(lo, hi, d):
-    """[lo+1] ... [hi] in base q^d, that is [hi]! / [lo]!."""
-    out = LaurentPoly.one()
-    for t in range(lo + 1, hi + 1):
-        out = out * q_int(t, d)
-    return out
+def _rule_terms(name, side, letter, t):
+    """The preset's side rule for the letter on B^(t): ((coeff, u), ...).
 
-
-@lru_cache(maxsize=None)
-def _divided_rule_terms(name, side, letter, t):
-    """The preset's side rule for the letter on B^(t), over the divided basis.
-
-    Each term's coefficient c is rescaled by F2(u) / F2(t): every slot
-    that changes multiplies the numerator or the denominator by its
-    factorial run, and one exact division of Laurent polynomials follows.
     Normal ordering meets the same tuple many times, so the terms are
     cached.
     """
     p = preset(name)
     rules = p.right_rules if side == "right" else p.left_rules
-    weight = p.conserved2(t)
-    out = []
-    for c, u in rules[letter](t):
-        num, den = c.num, c.den
-        for x, y, i in zip(t, u, p.word2):
-            if y > x:
-                num = num * _factorial_run(x, y, p.d[i])
-            elif x > y:
-                den = den * _factorial_run(y, x, p.d[i])
-        out.append((_exact(num, den, "the divided {} rule of {} at weight "
-                           "{}: e_{} on {}, term {}", side, name, weight,
-                           letter, t, u), u))
-    return tuple(out)
+    return tuple(rules[letter](t))
 
 
 def mul_letter(name, v, letter, side="right"):
@@ -83,8 +59,7 @@ def mul_letter(name, v, letter, side="right"):
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return sum_products((u, coeff, c) for t, c in v.items()
-                        for coeff, u in _divided_rule_terms(name, side,
-                                                            letter, t))
+                        for coeff, u in _rule_terms(name, side, letter, t))
 
 
 def mul_word_expr(name, v, wp, side="right"):
@@ -154,15 +129,15 @@ def _word1_divided(name, A):
 def rho_column(name, label, letter, A):
     """Left multiplication by e_letter on one divided monomial: {tuple: coeff}.
 
-    Word 2 reads the divided left rules directly; word 1 conjugates the
-    divided word-2 right rules by the reversing anti-involution, since
+    Word 2 reads the left rules directly; word 1 conjugates the word-2
+    right rules by the reversing anti-involution, since
     e_i . E_1^(A) = chi(B^(rev A) . e_i).
     """
     if label == 2:
-        terms = _divided_rule_terms(name, "left", letter, A)
+        terms = _rule_terms(name, "left", letter, A)
     else:
         terms = [(c, reverse(t)) for c, t in
-                 _divided_rule_terms(name, "right", letter, reverse(A))]
+                 _rule_terms(name, "right", letter, reverse(A))]
     return sum_products((t, coeff, ONE) for coeff, t in terms)
 
 

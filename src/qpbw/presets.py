@@ -4,10 +4,12 @@ Each algebra comes with the two reduced words of the longest Weyl element,
 written word 1 and word 2 (word 1 starts with node 1).  All low-level data
 is attached to word 2: the positive-root sequence, the flat expansions of
 the root vectors b_1..b_l in the letters e_1, e_2, and the one-letter
-multiplication rules for monomials B[A] = b_1^{a_1} ... b_l^{a_l}.  The
-word-1 root vectors are the images under the coefficient-fixing
-anti-involution chi (chi(e_i) = e_i), which reverses every word; downstream
-code obtains all word-1 statements from word-2 ones by tuple reversal.
+multiplication rules for the divided monomials B^(A) = B[A] / F2(A), where
+B[A] = b_1^{a_1} ... b_l^{a_l} and F2(A) = prod_k [a_k]! in the base of
+the word's k-th letter.  The word-1 root vectors are the images under the
+coefficient-fixing anti-involution chi (chi(e_i) = e_i), which reverses
+every word; downstream code obtains all word-1 statements from word-2 ones
+by tuple reversal.
 
 The function-algebra side is driven by the generator matrices pi_i(T)
 (one q_i-oscillator per Dynkin node, parameters set to 1) together with
@@ -19,7 +21,8 @@ Conventions:
   * a "mode-op sum" is a tuple of (coeff, atoms) pairs where atoms is a
     tuple over {"a+", "a-", "k"} read left to right as an operator product;
   * multiplication rules map an exponent tuple to a list of
-    (coeff, exponent tuple) pairs, zero coefficients already dropped.
+    (coeff, exponent tuple) pairs, every coeff a Laurent polynomial (as a
+    RationalFunction with denominator 1).
 """
 
 from functools import lru_cache
@@ -27,8 +30,8 @@ from functools import lru_cache
 from .qfield import (
     LaurentPoly,
     RationalFunction,
+    q_binom,
     q_int,
-    q_factorial,
     qmq,
     sum_products,
 )
@@ -65,11 +68,6 @@ def qint(m, d=1):
 
 
 @lru_cache(maxsize=None)
-def qfact(m, d=1):
-    return rf(q_factorial(m, d))
-
-
-@lru_cache(maxsize=None)
 def qbracket(n):
     """<n> = q^n - q^-n."""
     return rf(qmq(n))
@@ -78,9 +76,7 @@ def qbracket(n):
 @lru_cache(maxsize=None)
 def qbinom(n, r, d=1):
     """Gaussian binomial [n choose r] in base q^d (a Laurent polynomial)."""
-    if r < 0 or r > n:
-        return ZERO
-    return qfact(n, d) / (qfact(r, d) * qfact(n - r, d))
+    return rf(q_binom(n, r, d))
 
 
 def reverse(t):
@@ -137,8 +133,8 @@ class AlgebraPreset:
         # chi sends the word-2 basis monomial for A to the word-1 monomial
         # for reversed A, so the r-th word-1 root vector is chi(b_{l+1-r})
         self.root_vectors1 = tuple(wp_chi(w) for w in reverse(root_vectors2))
-        self.right_rules = right_rules          # {letter: rule}, B[A].e_i in word-2 basis
-        self.left_rules = left_rules            # {letter: rule}, e_i.B[A]
+        self.right_rules = right_rules          # {letter: rule}, B^(A).e_i, word 2
+        self.left_rules = left_rules            # {letter: rule}, e_i.B^(A)
         self.sigma_polys = sigma_polys          # {(node, tag): t-polynomial}
         self.pi_matrix = pi_matrix              # {node: NxN mode-op sums}
         self.n_gen = n_gen
@@ -182,139 +178,136 @@ class AlgebraPreset:
 
 
 # ---------------------------------------------------------------------------
-# multiplication rules: direct transcriptions of the one-letter products
-# in the word-2 monomial basis.  Terms with vanishing q-int factors are
-# dropped before the exponent shift, so no tuple ever goes negative.
+# multiplication rules: the one-letter products in the divided word-2
+# basis.  A term's coefficient is the plain-power one times F2(u) / F2(t),
+# written out as q-integers, q-binomials and q-powers, so it is a Laurent
+# polynomial (Lusztig's integral form).  A term whose shifted tuple would
+# go negative is absent from the product, although its coefficient is not
+# zero there, so it is dropped by its tuple.
 
 
 def _emit(terms):
-    out = []
-    for coeff, tup in terms:
-        if coeff.num.is_zero():
-            continue
-        assert min(tup) >= 0, f"negative exponent with nonzero coefficient: {tup}"
-        out.append((coeff, tup))
-    return out
+    return [(coeff, u) for coeff, u in terms if min(u) >= 0]
 
 
 # -- A2 ---------------------------------------------------------------------
 
 def _a2_right_1(t):
     a, b, c = t
-    return [(ONE, (a, b, c + 1))]
+    return [(qint(c + 1), (a, b, c + 1))]
 
 
 def _a2_right_2(t):
     a, b, c = t
     return _emit([
-        (qpow(c - b), (a + 1, b, c)),
-        (qint(c), (a, b + 1, c - 1)),
+        (qpow(c - b) * qint(a + 1), (a + 1, b, c)),
+        (qint(b + 1), (a, b + 1, c - 1)),
     ])
 
 
 def _a2_left_1(t):
     a, b, c = t
     return _emit([
-        (qpow(a - b), (a, b, c + 1)),
-        (qint(a), (a - 1, b + 1, c)),
+        (qpow(a - b) * qint(c + 1), (a, b, c + 1)),
+        (qint(b + 1), (a - 1, b + 1, c)),
     ])
 
 
 def _a2_left_2(t):
     a, b, c = t
-    return [(ONE, (a + 1, b, c))]
+    return [(qint(a + 1), (a + 1, b, c))]
 
 
 # -- C2 ---------------------------------------------------------------------
 
 def _c2_right_1(t):
     a, b, c, d = t
-    return [(ONE, (a, b, c, d + 1))]
+    return [(qint(d + 1), (a, b, c, d + 1))]
 
 
 def _c2_right_2(t):
     a, b, c, d = t
-    inv2 = ONE / qint(2)
     return _emit([
-        (qint(d) * qpow(d - 2 * c - 1), (a, b + 1, c, d - 1)),
-        (qpow(2 * (d - b)), (a + 1, b, c, d)),
-        (-qbracket(1) * qpow(2 * d - 2 * c + 1) * qint(c, 2) * inv2,
+        (qint(b + 1) * qpow(d - 2 * c - 1), (a, b + 1, c, d - 1)),
+        (qint(a + 1, 2) * qpow(2 * (d - b)), (a + 1, b, c, d)),
+        (-qbracket(1) * qpow(2 * d - 2 * c + 1) * qbinom(b + 2, 2),
          (a, b + 2, c - 1, d)),
-        (qint(d - 1) * qint(d), (a, b, c + 1, d - 2)),
+        (qint(c + 1, 2), (a, b, c + 1, d - 2)),
     ])
 
 
 def _c2_left_1(t):
     a, b, c, d = t
     return _emit([
-        (qint(2) * qint(b) * qpow(2 * a - b + 1), (a, b - 1, c + 1, d)),
-        (qpow(2 * a - 2 * c), (a, b, c, d + 1)),
-        (qint(a, 2), (a - 1, b + 1, c, d)),
+        (qint(2) * qint(c + 1, 2) * qpow(2 * a - b + 1), (a, b - 1, c + 1, d)),
+        (qint(d + 1) * qpow(2 * a - 2 * c), (a, b, c, d + 1)),
+        (qint(b + 1), (a - 1, b + 1, c, d)),
     ])
 
 
 def _c2_left_2(t):
     a, b, c, d = t
-    return [(ONE, (a + 1, b, c, d))]
+    return [(qint(a + 1, 2), (a + 1, b, c, d))]
 
 
 # -- G2 ---------------------------------------------------------------------
 
 def _g2_right_1(t):
     a, b, c, d, e, f = t
-    return [(ONE, (a, b, c, d, e, f + 1))]
+    return [(qint(f + 1), (a, b, c, d, e, f + 1))]
 
 
 def _g2_right_2(t):
     a, b, c, d, e, f = t
-    inv3 = ONE / qint(3)
     return _emit([
-        (-qbracket(1) * qint(e, 3) * qpow(-3 * c - d + 3 * f - 1),
+        (-qbracket(1) * qint(b + 1) * qint(d + 1)
+         * qpow(-3 * c - d + 3 * f - 1),
          (a, b + 1, c, d + 1, e - 1, f)),
-        (qbracket(1) ** 2 * qint(e - 1, 3) * qint(e, 3) * inv3
+        (qbracket(1) ** 2 * qint(2) * qbinom(d + 3, 3)
          * qpow(-3 * e + 3 * f + 3), (a, b, c, d + 3, e - 2, f)),
-        (-qbracket(3) * qint(d - 1) * qint(d)
+        (-qbracket(3) * qint(b + 1) * qint(c + 1, 3)
          * qpow(-3 * c - 2 * d + 3 * e + 3 * f + 1),
          (a, b + 1, c + 1, d - 2, e, f)),
-        (-qbracket(1) * qint(d) * qpow(-6 * c - d + 3 * (e + f)),
-         (a, b + 2, c, d - 1, e, f)),
-        (qint(f - 1) * qint(f) * qpow(-3 * e + f - 2),
-         (a, b, c, d + 1, e, f - 2)),
-        (qint(3) * qint(d) * qint(f) * qpow(2 * f - 2 * d),
+        (-qbracket(1) * qint(b + 1) * qint(b + 2)
+         * qpow(-6 * c - d + 3 * (e + f)), (a, b + 2, c, d - 1, e, f)),
+        (qint(d + 1) * qpow(-3 * e + f - 2), (a, b, c, d + 1, e, f - 2)),
+        (qint(3) * qint(c + 1, 3) * qpow(2 * f - 2 * d),
          (a, b, c + 1, d - 1, e, f - 1)),
-        (qint(f) * qpow(-3 * c - d + 2 * f - 2), (a, b + 1, c, d, e, f - 1)),
-        (qpow(-3 * (b + c - e - f)), (a + 1, b, c, d, e, f)),
-        (qbracket(1) ** 2 * qint(c, 3) * inv3 * qpow(3 * (-2 * c + e + f + 1)),
-         (a, b + 3, c - 1, d, e, f)),
-        (-qbracket(3) * qint(d - 2) * qint(d - 1) * qint(d)
+        (qint(b + 1) * qpow(-3 * c - d + 2 * f - 2),
+         (a, b + 1, c, d, e, f - 1)),
+        (qint(a + 1, 3) * qpow(-3 * (b + c - e - f)), (a + 1, b, c, d, e, f)),
+        (qbracket(1) ** 2 * qint(2) * qbinom(b + 3, 3)
+         * qpow(3 * (-2 * c + e + f + 1)), (a, b + 3, c - 1, d, e, f)),
+        (-qbracket(3) * qint(c + 1, 3) * qint(c + 2, 3)
          * qpow(3 * (-d + e + f + 2)), (a, b, c + 2, d - 3, e, f)),
-        (-qbracket(1) * qint(e, 3) * qint(f) * qpow(-3 * e + 2 * f),
+        (-qbracket(1) * qint(d + 1) * qint(d + 2) * qpow(-3 * e + 2 * f),
          (a, b, c, d + 2, e - 1, f - 1)),
-        (-qint(e, 3) * qpow(-3 * d + 3 * f)
+        (-qint(c + 1, 3) * qpow(-3 * d + 3 * f)
          * (qpow(2 * d + 1) * qint(3) - qint(2, 3)),
          (a, b, c + 1, d, e - 1, f)),
-        (qint(f - 2) * qint(f - 1) * qint(f), (a, b, c, d, e + 1, f - 3)),
+        (qint(e + 1, 3), (a, b, c, d, e + 1, f - 3)),
     ])
 
 
 def _g2_left_1(t):
     a, b, c, d, e, f = t
     return _emit([
-        (-qbracket(1) * qint(c, 3) * qpow(3 * a + b - 3 * c + 2),
-         (a, b, c - 1, d + 2, e, f)),
-        (qint(3) * qint(b - 1) * qint(b) * qpow(3 * a - b + 2),
+        (-qbracket(1) * qint(d + 1) * qint(d + 2)
+         * qpow(3 * a + b - 3 * c + 2), (a, b, c - 1, d + 2, e, f)),
+        (qint(3) * qint(c + 1, 3) * qpow(3 * a - b + 2),
          (a, b - 2, c + 1, d, e, f)),
-        (qint(3) * qint(d) * qpow(3 * a + b - 2 * d + 2),
+        (qint(3) * qint(e + 1, 3) * qpow(3 * a + b - 2 * d + 2),
          (a, b, c, d - 1, e + 1, f)),
-        (qpow(3 * a + b - d - 3 * e), (a, b, c, d, e, f + 1)),
-        (qint(2) * qint(b) * qpow(3 * (a - c)), (a, b - 1, c, d + 1, e, f)),
-        (qint(a, 3), (a - 1, b + 1, c, d, e, f)),
+        (qint(f + 1) * qpow(3 * a + b - d - 3 * e), (a, b, c, d, e, f + 1)),
+        (qint(2) * qint(d + 1) * qpow(3 * (a - c)),
+         (a, b - 1, c, d + 1, e, f)),
+        (qint(b + 1), (a - 1, b + 1, c, d, e, f)),
     ])
 
 
 def _g2_left_2(t):
     a, b, c, d, e, f = t
-    return [(ONE, (a + 1, b, c, d, e, f))]
+    return [(qint(a + 1, 3), (a + 1, b, c, d, e, f))]
 
 
 # ---------------------------------------------------------------------------

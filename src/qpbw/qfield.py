@@ -829,6 +829,14 @@ def q_factorial(m, d=1):
     return out
 
 
+def q_binom(n, r, d=1):
+    """Gaussian binomial [n choose r] in base q^d, by exact division."""
+    if r < 0 or r > n:
+        return _LP_ZERO
+    return poly_divexact(q_factorial(n, d),
+                         q_factorial(r, d) * q_factorial(n - r, d))
+
+
 def q_pochhammer(m, d=1):
     """(p^2; p^2)_m with p = q^d:  prod_{t=1..m} (1 - q^(2dt))."""
     out = _LP_ONE

@@ -9,7 +9,6 @@ from qpbw.cli import (
     TableRecord, compute_records, main, record_from_json, record_to_json,
     records_from_csv, records_to_csv,
 )
-from qpbw.presets import preset
 from qpbw.qfield import LaurentPoly, RationalFunction, parse
 
 
@@ -191,7 +190,7 @@ def test_arithmetic_error_exits_one(monkeypatch, capsys, exc):
 
 @pytest.fixture
 def fresh_pbw_caches():
-    caches = (pbw._divided_rule_terms, pbw._word1_divided,
+    caches = (pbw._rule_terms, pbw._word1_divided,
               pbw.transition_block)
     for cache in caches:
         cache.cache_clear()
@@ -205,17 +204,6 @@ def fresh_pbw_caches():
 _ONE_PLUS_Q = RationalFunction(LaurentPoly({0: 1, 1: 1}))
 
 
-def _off_rule_terms(monkeypatch):
-    rule = preset("C2").right_rules[2]
-
-    def broken(t):
-        terms = list(rule(t))
-        c, u = terms[0]
-        terms[0] = (c / _ONE_PLUS_Q, u)
-        return terms
-    monkeypatch.setitem(preset("C2").right_rules, 2, broken)
-
-
 def _off_root_vector(monkeypatch):
     root_vector = pbw._root_vector
 
@@ -226,9 +214,6 @@ def _off_root_vector(monkeypatch):
 
 
 @pytest.mark.parametrize("patch,message", [
-    (_off_rule_terms, "inexact division in the divided right rule of C2 "
-                      "at weight (0, 0): e_2 on (0, 0, 0, 0), "
-                      "term (1, 0, 0, 0)\n"),
     (_off_root_vector, "inexact division in gamma of C2 at weight (1, 1), "
                        "row (0, 0, 1, 0), column (0, 1, 0, 0)\n"),
 ])
@@ -314,6 +299,23 @@ def test_config_defaults_and_flag_override(tmp_path, capsys):
                      capsys)
     assert rc == 0
     assert out.lstrip().startswith("{")
+
+
+@pytest.mark.parametrize("argv, config, rc, err", [
+    (["selftest"], "max_occ = 3\n", 2,
+     "qpbw: selftest does not read config key 'max_occ'\n"),
+    (["verify", "tetra"], "kind = R\n", 2,
+     "qpbw: verify tetra does not read config key 'kind'\n"),
+    (["compute"], "algebra = A2\nkind = R\nin = 1,0,0\nmax-height = 2\n", 0,
+     "1 records\n"),
+], ids=["selftest-max_occ", "tetra-kind", "compute"])
+def test_config_key_the_command_does_not_read(argv, config, rc, err,
+                                              tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(config)
+    got_rc, out, got_err = run(argv + ["--config", str(cfg)], capsys)
+    assert (got_rc, got_err) == (rc, err)
+    assert (out == "") == (rc == 2)
 
 
 def test_config_bad_key_and_missing_file(tmp_path, capsys):

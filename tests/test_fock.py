@@ -17,10 +17,12 @@ from qpbw.fock import (
     sigma_e_op, sigma_op, word_arg, xi_matrix,
 )
 from qpbw.fock import _mono_apply, _mono_mul_word
-from qpbw.qfield import d_norm, sum_products
+from qpbw.qfield import d_norm, q_factorial, sum_products
 from qpbw.presets import (
-    ONE, preset, qfact, qint, qpow, reverse, rf, tuples_with_weight,
+    ONE, preset, qint, qpow, reverse, rf, tuples_with_weight,
 )
+
+from plain_rules import plain_rule
 
 _TOKEN = re.compile(r"([aA][+-]|[kK])(\d)(')?$")
 
@@ -399,13 +401,14 @@ def _xi_divided(name, word, i, vec, r):
     """xi_i^(r) = xi_i^r / [r]_{q_i}! on a vector over scaled kets."""
     for _ in range(r):
         vec = _xi_scaled(name, word, i, vec)
-    return {A: c / qfact(r, preset(name).d[i]) for A, c in vec.items()}
+    fact = rf(q_factorial(r, preset(name).d[i]))
+    return {A: c / fact for A, c in vec.items()}
 
 
 def test_xi_divided_powers():
     vac = {(0, 0, 0): ONE}
     assert _xi_divided("A2", 1, 1, vac, 3) \
-        == {(3, 0, 0): ONE / qfact(3, 1)}
+        == {(3, 0, 0): ONE / rf(q_factorial(3, 1))}
     # q-binomial spreading: xi_2^(2) on a mixed ket stays exact
     assert _xi_divided("A2", 1, 2, {(2, 0, 0): ONE}, 2) == {
         (2, 0, 2): qpow(4) / qint(2), (1, 1, 1): ONE + qpow(2),
@@ -424,13 +427,13 @@ def _scaled_xi_matrix(name, label, i, weight):
 
 
 def _plain_rho(name, label, i, A):
-    """e_i times the plain monomial B[A] of word label, off the preset
+    """e_i times the plain monomial B[A] of word label, off the plain
     rules; word 1 conjugates the word-2 right rules by reversal."""
-    p = preset(name)
     if label == 2:
-        terms = p.left_rules[i](A)
+        terms = plain_rule(name, "left", i)(A)
     else:
-        terms = [(c, reverse(t)) for c, t in p.right_rules[i](reverse(A))]
+        terms = [(c, reverse(t))
+                 for c, t in plain_rule(name, "right", i)(reverse(A))]
     return sum_products((t, c, ONE) for c, t in terms)
 
 

@@ -1,11 +1,11 @@
 """The table path runs (almost) no polynomial gcd.
 
 Phi is solved on bare kets and gamma is normal-ordered in the divided
-basis, so every quotient on both paths is an exact division of Laurent
-polynomials.  What gcds remain come from building the presets and their
-rules, which keep their fractional q-integer coefficients.  The count is
-taken in a fresh interpreter, so no cache of this test session hides a
-call.
+basis, with rules whose coefficients are Laurent polynomials, so every
+quotient on both paths is an exact division of Laurent polynomials.  The
+12 gcds that remain come from building the presets' root vectors, whose
+coefficients carry 1/[2] and 1/[3].  The count is taken in a fresh
+interpreter, so no cache of this test session hides a call.
 """
 
 import json
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import qpbw
 
-GCD_BOUND = 100
+GCD_BOUND = 12
 
 _COUNT = """
 import json

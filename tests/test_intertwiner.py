@@ -434,7 +434,7 @@ def test_bare_block_matches_sympy():
 
 
 # ---------------------------------------------------------------------------
-# substitution against the Bareiss elimination it replaces, and sympy
+# substitution against the solution a system was built from, and sympy
 
 small_coeffs = st.integers(min_value=-3, max_value=3)
 DENS = (LaurentPoly({0: 1}), LaurentPoly({0: 1, 2: -1}),
@@ -481,13 +481,13 @@ def triangular_systems(draw):
 @given(triangular_systems())
 @settings(max_examples=60, deadline=None)
 def test_substitution_matches_bareiss(system):
+    """Substitution recovers the Y that the system was built from."""
     P, Qm, Y = system
     n, k = len(P[0]), len(Qm[0])
     assert intertwiner._substitute(
         [{c: x for c, x in enumerate(row) if x} for row in P], Qm, n, k) == Y
     got = solve_exact(P, Qm)
     assert got == Y
-    assert got == intertwiner._solve_bareiss(P, Qm, n, k)
     assert ([[canonical_string(v) for v in row] for row in got]
             == [[canonical_string(v) for v in row] for row in Y])
 
@@ -516,25 +516,21 @@ def test_solve_exact_matches_sympy():
             assert sympy.cancel(to_sympy(got[i][j]) - want[i, j]) == 0
 
 
-def test_dense_system_takes_the_fallback(monkeypatch):
-    # no row of [[1, q], [q, 1]] has a single unknown
-    calls = []
-    bareiss = intertwiner._solve_bareiss
-
-    def counted(*args):
-        calls.append(args)
-        return bareiss(*args)
-    monkeypatch.setattr(intertwiner, "_solve_bareiss", counted)
-    det = ONE - Q * Q
-    Y = solve_exact([[ONE, Q], [Q, ONE]], [[ONE, ZERO], [ZERO, ONE]])
-    assert Y == [[ONE / det, -Q / det], [-Q / det, ONE / det]]
-    assert len(calls) == 1
+def test_dense_system_raises(monkeypatch):
+    # no row of [[1, q], [q, 1]] has a single unknown, though it is regular
+    with pytest.raises(ArithmeticError,
+                       match="^no row has a single unknown left$"):
+        solve_exact([[ONE, Q], [Q, ONE]], [[ONE, ZERO], [ZERO, ONE]])
+    # a Phi block that stalls names its algebra and weight
+    phi = PhiTable("A2", 1)
+    monkeypatch.setattr(intertwiner, "_substitute", lambda *args: None)
+    with pytest.raises(ArithmeticError, match=r"^A2 block \(1, 1\): no row "
+                       "has a single unknown left$"):
+        phi.block((1, 1))
 
 
 @pytest.mark.parametrize("name,hmax", (("A2", 8), ("C2", 6), ("G2", 4)))
-def test_phi_blocks_need_no_fallback(monkeypatch, name, hmax):
-    def refuse(*args):
-        raise AssertionError("Bareiss fallback reached")
-    monkeypatch.setattr(intertwiner, "_solve_bareiss", refuse)
+def test_phi_blocks_need_no_fallback(name, hmax):
+    # solve_exact raises on a block that substitution cannot solve
     phi = PhiTable(name, hmax)
     assert set(weights_up_to(name, hmax)) <= set(phi._blocks)

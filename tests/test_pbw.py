@@ -2,7 +2,8 @@
 
 The engine works in the divided word-2 basis B^(A) = B[A] / F2(A) only.
 Plain-power references (coefficients of B[A]) are formed in this file
-from the preset rules, and rescaled by F2 where they meet the engine.
+from the plain rules of tests/plain_rules.py, and rescaled by F2 where
+they meet the engine.
 """
 
 import random
@@ -26,7 +27,9 @@ from qpbw.pbw import (
     serre_residuals,
     transition_block,
 )
-from qpbw.pbw import _divided_rule_terms, _factorial_run, _word1_divided
+from qpbw.pbw import _rule_terms, _word1_divided
+
+from plain_rules import plain_rule
 
 
 def lp(d):
@@ -51,16 +54,14 @@ def _divided(name, plain, t=None):
 
 def _plain_mul(name, v, wp, side="right"):
     """v . wp (side right) or wp . v (side left) over plain monomials B[A],
-    read straight off the preset rules."""
-    p = preset(name)
-    rules = p.right_rules if side == "right" else p.left_rules
-
+    read straight off the plain rules."""
     def terms():
         for w, c in wp.items():
             cur = v
             for i in (w if side == "right" else reverse(w)):
+                rule = plain_rule(name, side, i)
                 cur = sum_products((u, coeff, x) for t, x in cur.items()
-                                   for coeff, u in rules[i](t))
+                                   for coeff, u in rule(t))
             for t, x in cur.items():
                 yield t, x, c
 
@@ -286,25 +287,13 @@ def test_gamma_integrality_small_blocks():
                     assert is_integer_polynomial(g), (name, w, A, B)
 
 
-def test_factorial_product():
-    # the runs [lo+1] ... [hi] that rescale rule terms slot by slot
-    assert rf(_factorial_run(0, 2, 2)) == qint(2, 2)
-    assert rf(_factorial_run(1, 3, 1)) == qint(2) * qint(3)
-    assert rf(_factorial_run(2, 2, 3)) == rf(1)
-    for d in (1, 2, 3):
-        for lo in range(4):
-            for hi in range(lo, 6):
-                assert (rf(_factorial_run(lo, hi, d)) * rf(q_factorial(lo, d))
-                        == rf(q_factorial(hi, d)))
-
-
 def test_zero_tuple():
     assert zero_tuple("G2") == (0, 0, 0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
 # gamma in the divided basis against plain-power normal ordering and a
-# factorial rescale, both formed here; the divided rule terms
+# factorial rescale, both formed here; the cached rule terms
 
 
 _plain_rows = {}
@@ -376,7 +365,7 @@ def test_divided_rule_terms_are_laurent(name, data, letter, side):
     p = preset(name)
     t = tuple(data.draw(st.integers(min_value=0, max_value=6))
               for _ in range(p.length))
-    for c, u in _divided_rule_terms(name, side, letter, t):
+    for c, u in _rule_terms(name, side, letter, t):
         assert c.den.is_one(), (name, side, letter, t, u)
 
 
@@ -384,15 +373,11 @@ def test_divided_rule_terms_are_laurent(name, data, letter, side):
 @given(st.sampled_from(ALGEBRAS), st.data(), st.sampled_from([1, 2]),
        st.sampled_from(["right", "left"]))
 def test_rule_terms_match_rules(name, data, letter, side):
-    """The cached divided rule terms are the preset rule, rescaled by F2."""
+    """The cached rule terms are the preset rule as it stands, built once."""
     p = preset(name)
     t = tuple(data.draw(st.integers(min_value=0, max_value=6))
               for _ in range(p.length))
-    got = _divided_rule_terms(name, side, letter, t)
-    plain = (p.right_rules if side == "right" else p.left_rules)[letter](t)
-    assert [u for _, u in got] == [u for _, u in plain]
-    for (c, u), (c0, _) in zip(got, plain):
-        want = c0 * _factorials(name, 2, u) / _factorials(name, 2, t)
-        assert c == want
-        assert canonical_string(c) == canonical_string(want)
-    assert _divided_rule_terms(name, side, letter, t) is got
+    got = _rule_terms(name, side, letter, t)
+    rule = (p.right_rules if side == "right" else p.left_rules)[letter]
+    assert got == tuple(rule(t))
+    assert _rule_terms(name, side, letter, t) is got

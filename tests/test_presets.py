@@ -1,9 +1,12 @@
 """Structure-constant sanity checks for the three preset algebras."""
 
+import itertools
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbw.qfield import LaurentPoly
+from qpbw.qfield import LaurentPoly, q_binom, q_factorial, q_int
 from qpbw.presets import (
     ALGEBRAS,
     preset,
@@ -18,6 +21,8 @@ from qpbw.presets import (
     wp_chi,
     reverse,
 )
+
+from plain_rules import plain_rule
 
 
 def lp(d):
@@ -160,6 +165,44 @@ def test_rules_preserve_conservation(name_tuple, letter, side):
         assert p.conserved2(out) == (base[0] + inc[0], base[1] + inc[1])
 
 
+@lru_cache(maxsize=None)
+def _run(lo, hi, d):
+    """[lo+1] ... [hi] = [hi]! / [lo]! in base q^d."""
+    out = LaurentPoly.one()
+    for m in range(lo + 1, hi + 1):
+        out = out * q_int(m, d)
+    return out
+
+
+@pytest.mark.parametrize("letter", [1, 2])
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_divided_rule_matches_plain_reference(name, side, letter):
+    """Each preset rule is the plain-power rule times F2(u) / F2(t), term
+    by term and in the same order, on every tuple with entries <= 4.
+
+    F2(u) / F2(t) is the product over the slots of [u_k]! / [t_k]!, a
+    run of q-integers up or down, so with c0 the plain coefficient the
+    divided one c is Laurent and c * (runs down) = c0 * (runs up).
+    """
+    p = preset(name)
+    rule = (p.right_rules if side == "right" else p.left_rules)[letter]
+    plain = plain_rule(name, side, letter)
+    bases = [p.d[node] for node in p.word2]
+    for t in itertools.product(range(5), repeat=p.length):
+        got, want = rule(t), plain(t)
+        assert [u for _, u in got] == [u for _, u in want], t
+        for (c, u), (c0, _) in zip(got, want):
+            assert c.den.is_one(), (t, u)
+            up, down = c0.num, c.num * c0.den
+            for x, y, d in zip(t, u, bases):
+                if y > x:
+                    up = up * _run(x, y, d)
+                elif x > y:
+                    down = down * _run(y, x, d)
+            assert down == up, (t, u)
+
+
 def test_rules_on_trivial_monomials():
     """One-letter products with the empty monomial just create b_1 / b_l."""
     for name in ALGEBRAS:
@@ -204,6 +247,13 @@ def test_serre_relation_shapes():
 
 def test_qbinom_values():
     assert qbinom(4, 2, 1) == qint(4) * qint(3) / qint(2)
+    assert qbinom(5, 3, 1) == qint(5) * qint(4) * qint(3) / (qint(2) * qint(3))
+    assert qbinom(6, 3, 3) == rf(q_factorial(6, 3)) / rf(q_factorial(3, 3)) ** 2
+    for d in (1, 2, 3):
+        for n in range(7):
+            assert all(rf(q_binom(n, r, d)) == rf(q_binom(n - 1, r - 1, d))
+                       * qpow(d * (n - r)) + rf(q_binom(n - 1, r, d))
+                       * qpow(-d * r) for r in range(1, n))
     assert qbinom(3, 1, 2) == qint(3, 2)
     assert qbinom(5, 0, 1) == rf(1)
     assert qbinom(2, 3, 1) == rf(0)

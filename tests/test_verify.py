@@ -172,8 +172,8 @@ def test_properties_smoke():
 
 
 # ---------------------------------------------------------------------------
-# key-prop fails on mutated divided rule terms (the mutation wraps the
-# cache, so the cached terms stay the true ones)
+# key-prop fails on mutated rule terms (the mutation wraps the cache, so
+# the cached terms stay the true ones)
 
 
 def _drop_second_term(terms):
@@ -196,11 +196,37 @@ def _first_times_q(terms):
 ])
 @pytest.mark.parametrize("name", ["A2", "C2", "G2"])
 def test_key_prop_catches_mutated_rule(monkeypatch, change, witness, name):
-    rule_terms = pbw._divided_rule_terms
-    monkeypatch.setattr(pbw, "_divided_rule_terms",
+    rule_terms = pbw._rule_terms
+    monkeypatch.setattr(pbw, "_rule_terms",
                         lambda *key: change(rule_terms(*key)))
     check = verify._key_prop_check(name, 1)
     assert check == (f"{name}-key-prop", False, witness[name])
+
+
+def _moved_g2_right_2(rule_terms):
+    """A monomial change in one table entry: in G2 B^(t) . e_2, the term at
+    t + (0, 1, 0, 0, 0, -1) lands on t + (1, 0, 0, 0, 0, 0) instead."""
+    src, dst = (0, 1, 0, 0, 0, -1), (1, 0, 0, 0, 0, 0)
+
+    def terms(name, side, letter, t):
+        got = rule_terms(name, side, letter, t)
+        if (name, side, letter) != ("G2", "right", 2):
+            return got
+        u_src = tuple(x + y for x, y in zip(t, src))
+        u_dst = tuple(x + y for x, y in zip(t, dst))
+        return tuple((c, u_dst if u == u_src else u) for c, u in got)
+    return terms
+
+
+def test_checks_catch_a_moved_rule_term(monkeypatch):
+    monkeypatch.setattr(pbw, "_rule_terms",
+                        _moved_g2_right_2(pbw._rule_terms))
+    assert verify._key_prop_check("G2", 1) == (
+        "G2-key-prop", False, "word 1 e_2 ket (1, 0, 0, 0, 0, 0)")
+    check_id, passed, witness = verify._serre_pbw_check("G2")
+    assert (check_id, passed) == ("G2-serre-pbw", False)
+    assert witness.startswith("pair (1, 2): residual at (1, 0, 0, 0, 0, 4) "
+                              "-> -q^-9 + q^-8 - 4q^-7"), witness
 
 
 def test_t_intertwining_smoke():
