@@ -27,6 +27,7 @@ from .presets import (
 from .qfield import canonical_string, parse as parse_coefficient
 
 KINDS = ("gamma", "phi", "R", "K", "F")
+FORMATS = ("json", "csv")
 # the options each suite reads; setting any other one is a usage error
 SUITE_OPTIONS = {
     "tetra": ("max_occ",),
@@ -197,9 +198,8 @@ def run_suite(suite, algebras=None, max_height=None, max_occ=None):
     if suite == "theorem":
         return verify.verify_theorem(heights=heights, algebras=algebras)
     if suite == "props":
-        kw = _given(key_prop_entries=max_occ, serre_entries=max_occ)
         return verify.verify_properties(heights=heights, algebras=algebras,
-                                        **kw)
+                                        **_given(key_prop_entries=max_occ))
     bounds = None if max_occ is None else {a: max_occ for a in algebras}
     return verify.verify_t_intertwining(
         bounds=bounds, heights=heights, algebras=algebras)
@@ -234,6 +234,8 @@ def _apply_config(args):
             cfg[k.strip().replace("-", "_")] = v.strip()
     names = {"algebra": str, "kind": str, "inp": str, "max_height": int,
              "max_occ": int, "fmt": str, "out": str}
+    # the flags' choices, which a config value must meet as well
+    choices = {"algebra": ALGEBRAS, "kind": KINDS, "fmt": FORMATS}
     alias = {"format": "fmt", "in": "inp"}
     command = args.command
     if command == "verify":
@@ -247,16 +249,22 @@ def _apply_config(args):
         if getattr(args, key) is not None:
             continue                      # flags win
         try:
-            setattr(args, key, names[key](val))
+            value = names[key](val)
+            if value not in choices.get(key, (value,)):
+                raise ValueError(val)
         except ValueError:
-            raise UsageError(f"bad config value for {key}: {val!r}")
+            raise UsageError(f"bad config value for {raw}: {val!r}")
+        setattr(args, key, value)
 
 
 def _emit(lines, out_path):
     text = "\n".join(lines) + ("\n" if lines else "")
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write {out_path}: {e.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -290,14 +298,17 @@ def _build_parser():
                     help="comma-separated exponent tuple, e.g. 3,1,4")
     pc.add_argument("--max-height", dest="max_height", type=int,
                     help="index-sum bound for enumerated inputs")
-    pc.add_argument("--format", dest="fmt", choices=("json", "csv"))
+    pc.add_argument("--format", dest="fmt", choices=FORMATS)
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run one verification suite")
     pv.add_argument("suite", choices=SUITES)
     pv.add_argument("--algebra", choices=ALGEBRAS)
     pv.add_argument("--max-height", dest="max_height", type=int)
-    pv.add_argument("--max-occ", dest="max_occ", type=int)
+    pv.add_argument("--max-occ", dest="max_occ", type=int,
+                    help="tetra, reflect3d: total occupation; props: "
+                         "key-prop entry bound; intertwine: ket index-sum "
+                         "bound")
 
     sub.add_parser("selftest", parents=[common],
                    help="fast pass over every suite")

@@ -144,8 +144,8 @@ def test_criterion_7_serre_suites(property_report):
     for c in got.values():
         assert c.passed, (c.check_id, c.witness)
         if c.check_id.endswith("fock"):
-            assert c.witness.endswith("entries <= 3"), c
-    announce(7, "q-Serre sums vanish symbolically and on kets")
+            assert c.witness.endswith("all occupations"), c
+    announce(7, "q-Serre sums vanish symbolically and as Fock operators")
 
 
 def test_criterion_8_t_intertwining():

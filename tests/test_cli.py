@@ -131,6 +131,14 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text() == out
 
 
+def test_out_path_that_cannot_be_written_exits_two(tmp_path, capsys):
+    path = tmp_path / "missing" / "x"
+    rc, out, err = run(["compute", "--algebra", "A2", "--kind", "R",
+                        "--in", "1,0,0", "--out", str(path)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"qpbw: cannot write {path}: ")
+
+
 # ---------------------------------------------------------------------------
 # usage errors (exit 2) and check failures (exit 1)
 
@@ -316,6 +324,22 @@ def test_config_key_the_command_does_not_read(argv, config, rc, err,
     got_rc, out, got_err = run(argv + ["--config", str(cfg)], capsys)
     assert (got_rc, got_err) == (rc, err)
     assert (out == "") == (rc == 2)
+
+
+@pytest.mark.parametrize("argv, config, err", [
+    (["verify", "theorem"], "algebra = X3\n",
+     "qpbw: bad config value for algebra: 'X3'\n"),
+    (["compute"], "algebra = A2\nkind = R\nin = 1,0,0\nformat = xml\n",
+     "qpbw: bad config value for format: 'xml'\n"),
+    (["compute"], "algebra = A2\nkind = Z\nin = 1,0,0\n",
+     "qpbw: bad config value for kind: 'Z'\n"),
+], ids=["theorem-algebra", "compute-format", "compute-kind"])
+def test_config_value_outside_the_flag_choices(argv, config, err, tmp_path,
+                                               capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(config)
+    rc, out, got_err = run(argv + ["--config", str(cfg)], capsys)
+    assert (rc, out, got_err) == (2, "", err)
 
 
 def test_config_bad_key_and_missing_file(tmp_path, capsys):

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpbw import cli, pbw, verify
-from qpbw.presets import ONE, preset, qpow, zero_tuple
+from qpbw.presets import ONE, preset, qbinom, qpow, zero_tuple
 from qpbw import fock
-from qpbw.qfield import LaurentPoly, RationalFunction, canonical_string
+from qpbw.qfield import (
+    LaurentPoly, RationalFunction, canonical_string, sum_products,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ def test_theorem_smoke():
 
 def test_properties_smoke():
     r = verify.verify_properties(heights={"C2": 2}, algebras=("C2",),
-                                 key_prop_entries=1, serre_entries=1)
+                                 key_prop_entries=1)
     assert r.passed
     ids = {c.check_id for c in r.checks}
     assert "C2-involution" in ids
@@ -227,6 +229,109 @@ def test_checks_catch_a_moved_rule_term(monkeypatch):
     assert (check_id, passed) == ("G2-serre-pbw", False)
     assert witness.startswith("pair (1, 2): residual at (1, 0, 0, 0, 0, 4) "
                               "-> -q^-9 + q^-8 - 4q^-7"), witness
+
+
+# ---------------------------------------------------------------------------
+# serre-fock: the operator sums against the ket sweep they replaced
+
+
+def _serre_sweep(name, bound):
+    """The cleared Serre sums of fock.xi_bar_op applied ket by ket.
+
+    Every ket with entries <= bound goes through the sum with
+    fock.apply_op, and the parts are combined with the signed q-binomials.
+    Returns {(word, (i, j), ket): residual} for each nonzero residual.
+    """
+    p = preset(name)
+    out = {}
+    for label in (1, 2):
+        for (i, j), a in sorted(p.cartan.items()):
+            top = 1 - a
+            bar_i = fock.xi_bar_op(name, label, i)
+            bar_j = fock.xi_bar_op(name, label, j)
+            col_i, col_j = {}, {}
+
+            def step(op, vec, cache, label=label):
+                for ket in vec:
+                    if ket not in cache:
+                        cache[ket] = fock.apply_op(name, label, op, {ket: ONE})
+                return sum_products((t, v, c) for ket, c in vec.items()
+                                    for t, v in cache[ket].items())
+
+            for ket in verify._entry_bounded_tuples(p.length, bound):
+                chain = [{ket: ONE}]
+                for _ in range(top):
+                    chain.append(step(bar_i, chain[-1], col_i))
+                parts = []
+                for r in range(top + 1):
+                    vec = step(bar_j, chain[top - r], col_j)
+                    for _ in range(r):
+                        vec = step(bar_i, vec, col_i)
+                    c = qbinom(top, r, p.d[i])
+                    parts.append((-c if r % 2 else c, vec))
+                residual = sum_products((t, c, v) for c, vec in parts
+                                        for t, v in vec.items())
+                if residual:
+                    out[(label, (i, j), ket)] = residual
+    return out
+
+
+@pytest.mark.parametrize("name", ["A2", "C2", "G2"])
+def test_serre_fock_proves_what_the_sweep_shows(name):
+    assert verify._serre_fock_check(name) == (
+        f"{name}-serre-fock", True, "4 operator sums vanish, all occupations")
+    assert _serre_sweep(name, 1) == {}
+
+
+def _mutate_word1_xi2(monkeypatch, change):
+    """fock.xi_bar_op with the first term of word 1's xi_2 changed."""
+    xi_bar_op = fock.xi_bar_op
+
+    def mutated(name, word, i):
+        op = xi_bar_op(name, word, i)
+        if (word, i) != (1, 2):
+            return op
+        first = next(iter(op))
+        new_key, new_coeff = change(first, op[first])
+        out = {m: c for m, c in op.items() if m != first}
+        assert new_key not in out
+        out[new_key] = new_coeff
+        return out
+
+    monkeypatch.setattr(fock, "xi_bar_op", mutated)
+
+
+def _moved_slot1_k(monos, c):
+    """A monomial change: slot 1's (x, t, y) becomes (x, t + 1, y)."""
+    x, t, y = monos[0]
+    return ((x, t + 1, y),) + monos[1:], c
+
+
+@pytest.mark.parametrize("name", ["A2", "C2", "G2"])
+def test_serre_fock_catches_a_moved_monomial(monkeypatch, name):
+    _mutate_word1_xi2(monkeypatch, _moved_slot1_k)
+    check_id, passed, witness = verify._serre_fock_check(name)
+    assert (check_id, passed) == (f"{name}-serre-fock", False)
+    assert re.fullmatch(r"word 1 pair \(1,2\): \d+ canonical terms, first "
+                        r"\(\(.+\)\) -> .+", witness), witness
+    bad = {(label, pair) for label, pair, _ in _serre_sweep(name, 1)}
+    assert bad == {(1, (1, 2)), (1, (2, 1))}
+
+
+@pytest.mark.parametrize("name,passed", [("A2", True), ("C2", True),
+                                         ("G2", False)])
+def test_serre_fock_under_a_scaled_term(monkeypatch, name, passed):
+    """A scalar change: the first term of word 1's xi_2 gains a factor q.
+
+    In A2 and C2 that term is the only one of word 1's xi_1 and xi_2 that
+    changes the last slot's occupation (it raises it by one), so the change
+    is the rescaling a+ -> q a+, a- -> q^-1 a- of that oscillator: an
+    automorphism, under which the Serre relations still hold.  In G2 that
+    term leaves the last slot alone while another raises it, so the change
+    is no automorphism, and the operator check must fail.
+    """
+    _mutate_word1_xi2(monkeypatch, lambda monos, c: (monos, c * qpow(1)))
+    assert verify._serre_fock_check(name).passed is passed
 
 
 def test_t_intertwining_smoke():
