@@ -33,7 +33,7 @@ SUITE_OPTIONS = {
     "tetra": ("max_occ",),
     "reflect3d": ("max_occ",),
     "theorem": ("algebra", "max_height"),
-    "props": ("algebra", "max_height", "max_occ"),
+    "props": ("algebra", "max_height"),
     "intertwine": ("algebra", "max_height", "max_occ"),
 }
 SUITES = tuple(SUITE_OPTIONS)
@@ -198,8 +198,7 @@ def run_suite(suite, algebras=None, max_height=None, max_occ=None):
     if suite == "theorem":
         return verify.verify_theorem(heights=heights, algebras=algebras)
     if suite == "props":
-        return verify.verify_properties(heights=heights, algebras=algebras,
-                                        **_given(key_prop_entries=max_occ))
+        return verify.verify_properties(heights=heights, algebras=algebras)
     bounds = None if max_occ is None else {a: max_occ for a in algebras}
     return verify.verify_t_intertwining(
         bounds=bounds, heights=heights, algebras=algebras)
@@ -306,9 +305,8 @@ def _build_parser():
     pv.add_argument("--algebra", choices=ALGEBRAS)
     pv.add_argument("--max-height", dest="max_height", type=int)
     pv.add_argument("--max-occ", dest="max_occ", type=int,
-                    help="tetra, reflect3d: total occupation; props: "
-                         "key-prop entry bound; intertwine: ket index-sum "
-                         "bound")
+                    help="tetra, reflect3d: total occupation; intertwine: "
+                         "ket index-sum bound")
 
     sub.add_parser("selftest", parents=[common],
                    help="fast pass over every suite")
@@ -325,6 +323,8 @@ def main(argv=None):
             if val is not None and val < 0:
                 raise UsageError(f"--{key.replace('_', '-')} must be "
                                  f"nonnegative, got {val}")
+        if args.out:
+            _emit([], args.out)     # an unwritable path fails before any work
         if args.command == "compute":
             if args.algebra is None or args.kind is None:
                 raise UsageError("compute needs --algebra and --kind")

@@ -30,7 +30,7 @@ relations; the property checks carry lambda_i as the scalar it is.
 
 from functools import lru_cache
 
-from .qfield import LaurentPoly, sum_products
+from .qfield import sum_products
 from .presets import preset, rf, ONE, qpow, tuples_with_weight
 
 
@@ -122,15 +122,15 @@ def _mono_apply(mono, m, d):
 
     Cached: operator application meets the same slot action many times.
 
-    The lower-power factor prod_t (1 - p^{2(m-t)}) hits zero exactly when
-    the ket would drop below the vacuum, so we bail out there.
+    The factor prod_t (1 - p^{2(m-t)}) vanishes exactly when the ket would
+    drop below the vacuum, so we bail out there; a symbolic m keeps it.
     """
     x, t, y = mono
     coeff = ONE
     for s in range(y):
         if m - s == 0:
             return None
-        coeff = coeff * rf(LaurentPoly({0: 1, 2 * d * (m - s): -1}))
+        coeff = coeff * (ONE - qpow(2 * d * (m - s)))
     n = m - y
     if t:
         coeff = coeff * qpow(d * t * n)

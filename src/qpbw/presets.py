@@ -57,13 +57,17 @@ ZERO = rf(0)
 
 @lru_cache(maxsize=None)
 def qpow(n):
-    """q^n as a RationalFunction."""
+    """q^n as a RationalFunction; n.qpow() for a symbolic (non-int) n."""
+    if not isinstance(n, int):
+        return n.qpow()
     return rf(LaurentPoly.qpow(n))
 
 
 @lru_cache(maxsize=None)
 def qint(m, d=1):
-    """[m] in base q^d."""
+    """[m] in base q^d; (q^dm - q^-dm) / (q^d - q^-d) for a symbolic m."""
+    if not isinstance(m, int):
+        return (qpow(d * m) - qpow(-d * m)) * (ONE / qbracket(d))
     return rf(q_int(m, d))
 
 
@@ -75,7 +79,11 @@ def qbracket(n):
 
 @lru_cache(maxsize=None)
 def qbinom(n, r, d=1):
-    """Gaussian binomial [n choose r] in base q^d (a Laurent polynomial)."""
+    """Gaussian binomial [n choose r] in base q^d (a Laurent polynomial);
+    [n] / [r] [n - 1 choose r - 1] for a symbolic n."""
+    if not isinstance(n, int):
+        return (qint(n, d) * qbinom(n - 1, r - 1, d) * (ONE / qint(r, d))
+                if r else ONE)
     return rf(q_binom(n, r, d))
 
 
@@ -183,7 +191,7 @@ class AlgebraPreset:
 # written out as q-integers, q-binomials and q-powers, so it is a Laurent
 # polynomial (Lusztig's integral form).  A term whose shifted tuple would
 # go negative is absent from the product, although its coefficient is not
-# zero there, so it is dropped by its tuple.
+# zero there, so it is dropped by its tuple.  A symbolic entry keeps it.
 
 
 def _emit(terms):

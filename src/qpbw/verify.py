@@ -6,19 +6,21 @@ in Q(q), never values at chosen points.  The operator equations
 (tetrahedron, 3D reflection) are run by applying the checked tables to
 every occupation state of a multi-slot product space up to a total
 occupation, with per-slot oscillator bases derived mechanically from the
-operators' type signatures.  The q-Serre relations of the xi operators
-are instead proved once as identities between canonical Fock operators,
-which covers every occupation with no bound.
+operators' type signatures.  The properties of the xi operators are
+instead proved for every occupation, with no bound: the q-Serre relations
+as identities between canonical Fock operators, and the key property
+rho(e_i) = pi(xi_i) at one ket whose entries are symbolic occupations.
 """
 
 import time
 from collections import namedtuple
 from functools import lru_cache, partial
+from operator import add
 
 from . import fock, pbw
 from .intertwiner import PhiTable, checked_table
 from .presets import (
-    KIND_ALGEBRA, ONE, ZERO, preset, qbinom, qpow, reverse,
+    KIND_ALGEBRA, ONE, ZERO, preset, qbinom, qpow, reverse, rf,
     tuples_with_weight, weights_up_to, zero_tuple,
 )
 from .qfield import (
@@ -54,7 +56,6 @@ class VerifyReport:
 
 DEFAULT_HEIGHTS = {"A2": 8, "C2": 8, "G2": 5}
 T_BOUNDS = {"A2": 4, "C2": 3, "G2": 2}
-KEY_PROP_ENTRIES = 4
 
 # Reference columns in canonical form: input tuple -> {output: coefficient}.
 # The unit tests hold the same data as factored source expressions; here it
@@ -347,11 +348,11 @@ def _golden_check(name):
 
 
 @lru_cache(maxsize=None)
-def _poch_run(lo, hi, d):
-    """(p^2; p^2)_hi / (p^2; p^2)_lo with p = q^d."""
+def _poch_run(x, m, d):
+    """(p^2; p^2)_(x+m) / (p^2; p^2)_x with p = q^d; x may be an _Occ."""
     out = ONE
-    for t in range(lo + 1, hi + 1):
-        out = out * (ONE - qpow(2 * d * t))
+    for j in range(1, m + 1):
+        out = out * (ONE - qpow(2 * d * (x + j)))
     return out
 
 
@@ -470,15 +471,75 @@ def _q0_check(name, tab, wset):
     return Check(f"{name}-q0-delta", True, f"{n} entries")
 
 
-def _entry_bounded_tuples(length, bound):
-    out = [()]
-    for _ in range(length):
-        out = [t + (v,) for t in out for v in range(bound + 1)]
-    return out
+class _Occ(namedtuple("_Occ", ["c", "k"])):
+    """A symbolic occupation sum_s c[s] t_s + k.  It is >= 0, so
+    presets._emit keeps every term: where t + delta is negative at some
+    ket, the key-prop check's lowering run vanishes."""
+
+    def __add__(self, o):
+        if type(o) is _Occ:
+            return _Occ(tuple(map(add, self.c, o.c)), self.k + o.k)
+        return _Occ(self.c, self.k + o)
+
+    def __mul__(self, n):
+        return _Occ(tuple(n * x for x in self.c), n * self.k)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, o):
+        return self + -o
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __ge__(self, n):
+        return True
+
+    def qpow(self):
+        return _KPoly({_vsum(self.c, ()): qpow(self.k)})
 
 
-def _key_prop_check(name, bound):
-    """rho(e_i) = pi(xi_i) on every column with entries <= bound.
+def _vsum(a, b):
+    v = tuple(map(add, a, b)) if a and b else a or b
+    return v if any(v) else ()
+
+
+class _KPoly(dict):
+    """A Laurent polynomial in the X_s = q^(t_s) over Q(q): {exponent
+    vector, () for the zero vector: nonzero RationalFunction}.  An int or
+    a RationalFunction operand stands for a constant."""
+
+    @staticmethod
+    def of(x):
+        return x if type(x) is _KPoly else _KPoly({(): rf(x)} if x else {})
+
+    def __add__(self, o):
+        return _KPoly(sum_products((e, v, ONE) for f in (self, _KPoly.of(o))
+                                   for e, v in f.items()))
+
+    def __mul__(self, o):
+        return _KPoly(sum_products((_vsum(a, b), x, y) for a, x in self.items()
+                                   for b, y in _KPoly.of(o).items()))
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, o):
+        return self + -_KPoly.of(o)
+
+    def __rsub__(self, o):
+        return -self + o
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _symbolic_ket(length):
+    return tuple(_Occ(tuple(int(r == s) for r in range(length)), 0)
+                 for s in range(length))
+
+
+def _key_prop_check(name):
+    """rho(e_i) = pi(xi_i) at a symbolic ket, so for every occupation.
 
     Both sides are read in the one normalisation: pbw.rho_column on
     divided monomials B^(A), fock.xi_bar_op = xi_i / lambda_i on bare kets
@@ -489,36 +550,39 @@ def _key_prop_check(name, bound):
     invertible diagonal change of basis, so the check is as strong as
     comparing scaled kets with plain powers.  The two sides are
     cross-multiplied slot by slot, each by the Pochhammer run of the slots
-    where its P is the larger, so every value stays Laurent.
+    where its P is the larger.
+
+    A is the ket t of symbolic occupations t_s, read through the rules and
+    fock.apply_op as they stand: each output is t + delta for a constant
+    delta, each side a Laurent polynomial in the q^(t_s), and equal
+    polynomials agree at every ket.
     """
     p = preset(name)
+    ket = _symbolic_ket(p.length)
     n = 0
     for label in (1, 2):
         bases = tuple(p.d[node] for node in p.word(label))
         for i in (1, 2):
             bar = fock.xi_bar_op(name, label, i)
             scale = ONE - qpow(2 * p.d[i])
-            for ket in _entry_bounded_tuples(p.length, bound):
-                left = pbw.rho_column(name, label, i, ket)
-                right = fock.apply_op(name, label, bar, {ket: ONE})
-                if left.keys() != right.keys() or any(
-                        not _same_up_to_poch(right[u], scale * c, u, ket,
-                                             bases)
-                        for u, c in left.items()):
+            sides = (fock.apply_op(name, label, bar, {ket: ONE}),
+                     pbw.rho_column(name, label, i, ket))
+            right, left = ({tuple(x.k for x in u): _KPoly.of(v)
+                            for u, v in vec.items()} for vec in sides)
+            for delta in sorted(left.keys() | right.keys()):
+                b = right.get(delta, _KPoly())
+                c = left.get(delta, _KPoly()) * scale
+                for x, dx, d in zip(ket, delta, bases):
+                    if dx > 0:
+                        b = b * _poch_run(x, dx, d)
+                    elif dx < 0:
+                        c = c * _poch_run(x + dx, -dx, d)
+                if b != c:
                     return Check(f"{name}-key-prop", False,
-                                 f"word {label} e_{i} ket {ket}")
+                                 f"word {label} e_{i} shift {delta}")
                 n += 1
-    return Check(f"{name}-key-prop", True, f"{n} columns, entries <= {bound}")
-
-
-def _same_up_to_poch(b, c, u, A, bases):
-    """b P(u) == c P(A), each side times the runs of its larger slots."""
-    for x, y, d in zip(A, u, bases):
-        if y > x:
-            b = b * _poch_run(x, y, d)
-        elif x > y:
-            c = c * _poch_run(y, x, d)
-    return b == c
+    return Check(f"{name}-key-prop", True,
+                 f"{n} shift identities, all occupations")
 
 
 def _serre_pbw_check(name):
@@ -568,8 +632,7 @@ def _serre_fock_check(name):
                  f"{n} operator sums vanish, all occupations")
 
 
-def verify_properties(heights=None, algebras=("A2", "C2", "G2"),
-                      key_prop_entries=KEY_PROP_ENTRIES):
+def verify_properties(heights=None, algebras=("A2", "C2", "G2")):
     """Structural identities of the tables and representations."""
     t0 = time.perf_counter()
     heights = {**DEFAULT_HEIGHTS, **(heights or {})}
@@ -589,7 +652,7 @@ def verify_properties(heights=None, algebras=("A2", "C2", "G2"),
         checks.append(_integrality_check(name, wset))
         if name in _Q0_INPUT:
             checks.append(_q0_check(name, tab, wset))
-        checks.append(_key_prop_check(name, key_prop_entries))
+        checks.append(_key_prop_check(name))
         checks.append(_serre_pbw_check(name))
         checks.append(_serre_fock_check(name))
     return VerifyReport("properties", checks, time.perf_counter() - t0)
@@ -674,8 +737,7 @@ def selftest():
     """A fast subset of every suite."""
     return [
         verify_theorem(heights={"A2": 4, "C2": 4, "G2": 3}),
-        verify_properties(heights={"A2": 3, "C2": 3, "G2": 2},
-                          key_prop_entries=1),
+        verify_properties(heights={"A2": 3, "C2": 3, "G2": 2}),
         verify_tetrahedron(max_occ=1),
         verify_3d_reflection(max_occ=1),
         verify_t_intertwining(bounds={"A2": 2, "C2": 1, "G2": 0},

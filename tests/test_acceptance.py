@@ -101,8 +101,9 @@ def test_criterion_3_xi_matrices_match_rho(property_report):
     assert set(got) == {f"{n}-key-prop" for n in ALGEBRAS}
     for c in got.values():
         assert c.passed, (c.check_id, c.witness)
-        assert c.witness.endswith("entries <= 4"), c
-    announce(3, "pi(xi_i) == rho(e_i) columns, entries <= 4, both words")
+        assert c.witness.endswith("all occupations"), c
+    announce(3, "pi(xi_i) == rho(e_i) shift by shift at a symbolic ket, "
+                "all occupations, both words")
 
 
 def test_criterion_4_tetrahedron():

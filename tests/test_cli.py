@@ -139,6 +139,25 @@ def test_out_path_that_cannot_be_written_exits_two(tmp_path, capsys):
     assert err.startswith(f"qpbw: cannot write {path}: ")
 
 
+@pytest.mark.parametrize("argv,attr", [
+    (["compute", "--algebra", "C2", "--kind", "gamma"],
+     (cli, "compute_records")),
+    (["verify", "theorem", "--algebra", "C2", "--max-height", "14"],
+     (cli, "run_suite")),
+    (["selftest"], (verify, "selftest")),
+], ids=["compute", "verify", "selftest"])
+def test_out_path_is_checked_before_any_work(argv, attr, tmp_path,
+                                             monkeypatch, capsys):
+    def work(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(*attr, work)
+    path = tmp_path / "missing" / "x"
+    rc, out, err = run(argv + ["--out", str(path)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"qpbw: cannot write {path}: ")
+
+
 # ---------------------------------------------------------------------------
 # usage errors (exit 2) and check failures (exit 1)
 
@@ -271,6 +290,7 @@ def test_verify_fanout_merges_all_algebras(capsys):
     ("reflect3d", "--max-height", "1"),
     ("reflect3d", "--algebra", "C2"),
     ("theorem", "--max-occ", "99"),
+    ("props", "--max-occ", "1"),
 ])
 def test_unread_option_exits_two(suite, flag, value, by_config, tmp_path,
                                  capsys):

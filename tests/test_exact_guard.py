@@ -7,7 +7,9 @@ The guard parses each module of the package and fails if it finds any of:
 * a definition or a read of `eval_at` (values are never taken at sample
   points of q);
 * a parameter named `mode`, `point` or `exact_occ` on a function or
-  lambda of `verify` or `cli` (the switches of the sampled checks).
+  lambda of `verify` or `cli` (the switches of the sampled checks), or
+  `key_prop_entries` or `serre_entries` (the bounds of the ket sweeps
+  that the proofs for all occupations replaced).
 
 A test shows that each finding fires.
 """
@@ -22,7 +24,8 @@ import qpbw
 
 SRC = Path(qpbw.__file__).parent
 
-SWITCHES = {"mode", "point", "exact_occ"}
+SWITCHES = {"mode", "point", "exact_occ", "key_prop_entries",
+            "serre_entries"}
 SWITCHED = {"verify.py", "cli.py"}
 
 
@@ -79,6 +82,10 @@ def test_exact_integer_only(path):
                  id="mode-switch"),
     pytest.param("def f(name, *, point=None): pass", id="point-switch"),
     pytest.param("g = lambda exact_occ: exact_occ", id="lambda-switch"),
+    pytest.param("def verify_properties(heights=None, key_prop_entries=4): "
+                 "pass", id="key-prop-entries-switch"),
+    pytest.param("def f(*, serre_entries=3): pass",
+                 id="serre-entries-switch"),
 ])
 def test_exact_guard_fires(snippet):
     assert inexact_constructs(textwrap.dedent(snippet))

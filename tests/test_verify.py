@@ -5,6 +5,7 @@ suite is exercised at sizes that keep the whole file under a minute.
 """
 
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,8 @@ from qpbw import cli, pbw, verify
 from qpbw.presets import ONE, preset, qbinom, qpow, zero_tuple
 from qpbw import fock
 from qpbw.qfield import (
-    LaurentPoly, RationalFunction, canonical_string, sum_products,
+    LaurentPoly, RationalFunction, canonical_string, q_pochhammer,
+    sum_products,
 )
 
 
@@ -108,7 +110,7 @@ def test_tetrahedron_exact_bound_met_once(occ):
 
 
 @pytest.mark.parametrize("suite,max_occ", [
-    ("tetra", 1), ("reflect3d", 1), ("theorem", None), ("props", 0),
+    ("tetra", 1), ("reflect3d", 1), ("theorem", None), ("props", None),
     ("intertwine", 0),
 ])
 def test_check_ids_unique_in_exact_mode(suite, max_occ):
@@ -165,12 +167,98 @@ def test_theorem_smoke():
 
 
 def test_properties_smoke():
-    r = verify.verify_properties(heights={"C2": 2}, algebras=("C2",),
-                                 key_prop_entries=1)
+    r = verify.verify_properties(heights={"C2": 2}, algebras=("C2",))
     assert r.passed
     ids = {c.check_id for c in r.checks}
     assert "C2-involution" in ids
     assert "C2-q0-delta" in ids
+
+
+# ---------------------------------------------------------------------------
+# key-prop: the symbolic ket against the ket sweep it replaced
+
+
+def _entry_bounded_tuples(length, bound):
+    return list(product(range(bound + 1), repeat=length))
+
+
+def _key_prop_sweep(name, bound):
+    """The key property ket by ket: [(word, i, ket)] where it fails.
+
+    Every ket A with entries <= bound goes through fock.apply_op of
+    fock.xi_bar_op and through pbw.rho_column, and each output u must
+    carry entries b and c with b P(u) = (1 - q_i^2) c P(A), P the
+    Pochhammer product (p_k^2; p_k^2)_{t_k} over the word's slot bases.
+    """
+    p = preset(name)
+    bad = []
+    for label in (1, 2):
+        bases = [p.d[node] for node in p.word(label)]
+
+        def P(t, bases=bases):
+            out = ONE
+            for m, d in zip(t, bases):
+                out = out * q_pochhammer(m, d)
+            return out
+
+        for i in (1, 2):
+            bar = fock.xi_bar_op(name, label, i)
+            scale = ONE - qpow(2 * p.d[i])
+            for ket in _entry_bounded_tuples(p.length, bound):
+                left = pbw.rho_column(name, label, i, ket)
+                right = fock.apply_op(name, label, bar, {ket: ONE})
+                if left.keys() != right.keys() or any(
+                        right[u] * P(u) != scale * c * P(ket)
+                        for u, c in left.items()):
+                    bad.append((label, i, ket))
+    return bad
+
+
+@pytest.mark.parametrize("name,shifts", [("A2", 6), ("C2", 9), ("G2", 21)])
+def test_key_prop_proves_what_the_sweep_shows(name, shifts):
+    assert verify._key_prop_check(name) == (
+        f"{name}-key-prop", True,
+        f"{shifts} shift identities, all occupations")
+    assert _key_prop_sweep(name, 1) == []
+
+
+def _at(u, t):
+    """A tuple of _Occ forms read at the integer tuple t."""
+    return tuple(x.k + sum(c * v for c, v in zip(x.c, t)) for x in u)
+
+
+def _equals_at(x, t, want):
+    """Whether a value at the symbolic ket (a _KPoly or a constant), read
+    at the integer tuple t, is want.  Both sides are cross-multiplied by
+    the denominators, so no gcd runs."""
+    nums = {}
+    for exps, v in verify._KPoly.of(x).items():
+        shifted = v.num.shift(sum(e * m for e, m in zip(exps, t)))
+        nums[v.den] = nums.get(v.den, LaurentPoly.zero()) + shifted
+    num, den = LaurentPoly.zero(), LaurentPoly.one()
+    for d, n in nums.items():
+        num, den = num * d + n * den, den * d
+    return num * want.den == want.num * den
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("letter", [1, 2])
+@pytest.mark.parametrize("name", ["A2", "C2", "G2"])
+def test_symbolic_rule_terms_match_integer_ones(name, letter, side):
+    """Each rule's terms at the symbolic ket, read at a tuple, are its terms
+    at that tuple wherever the shifted tuple is nonnegative.  This pins the
+    conventions the symbolic q-integers, q-binomials and q-powers must
+    keep, such as [n choose r] = 0 for 0 <= n < r."""
+    p = preset(name)
+    rule = (p.left_rules if side == "left" else p.right_rules)[letter]
+    generic = rule(verify._symbolic_ket(p.length))
+    for t in _entry_bounded_tuples(p.length, 3):
+        got = [(c, _at(u, t)) for c, u in generic]
+        got = [(c, u) for c, u in got if min(u) >= 0]
+        want = rule(t)
+        assert [u for _, u in got] == [u for _, u in want], t
+        assert all(_equals_at(c, t, w)
+                   for (c, _), (w, _) in zip(got, want)), t
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +278,19 @@ def _first_times_q(terms):
 
 
 @pytest.mark.parametrize("change,witness", [
-    (_drop_second_term, {"A2": "word 1 e_2 ket (1, 0, 0)",
-                         "C2": "word 1 e_2 ket (0, 1, 0, 0)",
-                         "G2": "word 1 e_2 ket (0, 0, 0, 1, 0, 0)"}),
-    (_first_times_q, {n: f"word 1 e_1 ket {zero_tuple(n)}"
-                      for n in ("A2", "C2", "G2")}),
+    (_drop_second_term, {"A2": "word 1 e_2 shift (-1, 1, 0)",
+                         "C2": "word 1 e_2 shift (0, 0, 0, 1)",
+                         "G2": "word 1 e_2 shift (0, -2, 3, 0, 0, 0)"}),
+    (_first_times_q, {"A2": "word 1 e_1 shift (1, 0, 0)",
+                      "C2": "word 1 e_1 shift (1, 0, 0, 0)",
+                      "G2": "word 1 e_1 shift (1, 0, 0, 0, 0, 0)"}),
 ])
 @pytest.mark.parametrize("name", ["A2", "C2", "G2"])
 def test_key_prop_catches_mutated_rule(monkeypatch, change, witness, name):
     rule_terms = pbw._rule_terms
     monkeypatch.setattr(pbw, "_rule_terms",
                         lambda *key: change(rule_terms(*key)))
-    check = verify._key_prop_check(name, 1)
+    check = verify._key_prop_check(name)
     assert check == (f"{name}-key-prop", False, witness[name])
 
 
@@ -223,8 +312,8 @@ def _moved_g2_right_2(rule_terms):
 def test_checks_catch_a_moved_rule_term(monkeypatch):
     monkeypatch.setattr(pbw, "_rule_terms",
                         _moved_g2_right_2(pbw._rule_terms))
-    assert verify._key_prop_check("G2", 1) == (
-        "G2-key-prop", False, "word 1 e_2 ket (1, 0, 0, 0, 0, 0)")
+    assert verify._key_prop_check("G2") == (
+        "G2-key-prop", False, "word 1 e_2 shift (-1, 0, 0, 0, 1, 0)")
     check_id, passed, witness = verify._serre_pbw_check("G2")
     assert (check_id, passed) == ("G2-serre-pbw", False)
     assert witness.startswith("pair (1, 2): residual at (1, 0, 0, 0, 0, 4) "
@@ -258,7 +347,7 @@ def _serre_sweep(name, bound):
                 return sum_products((t, v, c) for ket, c in vec.items()
                                     for t, v in cache[ket].items())
 
-            for ket in verify._entry_bounded_tuples(p.length, bound):
+            for ket in _entry_bounded_tuples(p.length, bound):
                 chain = [{ket: ONE}]
                 for _ in range(top):
                     chain.append(step(bar_i, chain[-1], col_i))
@@ -316,6 +405,20 @@ def test_serre_fock_catches_a_moved_monomial(monkeypatch, name):
                         r"\(\(.+\)\) -> .+", witness), witness
     bad = {(label, pair) for label, pair, _ in _serre_sweep(name, 1)}
     assert bad == {(1, (1, 2)), (1, (2, 1))}
+
+
+@pytest.mark.parametrize("name,shift", [("A2", (0, 0, 1)),
+                                        ("C2", (0, 0, 0, 1)),
+                                        ("G2", (-1, 0, 0, 0, 1, 0))])
+def test_key_prop_catches_a_moved_monomial(monkeypatch, name, shift):
+    """The sweep runs to entries <= 2: in G2 the moved term lowers slot 1,
+    so at entries <= 1 it reaches only kets where slot 1 ends at 0, and
+    there the extra k acts as 1."""
+    _mutate_word1_xi2(monkeypatch, _moved_slot1_k)
+    assert verify._key_prop_check(name) == (
+        f"{name}-key-prop", False, f"word 1 e_2 shift {shift}")
+    assert {(label, i) for label, i, _ in _key_prop_sweep(name, 2)} \
+        == {(1, 2)}
 
 
 @pytest.mark.parametrize("name,passed", [("A2", True), ("C2", True),
