@@ -5,12 +5,13 @@ suite is exercised at sizes that keep the whole file under a minute.
 """
 
 import re
+from functools import partial
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbw import cli, pbw, verify
+from qpbw import cli, intertwiner, pbw, verify
 from qpbw.presets import ONE, preset, qbinom, qpow, zero_tuple
 from qpbw import fock
 from qpbw.qfield import (
@@ -435,6 +436,151 @@ def test_serre_fock_under_a_scaled_term(monkeypatch, name, passed):
     """
     _mutate_word1_xi2(monkeypatch, lambda monos, c: (monos, c * qpow(1)))
     assert verify._serre_fock_check(name).passed is passed
+
+
+# ---------------------------------------------------------------------------
+# every table, theorem and generator check fails on one wrong value, with a
+# pinned witness
+
+
+def _times_q(v):
+    return v * qpow(1)
+
+
+def _mutate_column(monkeypatch, name, inp, out, change):
+    """CheckedTable.column of the named algebra, with the entry at `out` of
+    column `inp` passed through `change` (None where the column has none)."""
+    column = intertwiner.CheckedTable.column
+
+    def mutated(self, in_t):
+        col = column(self, in_t)
+        if self.name == name and tuple(in_t) == inp:
+            col = {**col, out: change(col.get(out))}
+        return col
+
+    monkeypatch.setattr(intertwiner.CheckedTable, "column", mutated)
+
+
+def _mutate_value(monkeypatch, cls, method, name, key, change):
+    """cls.method(self, a, b) of the named algebra, with the value at
+    (a, b) == key passed through `change`."""
+    read = getattr(cls, method)
+
+    def mutated(self, a, b):
+        v = read(self, a, b)
+        if self.name == name and (tuple(a), tuple(b)) == key:
+            v = change(v)
+        return v
+
+    monkeypatch.setattr(cls, method, mutated)
+
+
+def _mutate_generator(monkeypatch, change):
+    """fock.pi_generator(name, word, j, k) read as change(...) of it."""
+    pi_generator = fock.pi_generator
+    monkeypatch.setattr(fock, "pi_generator",
+                        lambda *key: change(pi_generator, *key))
+
+
+def _word2_t12_times_q(pi_generator, name, word, j, k):
+    op = pi_generator(name, word, j, k)
+    if (name, word, j, k) == ("A2", 2, 1, 2):
+        op = {m: _times_q(c) for m, c in op.items()}
+    return op
+
+
+def _word1_t11_as_t1n(pi_generator, name, word, j, k):
+    if (word, j, k) == (1, 1, 1):
+        k = preset(name).n_gen
+    return pi_generator(name, word, j, k)
+
+
+def _props(name, height):
+    return partial(verify.verify_properties, heights={name: height},
+                   algebras=(name,))
+
+
+_A2_GOLD_132 = ("1 - q^4 - 2q^6 - 2q^8 + 2q^12 + 3q^14 + 2q^16 - q^20 - q^22 "
+                "- q^24")
+
+
+@pytest.mark.parametrize("mutate,run,failed", [
+    pytest.param(
+        lambda mp: _mutate_column(mp, "A2", (1, 1, 1), (0, 2, 0), _times_q),
+        _props("A2", 4),
+        ["FAIL properties:A2-involution  [weight (2, 2) square[(0, 2, 0),"
+         "(0, 2, 0)] = 1 - q^2 + q^3 + q^6 - q^7]",
+         "FAIL properties:A2-reversal  [((0, 2, 0),(1, 1, 1)) vs reversed "
+         "pair]"],
+        id="A2-column"),
+    pytest.param(
+        lambda mp: _mutate_column(mp, "C2", (1, 0, 1, 0), (1, 1, 0, 1),
+                                  _times_q),
+        _props("C2", 4),
+        ["FAIL properties:C2-involution  [weight (2, 2) square[(1, 1, 0, 1),"
+         "(0, 2, 0, 0)] = -q^7 + q^8 + q^11 - q^12]"],
+        id="C2-column"),
+    pytest.param(
+        lambda mp: _mutate_value(mp, intertwiner.CheckedTable, "entry", "A2",
+                                 ((0, 2, 0), (1, 1, 1)), _times_q),
+        _props("A2", 4),
+        ["FAIL properties:A2-reversal  [((0, 2, 0),(1, 1, 1)) vs reversed "
+         "pair]",
+         "FAIL properties:A2-transpose-ratio  [weight (2, 2) pair "
+         "((0, 2, 0),(1, 1, 1))]"],
+        id="A2-entry"),
+    pytest.param(
+        lambda mp: _mutate_value(mp, intertwiner.CheckedTable, "entry", "C2",
+                                 ((0, 2, 0, 0), (1, 0, 1, 0)),
+                                 lambda v: v + ONE),
+        _props("C2", 4),
+        ["FAIL properties:C2-transpose-ratio  [weight (2, 2) pair "
+         "((0, 2, 0, 0),(1, 0, 1, 0))]",
+         "FAIL properties:C2-q0-delta  [weight (2, 2) [(0, 2, 0, 0),"
+         "(1, 0, 1, 0)] -> 1, expected 0]"],
+        id="C2-entry"),
+    pytest.param(
+        lambda mp: _mutate_value(mp, pbw.TransitionBlock, "gamma", "G2",
+                                 ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0)),
+                                 lambda v: v * qpow(-1)),
+        _props("G2", 1),
+        ["FAIL properties:G2-gamma-integrality  [gamma[(0, 0, 0, 0, 0, 1),"
+         "(1, 0, 0, 0, 0, 0)] = q^-1]"],
+        id="G2-gamma"),
+    pytest.param(
+        lambda mp: _mutate_value(mp, pbw.TransitionBlock, "gamma", "C2",
+                                 ((1, 0, 1, 0), (0, 1, 0, 1)), _times_q),
+        partial(verify.verify_theorem, heights={"C2": 3}, algebras=("C2",)),
+        ["FAIL theorem:C2-blocks-h3  [weight (1, 2) out (0, 1, 0, 1) in "
+         "(1, 0, 1, 0): 1 - q^2 - q^4 != q - q^3 - q^5]"],
+        id="C2-gamma"),
+    pytest.param(
+        lambda mp: _mutate_column(mp, "A2", (3, 1, 4), (1, 3, 2), _times_q),
+        partial(verify.verify_theorem, heights={"A2": 1}, algebras=("A2",)),
+        ["FAIL theorem:A2-golden-column  [(1, 3, 2): q - q^5 - 2q^7 - 2q^9 "
+         "+ 2q^13 + 3q^15 + 2q^17 - q^21 - q^23 - q^25 != " + _A2_GOLD_132
+         + "]"],
+        id="A2-golden-column"),
+    pytest.param(
+        lambda mp: _mutate_generator(mp, _word2_t12_times_q),
+        partial(verify.verify_t_intertwining, bounds={"A2": 1},
+                algebras=("A2",)),
+        ["FAIL t-intertwining:A2-generators-occ1  [t_12 ket (0, 1, 0) out "
+         "(1, 0, 0): 1 - q^2 != q - q^3]"],
+        id="A2-t12"),
+    pytest.param(
+        lambda mp: _mutate_generator(mp, _word1_t11_as_t1n),
+        partial(verify.verify_t_intertwining, bounds={"A2": 0},
+                algebras=("A2",)),
+        ["FAIL t-intertwining:A2-t-vacuum  [t_11|0> = {(0, 0, 0): "
+         "RationalFunction(1)}, t_13|0> = {(0, 0, 0): RationalFunction(1)}]",
+         "FAIL t-intertwining:A2-generators-occ0  [t_11 ket (0, 0, 0) out "
+         "(0, 0, 0): 1 != 0]"],
+        id="A2-t-vacuum"),
+])
+def test_check_fails_with_a_pinned_witness(monkeypatch, mutate, run, failed):
+    mutate(monkeypatch)
+    assert [ln for ln in run().lines() if ln.startswith("FAIL")] == failed
 
 
 def test_t_intertwining_smoke():
