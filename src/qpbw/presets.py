@@ -174,9 +174,6 @@ class AlgebraPreset:
         """Same pair for a word-1 exponent tuple."""
         return self.conserved2(reverse(t))
 
-    def conserved(self, label, t):
-        return self.conserved1(t) if label == 1 else self.conserved2(t)
-
     def letter_increment(self, i):
         """How the conserved pair moves under multiplication by e_i."""
         return (1, 0) if i == 2 else (0, 1)

@@ -91,9 +91,6 @@ class LaurentPoly:
     def degree(self):
         return max(self.c) if self.c else 0
 
-    def coeff(self, e):
-        return self.c.get(e, 0)
-
     def is_monomial(self):
         return len(self.c) == 1
 

@@ -2,7 +2,10 @@
 
 Each suite returns a VerifyReport listing (check id, passed, witness)
 triples.  Every check is exact: it compares reduced rational functions
-in Q(q), never values at chosen points.  The operator equations
+in Q(q), never values at chosen points.  A check is a stream of cases,
+each None when it holds and its witness when it fails, run by one scan
+(_scan): the scan stops at the first witness, and a pass reports how many
+cases it ran.  The operator equations
 (tetrahedron, 3D reflection) are run by applying the checked tables to
 every occupation state of a multi-slot product space up to a total
 occupation, with per-slot oscillator bases derived mechanically from the
@@ -15,6 +18,7 @@ rho(e_i) = pi(xi_i) at one ket whose entries are symbolic occupations.
 import time
 from collections import namedtuple
 from functools import lru_cache, partial
+from itertools import combinations_with_replacement, product
 from operator import add
 
 from . import fock, pbw
@@ -52,6 +56,31 @@ class VerifyReport:
                 line += f"  [{c.witness}]"
             out.append(line)
         return out
+
+
+def _scan(check_id, cases, summary):
+    """Run one check: `cases` yields None for each case that holds and the
+    witness string of a case that fails.  The scan stops at the first
+    witness and fails the check with it; a pass has the witness summary(n),
+    n the number of cases it ran."""
+    n = 0
+    for witness in cases:
+        if witness is not None:
+            return Check(check_id, False, witness)
+        n += 1
+    return Check(check_id, True, summary(n))
+
+
+def _difference(where, lhs, rhs):
+    """None if two sparse vectors agree, else `where` followed by the first
+    key, in sorted order, at which they differ and both values there."""
+    if lhs != rhs:
+        for key in sorted(lhs.keys() | rhs.keys()):
+            a, b = lhs.get(key, ZERO), rhs.get(key, ZERO)
+            if a != b:
+                return (f"{where} {key}: "
+                        f"{canonical_string(a)} != {canonical_string(b)}")
+    return None
 
 
 DEFAULT_HEIGHTS = {"A2": 8, "C2": 8, "G2": 5}
@@ -219,68 +248,52 @@ def _slot_base_check(eq):
 
 
 def _states_with_total(width, max_total):
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == width:
-            out.append(prefix)
-            return
-        for v in range(left + 1):
-            rec(prefix + (v,), left - v)
-
-    rec((), max_total)
-    return sorted(out)
+    """Every state of `width` slots with total occupation <= max_total, in
+    ascending lexicographic order."""
+    if width == 0:
+        return [()]
+    return [(v,) + rest for v in range(max_total + 1)
+            for rest in _states_with_total(width - 1, max_total - v)]
 
 
-def _equation_mismatch(eq, states):
-    ops = {}
-    for side in eq["sides"]:
-        for kind, _ in side:
-            if kind not in ops:
-                ops[kind] = KetOperator(KIND_ALGEBRA[kind])
-    for state in states:
+def _equation_suite(suite, eq, max_occ, *singles):
+    """The slot bases, then both sides of `eq` on the vacuum, on each
+    (check id, [state]) of `singles`, and on every state with total
+    occupation <= max_occ; each check stops at its first mismatch."""
+    t0 = time.perf_counter()
+    kinds = {kind for side in eq["sides"] for kind, _ in side}
+    ops = {kind: KetOperator(KIND_ALGEBRA[kind]) for kind in kinds}
+
+    def mismatch(state):
         done = []
         for side in eq["sides"]:
             vec = {state: ONE}
             for kind, slots in side:
                 vec = ops[kind].apply(vec, slots)
             done.append(vec)
-        lhs, rhs = done
-        if lhs != rhs:
-            for out in sorted(set(lhs) | set(rhs)):
-                a, b = lhs.get(out, ZERO), rhs.get(out, ZERO)
-                if a != b:
-                    return (f"state {state} -> {out}: "
-                            f"{canonical_string(a)} != {canonical_string(b)}")
-            return f"state {state}: sides differ"
-    return None
+        return _difference(f"state {state} ->", *done)
+
+    width = eq["slots"]
+    checks = [_slot_base_check(eq)]
+    occ = (f"occ{max_occ}-exact", _states_with_total(width, max_occ))
+    for check_id, states in (("vacuum-exact", [(0,) * width]), *singles, occ):
+        w = next(filter(None, map(mismatch, states)), None)
+        checks.append(Check(check_id, w is None, w))
+    return VerifyReport(suite, checks, time.perf_counter() - t0)
 
 
 def verify_tetrahedron(max_occ=6):
     """Both products of four R factors agree on every 6-slot state with
     total occupation <= max_occ."""
-    t0 = time.perf_counter()
-    checks = [_slot_base_check(TETRAHEDRON)]
-    w = _equation_mismatch(TETRAHEDRON, [(0,) * 6])
-    checks.append(Check("vacuum-exact", w is None, w))
-    w = _equation_mismatch(TETRAHEDRON, _states_with_total(6, max_occ))
-    checks.append(Check(f"occ{max_occ}-exact", w is None, w))
-    return VerifyReport("tetrahedron", checks, time.perf_counter() - t0)
+    return _equation_suite("tetrahedron", TETRAHEDRON, max_occ)
 
 
 def verify_3d_reflection(max_occ=3):
     """Both products of four K and three R factors agree on every 9-slot
     state with total occupation <= max_occ."""
-    t0 = time.perf_counter()
-    checks = [_slot_base_check(REFLECTION_3D)]
-    w = _equation_mismatch(REFLECTION_3D, [(0,) * 9])
-    checks.append(Check("vacuum-exact", w is None, w))
-    e5 = tuple(1 if s == 5 else 0 for s in range(1, 10))
-    w = _equation_mismatch(REFLECTION_3D, [e5])
-    checks.append(Check("slot5-excitation-exact", w is None, w))
-    w = _equation_mismatch(REFLECTION_3D, _states_with_total(9, max_occ))
-    checks.append(Check(f"occ{max_occ}-exact", w is None, w))
-    return VerifyReport("3d-reflection", checks, time.perf_counter() - t0)
+    e5 = tuple(int(s == 5) for s in range(1, 10))
+    return _equation_suite("3d-reflection", REFLECTION_3D, max_occ,
+                           ("slot5-excitation-exact", [e5]))
 
 
 # ---------------------------------------------------------------------------
@@ -294,53 +307,45 @@ def verify_theorem(heights=None, algebras=("A2", "C2", "G2")):
     checks = []
     for name in algebras:
         h = heights[name]
-        phi = shared_phi(name)
-        witness = None
-        n = 0
-        for wgt in weights_up_to(name, h):
-            rows, cols, columns = phi.block(wgt)
-            tb = pbw.transition_block(name, wgt)
-            for c_out in rows:
-                for b_in in cols:
-                    a = columns[b_in].get(c_out, ZERO)
-                    b = tb.gamma(reverse(c_out), reverse(b_in))
-                    n += 1
-                    if a != b:
-                        witness = (f"weight {wgt} out {c_out} in {b_in}: "
-                                   f"{canonical_string(a)} != {canonical_string(b)}")
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        checks.append(Check(f"{name}-blocks-h{h}", witness is None,
-                            witness or f"{n} entries"))
-        checks.append(_golden_check(name))
+        checks.append(_scan(f"{name}-blocks-h{h}", _block_cases(name, h),
+                            "{} entries".format))
+        expect = GOLDEN_COLUMNS[name][1]
+        checks.append(_scan(
+            f"{name}-golden-column", _golden_cases(name),
+            lambda n: f"{len(expect)} entries via both routes"))
     return VerifyReport("theorem", checks, time.perf_counter() - t0)
 
 
-def _golden_check(name):
-    cid = f"{name}-golden-column"
+def _block_cases(name, h):
+    """Phi against gamma, entry by entry, on every block up to height h."""
+    phi = shared_phi(name)
+    for wgt in weights_up_to(name, h):
+        rows, cols, columns = phi.block(wgt)
+        tb = pbw.transition_block(name, wgt)
+        for c_out, b_in in product(rows, cols):
+            a = columns[b_in].get(c_out, ZERO)
+            b = tb.gamma(reverse(c_out), reverse(b_in))
+            yield None if a == b else (
+                f"weight {wgt} out {c_out} in {b_in}: "
+                f"{canonical_string(a)} != {canonical_string(b)}")
+
+
+def _golden_cases(name):
+    """The golden column, read from the table (support, then entries) and
+    through gamma (every output of its block)."""
     inp, expect = GOLDEN_COLUMNS[name]
     tab = shared_table(name)
     tb = pbw.transition_block(name, preset(name).conserved2(inp))
     got = {c: canonical_string(v) for c, v in tab.column(inp).items()}
-    if got != expect:
-        off = sorted(set(expect) ^ set(got))
-        if off:
-            return Check(cid, False, f"support differs at {off}")
-        bad = next(c for c in sorted(expect) if got[c] != expect[c])
-        return Check(cid, False, f"{bad}: {got[bad]} != {expect[bad]}")
+    off = sorted(set(expect) ^ set(got))
+    yield f"support differs at {off}" if off else None
+    for c in sorted(expect):
+        yield None if got[c] == expect[c] else f"{c}: {got[c]} != {expect[c]}"
     for c_out in tab.block_outputs(inp):
-        g = tb.gamma(reverse(c_out), inp)
-        want = expect.get(c_out)
-        if want is None:
-            if not g.num.is_zero():
-                return Check(cid, False,
-                             f"transition route nonzero off-support at {c_out}")
-        elif canonical_string(g) != want:
-            return Check(cid, False, f"transition route differs at {c_out}")
-    return Check(cid, True, f"{len(expect)} entries via both routes")
+        g = canonical_string(tb.gamma(reverse(c_out), inp))
+        yield None if g == expect.get(c_out, "0") else (
+            f"transition route differs at {c_out}" if c_out in expect else
+            f"transition route nonzero off-support at {c_out}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,77 +368,55 @@ def _poch_product(p, tup):
     return out
 
 
-def _involution_check(name, tab, wset):
-    n = 0
+def _involution_cases(name, tab, wset):
+    """Each column of the table, squared, is the unit column."""
     for wgt in wset:
         block = tuples_with_weight(name, 2, wgt)
-        cols = {inp: tab.column(inp) for inp in block}
         for inp in block:
-            acc = sum_products((out, v2, v1) for mid, v1 in cols[inp].items()
-                               for out, v2 in cols[mid].items())
-            for out in block:
-                want = ONE if out == inp else ZERO
-                got = acc.get(out, ZERO)
-                if got != want:
-                    return Check(f"{name}-involution", False,
-                                 f"weight {wgt} square[{out},{inp}] = "
-                                 f"{canonical_string(got)}")
-            n += 1
-    return Check(f"{name}-involution", True,
-                 f"{n} columns over {len(wset)} blocks")
+            acc = sum_products((out, v2, v1)
+                               for mid, v1 in tab.column(inp).items()
+                               for out, v2 in tab.column(mid).items())
+            bad = next((out for out in block if acc.get(out, ZERO)
+                        != (ONE if out == inp else ZERO)), None)
+            yield None if bad is None else (
+                f"weight {wgt} square[{bad},{inp}] = "
+                f"{canonical_string(acc.get(bad, ZERO))}")
 
 
-def _reversal_check(name, tab, wset):
-    n = 0
+def _reversal_cases(name, tab, wset):
     for wgt in wset:
         for inp in tuples_with_weight(name, 2, wgt):
             for out, v in tab.column(inp).items():
-                if v != tab.entry(reverse(out), reverse(inp)):
-                    return Check(f"{name}-reversal", False,
-                                 f"({out},{inp}) vs reversed pair")
-                n += 1
-    return Check(f"{name}-reversal", True, f"{n} entries")
+                yield None if v == tab.entry(reverse(out), reverse(inp)) \
+                    else f"({out},{inp}) vs reversed pair"
 
 
-def _transpose_ratio_check(name, tab, wset, p):
-    n = 0
+def _transpose_ratio_cases(name, tab, wset, p):
     for wgt in wset:
         block = tuples_with_weight(name, 2, wgt)
         poch = {t: _poch_product(p, t) for t in block}
-        for i, out in enumerate(block):
-            for inp in block[i:]:
-                if tab.entry(out, inp) * poch[out] != tab.entry(inp, out) * poch[inp]:
-                    return Check(f"{name}-transpose-ratio", False,
-                                 f"weight {wgt} pair ({out},{inp})")
-                n += 1
-    return Check(f"{name}-transpose-ratio", True, f"{n} pairs")
+        for out, inp in combinations_with_replacement(block, 2):
+            yield None if (tab.entry(out, inp) * poch[out]
+                           == tab.entry(inp, out) * poch[inp]) \
+                else f"weight {wgt} pair ({out},{inp})"
 
 
-def _conservation_check(name, tab, wset, p):
-    n = 0
+def _conservation_cases(name, tab, wset):
     for wgt in wset:
         block = set(tuples_with_weight(name, 2, wgt))
         for inp in sorted(block):
-            for out, v in tab.column(inp).items():
-                if p.conserved2(out) != p.conserved2(inp) or out not in block:
-                    return Check(f"{name}-conservation", False,
-                                 f"nonzero entry ({out},{inp}) crosses blocks")
-                n += 1
-    return Check(f"{name}-conservation", True, f"{n} nonzero entries")
+            for out in tab.column(inp):
+                yield None if out in block \
+                    else f"nonzero entry ({out},{inp}) crosses blocks"
 
 
-def _integrality_check(name, wset):
-    n = 0
+def _integrality_cases(name, wset):
     for wgt in wset:
         tb = pbw.transition_block(name, wgt)
-        for a_row in tb.rows:
-            for b_col in tb.cols:
-                v = tb.gamma(a_row, b_col)
-                if not is_integer_polynomial(v):
-                    return Check(f"{name}-gamma-integrality", False,
-                                 f"gamma[{a_row},{b_col}] = {canonical_string(v)}")
-                n += 1
-    return Check(f"{name}-gamma-integrality", True, f"{n} entries")
+        for a_row, b_col in product(tb.rows, tb.cols):
+            v = tb.gamma(a_row, b_col)
+            yield None if is_integer_polynomial(v) \
+                else f"gamma[{a_row},{b_col}] = {canonical_string(v)}"
 
 
 def _r0_input(out):
@@ -453,22 +436,14 @@ def _k0_input(out):
 _Q0_INPUT = {"A2": _r0_input, "C2": _k0_input}
 
 
-def _q0_check(name, tab, wset):
-    fn = _Q0_INPUT[name]
-    n = 0
+def _q0_cases(name, tab, wset):
     for wgt in wset:
         block = tuples_with_weight(name, 2, wgt)
-        for out in block:
-            sel = fn(out)
-            for inp in block:
-                v = tab.entry(out, inp).specialize_q0()
-                want = 1 if inp == sel else 0
-                if v != want:
-                    return Check(f"{name}-q0-delta", False,
-                                 f"weight {wgt} [{out},{inp}] -> {v}, "
-                                 f"expected {want}")
-                n += 1
-    return Check(f"{name}-q0-delta", True, f"{n} entries")
+        for out, inp in product(block, block):
+            v = tab.entry(out, inp).specialize_q0()
+            want = int(inp == _Q0_INPUT[name](out))
+            yield None if v == want \
+                else f"weight {wgt} [{out},{inp}] -> {v}, expected {want}"
 
 
 class _Occ(namedtuple("_Occ", ["c", "k"])):
@@ -539,6 +514,11 @@ def _symbolic_ket(length):
 
 
 def _key_prop_check(name):
+    return _scan(f"{name}-key-prop", _key_prop_cases(name),
+                 "{} shift identities, all occupations".format)
+
+
+def _key_prop_cases(name):
     """rho(e_i) = pi(xi_i) at a symbolic ket, so for every occupation.
 
     Both sides are read in the one normalisation: pbw.rho_column on
@@ -555,47 +535,42 @@ def _key_prop_check(name):
     A is the ket t of symbolic occupations t_s, read through the rules and
     fock.apply_op as they stand: each output is t + delta for a constant
     delta, each side a Laurent polynomial in the q^(t_s), and equal
-    polynomials agree at every ket.
+    polynomials agree at every ket.  One case per word, letter and delta.
     """
     p = preset(name)
     ket = _symbolic_ket(p.length)
-    n = 0
-    for label in (1, 2):
+    for label, i in product((1, 2), (1, 2)):
         bases = tuple(p.d[node] for node in p.word(label))
-        for i in (1, 2):
-            bar = fock.xi_bar_op(name, label, i)
-            scale = ONE - qpow(2 * p.d[i])
-            sides = (fock.apply_op(name, label, bar, {ket: ONE}),
-                     pbw.rho_column(name, label, i, ket))
-            right, left = ({tuple(x.k for x in u): _KPoly.of(v)
-                            for u, v in vec.items()} for vec in sides)
-            for delta in sorted(left.keys() | right.keys()):
-                b = right.get(delta, _KPoly())
-                c = left.get(delta, _KPoly()) * scale
-                for x, dx, d in zip(ket, delta, bases):
-                    if dx > 0:
-                        b = b * _poch_run(x, dx, d)
-                    elif dx < 0:
-                        c = c * _poch_run(x + dx, -dx, d)
-                if b != c:
-                    return Check(f"{name}-key-prop", False,
-                                 f"word {label} e_{i} shift {delta}")
-                n += 1
-    return Check(f"{name}-key-prop", True,
-                 f"{n} shift identities, all occupations")
+        bar = fock.xi_bar_op(name, label, i)
+        scale = ONE - qpow(2 * p.d[i])
+        sides = (fock.apply_op(name, label, bar, {ket: ONE}),
+                 pbw.rho_column(name, label, i, ket))
+        right, left = ({tuple(x.k for x in u): _KPoly.of(v)
+                        for u, v in vec.items()} for vec in sides)
+        for delta in sorted(left.keys() | right.keys()):
+            b = right.get(delta, _KPoly())
+            c = left.get(delta, _KPoly()) * scale
+            for x, dx, d in zip(ket, delta, bases):
+                if dx > 0:
+                    b = b * _poch_run(x, dx, d)
+                elif dx < 0:
+                    c = c * _poch_run(x + dx, -dx, d)
+            yield None if b == c else f"word {label} e_{i} shift {delta}"
 
 
 def _serre_pbw_check(name):
-    for pair, residual in pbw.serre_residuals(name):
-        if residual:
-            t = sorted(residual)[0]
-            return Check(f"{name}-serre-pbw", False,
-                         f"pair {pair}: residual at {t} -> "
-                         f"{canonical_string(residual[t])}")
-    return Check(f"{name}-serre-pbw", True, "all sums normal-order to zero")
+    return _scan(f"{name}-serre-pbw", (
+        f"pair {pair}: residual at {min(r)} -> {canonical_string(r[min(r)])}"
+        if r else None for pair, r in pbw.serre_residuals(name)),
+        lambda n: "all sums normal-order to zero")
 
 
 def _serre_fock_check(name):
+    return _scan(f"{name}-serre-fock", _serre_fock_cases(name),
+                 "{} operator sums vanish, all occupations".format)
+
+
+def _serre_fock_cases(name):
     """The q-Serre relations of the xi operators, as operator identities.
 
     For each word and ordered pair (i, j), with top = 1 - a_ij, the sum
@@ -607,29 +582,21 @@ def _serre_fock_check(name):
     bare ket, so a sum that comes out exactly {} kills every occupation.
     """
     p = preset(name)
-    n = 0
-    for label in (1, 2):
+    for label, ((i, j), a) in product((1, 2), sorted(p.cartan.items())):
         mul = partial(fock.op_mul, name, label)
-        for (i, j), a in sorted(p.cartan.items()):
-            top = 1 - a
-            bar_i = fock.xi_bar_op(name, label, i)
-            bar_j = fock.xi_bar_op(name, label, j)
-            powers = [fock.op_identity(p.length)]
-            for _ in range(top):
-                powers.append(mul(bar_i, powers[-1]))
-            total = fock.op_add(*(
-                fock.op_scale(mul(powers[r], mul(bar_j, powers[top - r])),
-                              (-1) ** r * qbinom(top, r, p.d[i]))
-                for r in range(top + 1)))
-            if total:
-                first = min(total)
-                return Check(f"{name}-serre-fock", False,
-                             f"word {label} pair ({i},{j}): {len(total)} "
-                             f"canonical terms, first {first} -> "
-                             f"{canonical_string(total[first])}")
-            n += 1
-    return Check(f"{name}-serre-fock", True,
-                 f"{n} operator sums vanish, all occupations")
+        top = 1 - a
+        bar_i, bar_j = (fock.xi_bar_op(name, label, x) for x in (i, j))
+        powers = [fock.op_identity(p.length)]
+        for _ in range(top):
+            powers.append(mul(bar_i, powers[-1]))
+        total = fock.op_add(*(
+            fock.op_scale(mul(powers[r], mul(bar_j, powers[top - r])),
+                          (-1) ** r * qbinom(top, r, p.d[i]))
+            for r in range(top + 1)))
+        first = min(total, default=None)
+        yield None if first is None else (
+            f"word {label} pair ({i},{j}): {len(total)} canonical terms, "
+            f"first {first} -> {canonical_string(total[first])}")
 
 
 def verify_properties(heights=None, algebras=("A2", "C2", "G2")):
@@ -644,14 +611,26 @@ def verify_properties(heights=None, algebras=("A2", "C2", "G2")):
         gold = p.conserved2(GOLDEN_COLUMNS[name][0])
         if gold not in wset:
             wset.append(gold)
-        checks.append(_involution_check(name, tab, wset))
+        checks.append(_scan(f"{name}-involution",
+                            _involution_cases(name, tab, wset),
+                            lambda n: f"{n} columns over {len(wset)} blocks"))
         if name == "A2":
-            checks.append(_reversal_check(name, tab, wset))
-        checks.append(_transpose_ratio_check(name, tab, wset, p))
-        checks.append(_conservation_check(name, tab, wset, p))
-        checks.append(_integrality_check(name, wset))
+            checks.append(_scan(f"{name}-reversal",
+                                _reversal_cases(name, tab, wset),
+                                "{} entries".format))
+        checks.append(_scan(f"{name}-transpose-ratio",
+                            _transpose_ratio_cases(name, tab, wset, p),
+                            "{} pairs".format))
+        checks.append(_scan(f"{name}-conservation",
+                            _conservation_cases(name, tab, wset),
+                            "{} nonzero entries".format))
+        checks.append(_scan(f"{name}-gamma-integrality",
+                            _integrality_cases(name, wset),
+                            "{} entries".format))
         if name in _Q0_INPUT:
-            checks.append(_q0_check(name, tab, wset))
+            checks.append(_scan(f"{name}-q0-delta",
+                                _q0_cases(name, tab, wset),
+                                "{} entries".format))
         checks.append(_key_prop_check(name))
         checks.append(_serre_pbw_check(name))
         checks.append(_serre_fock_check(name))
@@ -678,12 +657,6 @@ def verify_t_intertwining(bounds=None, heights=None,
     checks = []
     for name in algebras:
         p = preset(name)
-        phi = shared_phi(name)
-        allowed = set(weights_up_to(name, heights[name]))
-
-        def phi_column(ket, phi=phi, p=p):
-            return phi.block(p.conserved1(ket))[2][ket]
-
         # t_11 starts with a lowering factor and kills the vacuum; the
         # anti-diagonal entry t_{1,n} is the all-k path and fixes it up to
         # a sign.
@@ -697,40 +670,38 @@ def verify_t_intertwining(bounds=None, heights=None,
         checks.append(Check(
             f"{name}-t-vacuum", ok,
             None if ok else f"t_11|0> = {killed}, t_1{p.n_gen}|0> = {fixed}"))
-        kets = _states_with_total(p.length, bounds[name])
-        witness = None
-        n = 0
-        skipped = 0
-        for j in range(1, p.n_gen + 1):
-            for k in range(1, p.n_gen + 1):
-                op1 = fock.pi_generator(name, 1, j, k)
-                op2 = fock.pi_generator(name, 2, j, k)
-                for ket in kets:
-                    moved = fock.apply_op(name, 1, op1, {ket: ONE})
-                    if any(p.conserved1(b2) not in allowed for b2 in moved):
-                        skipped += 1
-                        continue
-                    lhs = sum_products((out, v, c) for b2, c in moved.items()
-                                       for out, v in phi_column(b2).items())
-                    rhs = fock.apply_op(name, 2, op2, phi_column(ket))
-                    if lhs != rhs:
-                        keys = sorted(set(lhs) | set(rhs))
-                        bad = next(t for t in keys
-                                   if lhs.get(t, ZERO) != rhs.get(t, ZERO))
-                        witness = (f"t_{j}{k} ket {ket} out {bad}: "
-                                   f"{canonical_string(lhs.get(bad, ZERO))} != "
-                                   f"{canonical_string(rhs.get(bad, ZERO))}")
-                        break
-                    n += 1
-                if witness:
-                    break
-            if witness:
-                break
-        tail = f", {skipped} beyond block range" if skipped else ""
-        checks.append(Check(f"{name}-generators-occ{bounds[name]}",
-                            witness is None,
-                            witness or f"{n} (generator, ket) pairs{tail}"))
+        skipped = []
+        checks.append(_scan(
+            f"{name}-generators-occ{bounds[name]}",
+            _generator_cases(name, bounds[name], heights[name], skipped),
+            lambda n: f"{n} (generator, ket) pairs" + (
+                f", {len(skipped)} beyond block range" if skipped else "")))
     return VerifyReport("t-intertwining", checks, time.perf_counter() - t0)
+
+
+def _generator_cases(name, bound, height, skipped):
+    """Phi pi_1(t_jk)|ket> against pi_2(t_jk) Phi|ket>, for every generator
+    and every ket of index sum <= bound whose image under pi_1(t_jk) stays
+    in the blocks up to `height`; each other ket is appended to `skipped`."""
+    p = preset(name)
+    phi = shared_phi(name)
+    allowed = set(weights_up_to(name, height))
+    kets = _states_with_total(p.length, bound)
+
+    def phi_column(ket):
+        return phi.block(p.conserved1(ket))[2][ket]
+
+    for j, k in product(range(1, p.n_gen + 1), repeat=2):
+        op1, op2 = (fock.pi_generator(name, word, j, k) for word in (1, 2))
+        for ket in kets:
+            moved = fock.apply_op(name, 1, op1, {ket: ONE})
+            if any(p.conserved1(b2) not in allowed for b2 in moved):
+                skipped.append(ket)
+                continue
+            lhs = sum_products((out, v, c) for b2, c in moved.items()
+                               for out, v in phi_column(b2).items())
+            rhs = fock.apply_op(name, 2, op2, phi_column(ket))
+            yield _difference(f"t_{j}{k} ket {ket} out", lhs, rhs)
 
 
 def selftest():

@@ -57,7 +57,7 @@ def test_conserved_functionals():
     assert g2.conserved2((1, 1, 1, 1, 1, 1)) == (6, 10)
     # word-1 functional is the reversal of the word-2 one
     assert a2.conserved1((3, 2, 1)) == a2.conserved2((1, 2, 3))
-    assert c2.conserved(1, (0, 1, 1, 2)) == c2.conserved(2, (2, 1, 1, 0))
+    assert c2.conserved1((0, 1, 1, 2)) == c2.conserved2((2, 1, 1, 0))
 
 
 def test_root_vector_homogeneity():

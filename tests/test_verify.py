@@ -583,6 +583,18 @@ def test_check_fails_with_a_pinned_witness(monkeypatch, mutate, run, failed):
     assert [ln for ln in run().lines() if ln.startswith("FAIL")] == failed
 
 
+def test_off_block_entry_fails_conservation(monkeypatch):
+    """A column entry outside its block is reported, not raised: the
+    involution reads the stray column, and conservation names the entry."""
+    _mutate_column(monkeypatch, "A2", (1, 1, 1), (5, 0, 0), lambda v: ONE)
+    lines = _props("A2", 4)().lines()
+    assert [ln for ln in lines if ln.startswith("FAIL")] == [
+        "FAIL properties:A2-reversal  [((5, 0, 0),(1, 1, 1)) vs reversed "
+        "pair]",
+        "FAIL properties:A2-conservation  [nonzero entry ((5, 0, 0),"
+        "(1, 1, 1)) crosses blocks]"]
+
+
 def test_t_intertwining_smoke():
     r = verify.verify_t_intertwining(bounds={"A2": 1}, algebras=("A2",))
     assert r.passed
