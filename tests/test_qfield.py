@@ -263,6 +263,51 @@ def test_single_normalisation_of_rescale(v, r, c):
     assert once == v * r / c
 
 
+# ---------------------------------------------------------------------------
+# the Laurent product and the square-and-multiply power against sympy
+# ---------------------------------------------------------------------------
+
+@st.composite
+def operands(draw):
+    """An int, a monomial or a general Laurent polynomial."""
+    kind = draw(st.sampled_from(("int", "monomial", "laurent")))
+    if kind == "int":
+        return draw(coeffs)
+    if kind == "monomial":
+        return LaurentPoly({draw(exps): draw(coeffs.filter(bool))})
+    return draw(laurents())
+
+
+def test_laurent_product_drops_zero_coefficients():
+    one_plus, one_minus = LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 1: -1})
+    assert (one_plus * one_minus).c == {0: 1, 2: -1}
+    assert (one_plus * 0).c == {}
+    with pytest.raises(ValueError):
+        one_plus ** -1
+
+
+@given(laurents(), operands(), st.integers(min_value=0, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_laurent_product_and_power_match_sympy(p, x, n):
+    sympy = pytest.importorskip("sympy")
+    xs = _to_sympy(x) if isinstance(x, LaurentPoly) else sympy.Integer(x)
+    for got, want in ((p * x, _to_sympy(p) * xs), (x * p, xs * _to_sympy(p)),
+                      (p ** n, _to_sympy(p) ** n)):
+        assert isinstance(got, LaurentPoly)
+        assert 0 not in got.c.values()
+        assert sympy.expand(_to_sympy(got) - want) == 0
+
+
+@given(rationals().filter(bool), st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_rational_power_matches_sympy_and_inverts(r, n):
+    sympy = pytest.importorskip("sympy")
+    one = RationalFunction(1)
+    assert r ** -n == one / r ** n
+    assert r ** n * r ** -n == one
+    _assert_reduced_like_sympy(r ** n, r.num ** n, r.den ** n)
+
+
 @given(laurents(), laurents(allow_zero=False), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_ratio_matches_normalisation(a, b, divisible):
