@@ -28,7 +28,7 @@ from .qfield import (
 )
 from .presets import preset
 from .pbw import normal_order, transition_block
-from .intertwiner import PhiTable, checked_table, compute_phi
+from .intertwiner import CheckedTable, PhiTable
 from .verify import (
     selftest,
     verify_3d_reflection,
@@ -50,9 +50,8 @@ __all__ = [
     "preset",
     "normal_order",
     "transition_block",
+    "CheckedTable",
     "PhiTable",
-    "checked_table",
-    "compute_phi",
     "selftest",
     "verify_3d_reflection",
     "verify_properties",

@@ -30,27 +30,8 @@ relations; the property checks carry lambda_i as the scalar it is.
 
 from functools import lru_cache
 
-from .qfield import sum_products
-from .presets import preset, rf, ONE, qpow, tuples_with_weight
-
-
-def _profile(name, word):
-    p = preset(name)
-    return tuple(p.d[i] for i in word)
-
-
-def word_arg(name, word):
-    """Accept a word label (1 or 2) or an explicit longest word."""
-    p = preset(name)
-    if word in (1, 2):
-        return p.word(word)
-    try:
-        w = tuple(word)
-    except TypeError:
-        raise ValueError(f"bad word argument {word!r}") from None
-    if w not in (p.word1, p.word2):
-        raise ValueError(f"{w} is not a longest word of {name}")
-    return w
+from .qfield import ONE, rf, sum_products, vec_add, vec_scale
+from .presets import preset, qpow, tuples_with_weight
 
 
 def letters_arg(name, word):
@@ -67,6 +48,15 @@ def letters_arg(name, word):
         raise ValueError(f"bad word argument {word!r}") from None
     if not w or any(c not in (1, 2) for c in w):
         raise ValueError(f"not a word in the letters 1, 2: {word!r}")
+    return w
+
+
+def word_arg(name, word):
+    """Accept a word label (1 or 2) or an explicit longest word."""
+    w = letters_arg(name, word)
+    p = preset(name)
+    if w not in (p.word1, p.word2):
+        raise ValueError(f"{w} is not a longest word of {name}")
     return w
 
 
@@ -154,20 +144,9 @@ def op_identity(length):
     return {((0, 0, 0),) * length: ONE}
 
 
-def op_scale(op, c):
-    c = rf(c)
-    if c.num.is_zero():
-        return {}
-    return {m: v * c for m, v in op.items()}
-
-
-def op_add(*ops):
-    return sum_products((m, v, ONE) for op in ops for m, v in op.items())
-
-
 def op_mul(name, word, xop, yop):
     """Operator product x . y (y acts first)."""
-    profile = _profile(name, letters_arg(name, word))
+    profile = preset(name).bases(letters_arg(name, word))
 
     def terms():
         for mx, cx in xop.items():
@@ -187,7 +166,7 @@ def op_from_terms(name, word, terms):
     Used to transcribe displayed operator formulas in tests.
     """
     w = letters_arg(name, word)
-    profile = _profile(name, w)
+    profile = preset(name).bases(w)
 
     def products():
         for coeff, factors in terms:
@@ -205,7 +184,7 @@ def op_from_terms(name, word, terms):
 def apply_op(name, word, op, vec):
     """Apply an operator to a Fock vector {occupation tuple: coeff} of bare
     kets |A>."""
-    profile = _profile(name, letters_arg(name, word))
+    profile = preset(name).bases(letters_arg(name, word))
 
     def terms():
         for A, cA in vec.items():
@@ -271,7 +250,7 @@ def _t_polynomial_op(name, word, tpoly):
         term = op_identity(len(w))
         for j, k in factors:
             term = op_mul(name, w, term, pi_generator(name, w, j, k))
-        out = op_add(out, op_scale(term, coeff))
+        out = vec_add(out, vec_scale(term, coeff))
     return out
 
 

@@ -14,10 +14,9 @@ The checked table composes Phi with full reversal of the input slots;
 depending on the algebra it is the R, K or F family of coefficients.
 """
 
-from .qfield import ratio, sum_products
+from .qfield import ONE, ZERO, ratio, rf, sum_products
 from .presets import (
-    ALGEBRA_KIND, ONE, ZERO, preset, reverse, rf, tuples_with_weight,
-    weights_up_to,
+    ALGEBRA_KIND, preset, reverse, tuples_with_weight, weights_up_to,
 )
 from .fock import xi_matrix
 
@@ -104,22 +103,18 @@ class PhiTable:
     {output: entry} dict per input, nonzero entries only, outputs in row
     order.  It is solved once per weight from the Laurent operators
     xi_i / lambda_i on bare kets (fock.xi_matrix) and shared by every later
-    call, so callers must not mutate it.
+    call, so callers must not mutate it.  PhiTable(name, h) builds every
+    block with conserved height up to h at once.
     """
 
     def __init__(self, name, max_height=0):
         self.name = name
         self.preset = preset(name)
-        self.max_height = 0
         self._blocks = {}
-        self.extend(max_height)
-
-    def extend(self, max_height):
         if max_height < 0:
             raise ValueError("max_height must be nonnegative")
-        for w in weights_up_to(self.name, max_height):
+        for w in weights_up_to(name, max_height):
             self.block(w)
-        self.max_height = max(self.max_height, max_height)
 
     def block(self, weight):
         """Phi on bare kets: (rows, cols, {B: {C: entry}}), built once."""
@@ -171,11 +166,6 @@ class PhiTable:
         return columns[B].get(C, ZERO)
 
 
-def compute_phi(name, max_height):
-    """All intertwiner blocks with conserved heights up to max_height."""
-    return PhiTable(name, max_height)
-
-
 class CheckedTable:
     """Phi composed with full reversal of the input slots.
 
@@ -209,7 +199,3 @@ class CheckedTable:
         I = tuple(in_t)
         _, _, columns = self.phi.block(self.phi.preset.conserved2(I))
         return columns[reverse(I)]
-
-
-def checked_table(name, phi):
-    return CheckedTable(name, phi)

@@ -28,31 +28,22 @@ Conventions:
 from functools import lru_cache
 
 from .qfield import (
+    ONE,
+    ZERO,
     LaurentPoly,
-    RationalFunction,
     q_binom,
     q_int,
     qmq,
+    rf,
     sum_products,
+    vec_add,
+    vec_scale,
 )
 
 ALGEBRAS = ("A2", "C2", "G2")
 # Kind of each algebra's checked table: R (tetrahedron), K (3D reflection), F.
 KIND_ALGEBRA = {"R": "A2", "K": "C2", "F": "G2"}
 ALGEBRA_KIND = {a: k for k, a in KIND_ALGEBRA.items()}
-
-
-def rf(x):
-    """Coerce ints / Laurent polynomials to RationalFunction."""
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RationalFunction.from_laurent(x)
-    return RationalFunction.from_laurent(LaurentPoly.const(x))
-
-
-ONE = rf(1)
-ZERO = rf(0)
 
 
 @lru_cache(maxsize=None)
@@ -93,17 +84,6 @@ def reverse(t):
 
 # ---------------------------------------------------------------------------
 # word expressions (finite sums of words in the letters 1, 2)
-
-def wp_scale(wp, c):
-    c = rf(c)
-    if c.num.is_zero():
-        return {}
-    return {w: v * c for w, v in wp.items()}
-
-
-def wp_add(*wps):
-    return sum_products((w, v, ONE) for wp in wps for w, v in wp.items())
-
 
 def wp_mul(x, y):
     return sum_products((wx + wy, vx, vy) for wx, vx in x.items()
@@ -146,6 +126,11 @@ class AlgebraPreset:
         self.sigma_polys = sigma_polys          # {(node, tag): t-polynomial}
         self.pi_matrix = pi_matrix              # {node: NxN mode-op sums}
         self.n_gen = n_gen
+
+    def bases(self, word):
+        """The oscillator base exponent d of each letter of a word: its
+        slot bases are q^d."""
+        return tuple(self.d[i] for i in word)
 
     def word(self, label):
         if label == 1:
@@ -319,10 +304,15 @@ def _g2_left_2(t):
 # root vectors (flat word expressions, word-2 ordering)
 
 
+def _qcomm(x, y, c):
+    """The q-commutator x y - c y x of two word expressions."""
+    return vec_add(wp_mul(x, y), vec_scale(wp_mul(y, x), -c))
+
+
 def _roots_a2():
     b1 = _letter(2)
     b3 = _letter(1)
-    b2 = wp_add(wp_mul(b3, b1), wp_scale(wp_mul(b1, b3), -qpow(1)))
+    b2 = _qcomm(b3, b1, qpow(1))
     return (b1, b2, b3)
 
 
@@ -330,9 +320,8 @@ def _roots_c2():
     e1, e2 = _letter(1), _letter(2)
     b1 = e2
     b4 = e1
-    b2 = wp_add(wp_mul(e1, e2), wp_scale(wp_mul(e2, e1), -qpow(2)))
-    b3 = wp_scale(wp_add(wp_mul(e1, b2), wp_scale(wp_mul(b2, e1), -1)),
-                  ONE / qint(2))
+    b2 = _qcomm(e1, e2, qpow(2))
+    b3 = vec_scale(_qcomm(e1, b2, 1), ONE / qint(2))
     return (b1, b2, b3, b4)
 
 
@@ -340,14 +329,11 @@ def _roots_g2():
     e1, e2 = _letter(1), _letter(2)
     b1 = e2
     b6 = e1
-    b2 = wp_add(wp_mul(e1, e2), wp_scale(wp_mul(e2, e1), -qpow(3)))
-    b4 = wp_scale(wp_add(wp_mul(e1, b2), wp_scale(wp_mul(b2, e1), -qpow(1))),
-                  ONE / qint(2))
+    b2 = _qcomm(e1, e2, qpow(3))
+    b4 = vec_scale(_qcomm(e1, b2, qpow(1)), ONE / qint(2))
     # normalization pinned by b_6 b_4 = [3] b_5 + q^-1 b_4 b_6
-    b5 = wp_scale(wp_add(wp_mul(e1, b4), wp_scale(wp_mul(b4, e1), -qpow(-1))),
-                  ONE / qint(3))
-    b3 = wp_scale(wp_add(wp_mul(b4, b2), wp_scale(wp_mul(b2, b4), -qpow(-1))),
-                  ONE / qint(3))
+    b5 = vec_scale(_qcomm(e1, b4, qpow(-1)), ONE / qint(3))
+    b3 = vec_scale(_qcomm(b4, b2, qpow(-1)), ONE / qint(3))
     return (b1, b2, b3, b4, b5, b6)
 
 

@@ -20,6 +20,11 @@ primitive pseudo-remainder sequence over Z, which keeps every intermediate
 exact, and exact division (poly_divexact) succeeds only when the quotient
 has integer coefficients.
 
+Each primitive has one copy, here: the product of Laurent coefficient
+dicts (_product) that LaurentPoly.__mul__ and the sparse accumulators
+share, the square-and-multiply loop (_power) of both ** operators, the
+coercion rf with the constants ONE and ZERO, and vec_add / vec_scale.
+
 Sparse sums of products have two entry points that share one way of
 accumulating and one finalisation: sum_products over (key, x, y) triples,
 and apply_on_slots, which applies an operator acting on some slots of
@@ -131,38 +136,9 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return _LP_ZERO
-            r = LaurentPoly.__new__(LaurentPoly)
-            r.c = {e: v * other for e, v in self.c.items()}
-            return r
-        a, b = self.c, other.c
-        if not a or not b:
-            return _LP_ZERO
-        if len(a) == 1:
-            (ea, va), = a.items()
-            r = LaurentPoly.__new__(LaurentPoly)
-            r.c = {eb + ea: vb * va for eb, vb in b.items()}
-            return r
-        if len(b) == 1:
-            (eb, vb), = b.items()
-            r = LaurentPoly.__new__(LaurentPoly)
-            r.c = {ea + eb: va * vb for ea, va in a.items()}
-            return r
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        get = out.get
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                e = ea + eb
-                w = get(e, 0) + va * vb
-                if w:
-                    out[e] = w
-                else:
-                    out.pop(e, None)
+            other = LaurentPoly.const(other)
         r = LaurentPoly.__new__(LaurentPoly)
-        r.c = out
+        r.c = _product(self.c, other.c)
         return r
 
     __rmul__ = __mul__
@@ -170,14 +146,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a LaurentPoly; use RationalFunction")
-        result = _LP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, _LP_ONE)
 
     def shift(self, k):
         """Multiply by q^k."""
@@ -216,6 +185,17 @@ class LaurentPoly:
 
 _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly({0: 1})
+
+
+def _power(x, n, one):
+    """x ** n for an int n >= 0, by square and multiply."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x if n > 1 else x
+        n >>= 1
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +438,11 @@ class RationalFunction:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero():
-        return _RF_ZERO
-
-    @staticmethod
-    def one():
-        return _RF_ONE
-
-    @staticmethod
     def from_laurent(p):
         r = RationalFunction.__new__(RationalFunction)
         r.num = p
         r.den = _LP_ONE
         return r
-
-    @staticmethod
-    def qpow(n, coeff=1):
-        return RationalFunction.from_laurent(LaurentPoly.qpow(n, coeff))
 
     # -- predicates -------------------------------------------------------
 
@@ -484,13 +452,10 @@ class RationalFunction:
     def is_one(self):
         return self.num.is_one() and self.den.is_one()
 
-    def is_polynomial(self):
-        return self.den.is_one()
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_rf(other)
+        other = rf(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
@@ -510,7 +475,7 @@ class RationalFunction:
         return r
 
     def __sub__(self, other):
-        other = _as_rf(other)
+        other = rf(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
@@ -519,7 +484,7 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        other = _as_rf(other)
+        other = rf(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
@@ -529,7 +494,7 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_rf(other)
+        other = rf(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero():
@@ -537,19 +502,12 @@ class RationalFunction:
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return _as_rf(other) / self
+        return rf(other) / self
 
     def __pow__(self, n):
         if n < 0:
-            return _RF_ONE / self ** (-n)
-        result = _RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+            return ONE / self ** (-n)
+        return _power(self, n, ONE)
 
     def specialize_q0(self):
         """Constant term at q = 0, defined only for genuine polynomials.
@@ -564,7 +522,7 @@ class RationalFunction:
     # -- comparison / hashing ---------------------------------------------------
 
     def __eq__(self, other):
-        other = _as_rf(other)
+        other = rf(other)
         if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -582,7 +540,10 @@ class RationalFunction:
         return f"RationalFunction({rf_to_str(self)})"
 
 
-def _as_rf(x):
+def rf(x):
+    """x as a RationalFunction: an int or a LaurentPoly is coerced, and any
+    other type gives NotImplemented, so that a binary operator can leave
+    the operation to its other operand."""
     t = type(x)
     if t is RationalFunction:
         return x
@@ -593,8 +554,8 @@ def _as_rf(x):
     return NotImplemented
 
 
-_RF_ZERO = RationalFunction.from_laurent(_LP_ZERO)
-_RF_ONE = RationalFunction.from_laurent(_LP_ONE)
+ZERO = RationalFunction.from_laurent(_LP_ZERO)
+ONE = RationalFunction.from_laurent(_LP_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +581,14 @@ def _add_product(acc, xc, yc):
 
 
 def _product(xc, yc):
-    """xc * yc as a new dict; a monomial factor shifts and scales the other."""
+    """xc * yc as a new dict with no zero coefficient (equality is
+    structural); a monomial factor shifts and scales the other."""
     if len(xc) > len(yc):
         xc, yc = yc, xc
     if len(xc) == 1:
         (ea, va), = xc.items()
         return {e + ea: v * va for e, v in yc.items()}
-    return _add_product({}, xc, yc)
+    return {e: v for e, v in _add_product({}, xc, yc).items() if v}
 
 
 def _grow(cur, x, y):
@@ -663,8 +625,9 @@ def _finish(laurent, rest):
                 if xc:
                     out[key] = x
                 continue
-            cur = _product(xc, yc)
-        c = {e: v for e, v in cur.items() if v}
+            c = _product(xc, yc)
+        else:
+            c = {e: v for e, v in cur.items() if v}
         if c:
             p = lp_new(LaurentPoly)
             p.c = c
@@ -700,14 +663,27 @@ def sum_products(terms):
     get = laurent.get
     # every denominator-1 value built here shares _LP_ONE; another one
     # would only take the slower exact path
-    rf, one = RationalFunction, _LP_ONE
+    RF, one = RationalFunction, _LP_ONE
     for key, x, y in terms:
-        if type(x) is rf and type(y) is rf and x.den is one and y.den is one:
+        if type(x) is RF and type(y) is RF and x.den is one and y.den is one:
             cur = get(key)
             laurent[key] = (x, y) if cur is None else _grow(cur, x, y)
         else:
             _add_exact(rest, key, x * y)
     return _finish(laurent, rest)
+
+
+def vec_scale(vec, c):
+    """c times a sparse vector {key: value}; {} when c is zero."""
+    c = rf(c)
+    if c.num.is_zero():
+        return {}
+    return {k: v * c for k, v in vec.items()}
+
+
+def vec_add(*vecs):
+    """The sum of sparse vectors {key: value}, zero sums dropped."""
+    return sum_products((k, v, ONE) for vec in vecs for k, v in vec.items())
 
 
 def slot_column(col):
@@ -716,9 +692,9 @@ def slot_column(col):
     Returns (items, laurent): the (out, value) pairs, and whether every
     value is a RationalFunction with denominator 1.
     """
-    rf, one = RationalFunction, _LP_ONE
+    RF, one = RationalFunction, _LP_ONE
     return (tuple(col.items()),
-            all(type(v) is rf and v.den is one for v in col.values()))
+            all(type(v) is RF and v.den is one for v in col.values()))
 
 
 def _tuple_getter(idx):
@@ -755,12 +731,12 @@ def apply_on_slots(vec, pos, column):
     if not vec:
         return {}
     key_of, inp_of = _slot_getters(len(next(iter(vec))), pos)
-    rf, one = RationalFunction, _LP_ONE
+    RF, one = RationalFunction, _LP_ONE
     laurent, rest = {}, {}
     get = laurent.get
     for state, c in vec.items():
         items, col_laurent = column(inp_of(state))
-        if col_laurent and type(c) is rf and c.den is one:
+        if col_laurent and type(c) is RF and c.den is one:
             for out, v in items:
                 key = key_of(state + out)
                 cur = get(key)
@@ -793,7 +769,7 @@ def canonical_string(x):
     """Canonical text form of a LaurentPoly or RationalFunction."""
     if isinstance(x, LaurentPoly):
         return lp_to_str(x)
-    return rf_to_str(_as_rf(x))
+    return rf_to_str(rf(x))
 
 
 def parse(text):

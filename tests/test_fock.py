@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from qpbw import fock
 from qpbw.fock import (
-    apply_op, letters_arg, op_from_terms, op_mul, op_scale, pi_generator,
-    sigma_e_op, sigma_op, word_arg, xi_matrix,
+    apply_op, letters_arg, op_from_terms, op_mul, pi_generator, sigma_e_op,
+    sigma_op, word_arg, xi_matrix,
 )
 from qpbw.fock import _mono_apply, _mono_mul_word
-from qpbw.qfield import d_norm, q_factorial, sum_products
+from qpbw.qfield import d_norm, q_factorial, sum_products, vec_scale
 from qpbw.presets import (
     ONE, preset, qint, qpow, reverse, rf, tuples_with_weight,
 )
@@ -85,7 +85,7 @@ def _apply_scaled(name, word, op, vec):
 
 def _xi(name, word, i):
     """pi_word(xi_i) = lambda_i xi_bar_op."""
-    return op_scale(fock.xi_bar_op(name, word, i), _lam(name, i))
+    return vec_scale(fock.xi_bar_op(name, word, i), _lam(name, i))
 
 
 def _xi_scaled(name, word, i, vec):
@@ -279,9 +279,9 @@ def test_sigma_displays_g2():
     two2, three1 = qint(2, 3), qint(3, 1)
     assert sigma_op("G2", 1, 1) == disp("G2", 1, "k1 K2 k3 k3 K4 k5")
     assert sigma_e_op("G2", 1, 1) == disp("G2", 1, "a+1 K2 k3 k3 K4 k5")
-    assert sigma_op("G2", 1, 2) == op_scale(
+    assert sigma_op("G2", 1, 2) == vec_scale(
         disp("G2", 1, "K2 k3 k3 k3 K4 K4 k5 k5 k5 K6"), mq)
-    assert sigma_e_op("G2", 1, 2) == op_scale(disp(
+    assert sigma_e_op("G2", 1, 2) == vec_scale(disp(
         "G2", 1,
         "k1 k1 k1 K2 K2 k3 k3 k3 K4 A+6",
         ("k1 k1 k1 A-2 K2 A+4 K4 k5 k5 k5 K6", two2),
@@ -298,7 +298,7 @@ def test_sigma_displays_g2():
         "k1 k1 k1 K2 K2 a-3 a-3 a-3 A+4 A+4 k5 k5 k5 K6",
         ("k1 k1 k1 K2 K2 a-3 a-3 k3 A+4 a+5 k5 k5 K6", three1)), mq)
     assert sigma_op("G2", 2, 1) == disp("G2", 2, "k2 K3 k4 k4 K5 k6")
-    assert sigma_op("G2", 2, 2) == op_scale(
+    assert sigma_op("G2", 2, 2) == vec_scale(
         disp("G2", 2, "K1 k2 k2 k2 K3 K3 k4 k4 k4 K5"), mq)
     two1 = qint(2, 1)
     assert sigma_e_op("G2", 2, 1) == disp(
@@ -309,7 +309,7 @@ def test_sigma_displays_g2():
         "K1 a-2 a-2 A+3 k4 k4 K5 k6",
         ("K1 a-2 k2 a+4 k4 K5 k6", two1),
         "K1 k2 k2 A-3 a+4 a+4 K5 k6")
-    assert sigma_e_op("G2", 2, 2) == op_scale(
+    assert sigma_e_op("G2", 2, 2) == vec_scale(
         disp("G2", 2, "A+1 k2 k2 k2 K3 K3 k4 k4 k4 K5"), mq)
 
 
@@ -326,37 +326,37 @@ def test_sigma_commutation():
                     if i == j:
                         # sigma_i tau_i = q_i tau_i sigma_i
                         assert mul(s[i], t[i]) \
-                            == op_scale(mul(t[i], s[i]), qpow(p.d[i]))
+                            == vec_scale(mul(t[i], s[i]), qpow(p.d[i]))
                     else:
                         assert mul(s[i], t[j]) == mul(t[j], s[i])
 
 
 def test_xi_displays():
     lam = {(n, i): _lam(n, i) for n in ("A2", "C2", "G2") for i in (1, 2)}
-    assert _xi("A2", 1, 1) == op_scale(disp("A2", 1, "a+1 k1'"), lam["A2", 1])
-    assert _xi("A2", 1, 2) == op_scale(
+    assert _xi("A2", 1, 1) == vec_scale(disp("A2", 1, "a+1 k1'"), lam["A2", 1])
+    assert _xi("A2", 1, 2) == vec_scale(
         disp("A2", 1, "a-1 a+2 k2'", "k1 k2' a+3 k3'"), lam["A2", 2])
     for i in (1, 2):
         assert _xi("A2", 2, i) == _xi("A2", 1, 3 - i)
 
     two1 = qint(2, 1)
-    assert _xi("C2", 1, 1) == op_scale(disp("C2", 1, "a+1 k1'"), lam["C2", 1])
-    assert _xi("C2", 1, 2) == op_scale(disp(
+    assert _xi("C2", 1, 1) == vec_scale(disp("C2", 1, "a+1 k1'"), lam["C2", 1])
+    assert _xi("C2", 1, 2) == vec_scale(disp(
         "C2", 1,
         "a-1 a-1 A+2 K2'",
         "k1 k1 A-2 K2' a+3 a+3 k3' k3'",
         ("a-1 k1 K2' a+3 k3'", two1),
         "k1 k1 k3' k3' A+4 K4'"), lam["C2", 2])
-    assert _xi("C2", 2, 1) == op_scale(disp(
+    assert _xi("C2", 2, 1) == vec_scale(disp(
         "C2", 2,
         "A-1 a+2 k2'",
         "K1 a-2 k2' A+3 K3'",
         "K1 K3' a+4 k4'"), lam["C2", 1])
-    assert _xi("C2", 2, 2) == op_scale(disp("C2", 2, "A+1 K1'"), lam["C2", 2])
+    assert _xi("C2", 2, 2) == vec_scale(disp("C2", 2, "A+1 K1'"), lam["C2", 2])
 
     two2, three1 = qint(2, 3), qint(3, 1)
-    assert _xi("G2", 1, 1) == op_scale(disp("G2", 1, "a+1 k1'"), lam["G2", 1])
-    assert _xi("G2", 1, 2) == op_scale(disp(
+    assert _xi("G2", 1, 1) == vec_scale(disp("G2", 1, "a+1 k1'"), lam["G2", 1])
+    assert _xi("G2", 1, 2) == vec_scale(disp(
         "G2", 1,
         "a-1 a-1 a-1 A+2 K2'",
         ("k1 k1 k1 A-2 k3' k3' k3' A+4 K4'", two2),
@@ -374,7 +374,7 @@ def test_xi_displays():
         ("k1 k1 k1 K2 a-3 a-3 k3' k3' A+4 K4' K4' a+5 k5'", three1)),
         lam["G2", 2])
     two1 = qint(2, 1)
-    assert _xi("G2", 2, 1) == op_scale(disp(
+    assert _xi("G2", 2, 1) == vec_scale(disp(
         "G2", 2,
         "A-1 a+2 k2'",
         ("K1 a-2 K3' a+4 k4'", two1),
@@ -382,7 +382,7 @@ def test_xi_displays():
         "K1 k2 a-4 k4' k4' A+5 K5'",
         "K1 k2 k4' K5' a+6 k6'",
         "K1 k2 A-3 K3' a+4 a+4 k4' k4'"), lam["G2", 1])
-    assert _xi("G2", 2, 2) == op_scale(disp("G2", 2, "A+1 K1'"), lam["G2", 2])
+    assert _xi("G2", 2, 2) == vec_scale(disp("G2", 2, "A+1 K1'"), lam["G2", 2])
 
 
 def test_xi_ket_action_a2():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qpbw import intertwiner, qfield
 from qpbw.fock import apply_op, xi_bar_op
 from qpbw.intertwiner import (
-    CheckedTable, PhiTable, checked_table, compute_phi, solve_exact,
+    CheckedTable, PhiTable, solve_exact,
 )
 from qpbw.pbw import transition_block
 from qpbw.presets import (
@@ -200,12 +200,11 @@ def test_main_theorem_low_blocks():
                         == tb.gamma(reverse(C), reverse(B)), (name, w, C, B)
 
 
-def test_compute_phi_extends_and_validates():
-    phi = compute_phi("A2", 3)
-    assert phi.max_height == 3
+def test_phi_table_fills_and_validates():
+    phi = PhiTable("A2", 3)
     assert set(weights_up_to("A2", 3)) <= set(phi._blocks)
     with pytest.raises(ValueError):
-        compute_phi("A2", -1)
+        PhiTable("A2", -1)
     with pytest.raises(ValueError):
         PhiTable("C2").block((-1, 0))
 
@@ -245,7 +244,7 @@ def test_block_drops_zero_entries(monkeypatch):
 
 def test_golden_columns_exact():
     for name, (I, want_strs) in GOLDEN.items():
-        tab = checked_table(name, PhiTable(name))
+        tab = CheckedTable(name, PhiTable(name))
         want = {out: val(s) for out, s in want_strs.items()}
         col = tab.column(I)
         assert col == want, name
@@ -258,7 +257,7 @@ def test_golden_columns_exact():
 def test_checked_column_is_the_block_column():
     # column hands out the stored column itself, never a copy
     for name, hmax in (("A2", 4), ("C2", 4), ("G2", 3)):
-        tab = checked_table(name, PhiTable(name))
+        tab = CheckedTable(name, PhiTable(name))
         p = tab.phi.preset
         for w in weights_up_to(name, hmax):
             for I in tuples_with_weight(name, 2, w):
@@ -271,11 +270,11 @@ def test_checked_column_is_the_block_column():
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: PhiTable("A2").phi((0, 1, 0), (0, 1)), id="phi"),
-    pytest.param(lambda: checked_table("A2", PhiTable("A2")).column((1, 0)),
+    pytest.param(lambda: CheckedTable("A2", PhiTable("A2")).column((1, 0)),
                  id="column"),
-    pytest.param(lambda: checked_table("A2", PhiTable("A2")).entry(
+    pytest.param(lambda: CheckedTable("A2", PhiTable("A2")).entry(
         (0, 1, 0), (1, 0, 0, 0)), id="entry"),
-    pytest.param(lambda: checked_table("C2", PhiTable("C2")).block_outputs(
+    pytest.param(lambda: CheckedTable("C2", PhiTable("C2")).block_outputs(
         (1, 0, 1)), id="block_outputs"),
 ])
 def test_wrong_length_tuple_rejected(call):
@@ -295,11 +294,11 @@ def test_checked_table_kinds_and_entry():
 
 
 def test_checked_is_phi_with_reversed_input():
-    tab = checked_table("A2", PhiTable("A2"))
+    tab = CheckedTable("A2", PhiTable("A2"))
     assert tab.entry((1, 0, 1), (0, 1, 0)) == tab.phi.phi((1, 0, 1), (0, 1, 0))
     assert tab.entry((1, 0, 1), (1, 0, 1)) == tab.phi.phi((1, 0, 1), (1, 0, 1))
     # asymmetric probe where reversal matters
-    tabc = checked_table("C2", PhiTable("C2"))
+    tabc = CheckedTable("C2", PhiTable("C2"))
     I = (1, 0, 0, 2)
     assert tabc.entry((1, 0, 0, 2), I) == tabc.phi.phi((1, 0, 0, 2), reverse(I))
 

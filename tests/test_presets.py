@@ -6,7 +6,9 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbw.qfield import LaurentPoly, q_binom, q_factorial, q_int
+from qpbw.qfield import (
+    LaurentPoly, q_binom, q_factorial, q_int, vec_add, vec_scale,
+)
 from qpbw.presets import (
     ALGEBRAS,
     preset,
@@ -15,9 +17,7 @@ from qpbw.presets import (
     qpow,
     qint,
     qbinom,
-    wp_add,
     wp_mul,
-    wp_scale,
     wp_chi,
     reverse,
 )
@@ -135,10 +135,10 @@ def test_word_expression_algebra():
     x = {(1,): rf(1), (2,): qpow(1)}
     y = {(2,): rf(1)}
     assert wp_mul(x, y) == {(1, 2): rf(1), (2, 2): qpow(1)}
-    assert wp_add(x, wp_scale(x, -1)) == {}
-    assert wp_scale(x, 0) == {}
+    assert vec_add(x, vec_scale(x, -1)) == {}
+    assert vec_scale(x, 0) == {}
     inv2 = rf(1) / qint(2)
-    assert wp_scale(x, inv2) == {(1,): inv2, (2,): qpow(1) * inv2}
+    assert vec_scale(x, inv2) == {(1,): inv2, (2,): qpow(1) * inv2}
 
 
 @st.composite
