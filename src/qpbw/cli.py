@@ -7,6 +7,10 @@ compute   emit one table column (or a whole height range) as JSON lines
 verify    run one verification suite and print PASS/FAIL lines.
 selftest  a fast pass over every suite.
 
+A compute sweep walks the blocks up the heights and keeps only a window
+of heights alive; a single --in input reads its block from the
+process-wide caches, which keep it.
+
 Output on stdout (or --out) is deterministic byte for byte; timings and
 other diagnostics go to stderr.  Exit status: 0 all checks pass, 1 a
 check failed or an exact computation broke down (a failed solve, a pole),
@@ -21,8 +25,9 @@ import sys
 from collections import namedtuple
 
 from . import pbw, verify
+from .intertwiner import phi_blocks
 from .presets import (
-    ALGEBRAS, KIND_ALGEBRA, preset, reverse, tuples_with_weight, weights_up_to,
+    ALGEBRAS, KIND_ALGEBRA, preset, reverse, tuples_with_weight,
 )
 from .qfield import canonical_string, parse as parse_coefficient
 
@@ -99,45 +104,42 @@ def _parse_tuple(text):
 # ---------------------------------------------------------------------------
 # compute
 
-def _gamma_records(name, inputs):
-    """gamma^A_B over word-1 outputs B, one block per input A (word 2)."""
-    p = preset(name)
-    out = []
+def _gamma_records(name, kind, tb, inputs):
+    """gamma^A_B over word-1 outputs B, for word-2 inputs A of one block."""
     for A in inputs:
-        wgt = p.conserved2(A)
-        tb = pbw.transition_block(name, wgt)
         ra = reverse(A)
-        for B in tuples_with_weight(name, 1, wgt):
+        for B in tb.rows:
             c = tb.gamma(ra, reverse(B))
             if not c.num.is_zero():
-                out.append(TableRecord(name, "gamma", A, B,
-                                       canonical_string(c)))
-    return out
+                yield TableRecord(name, kind, A, B, canonical_string(c))
 
 
-def _phi_records(name, inputs):
-    """Phi^C_B over word-2 outputs C, one block per input ket B (word 1)."""
-    phi = verify.shared_phi(name)
-    p = phi.preset
-    out = []
+def _phi_records(name, kind, block, inputs):
+    """Phi^C_B over word-2 outputs C, for input kets B (word 1) of one
+    block."""
+    _, _, columns = block
     for B in inputs:
-        _, _, columns = phi.block(p.conserved1(B))
         for C, v in columns[B].items():
-            out.append(TableRecord(name, "phi", B, C, canonical_string(v)))
-    return out
+            yield TableRecord(name, kind, B, C, canonical_string(v))
 
 
-def _checked_records(name, kind, inputs):
-    tab = verify.shared_table(name)
-    out = []
+def _checked_records(name, kind, block, inputs):
+    """The checked table's column above each word-2 input I of one block:
+    Phi's column above reverse(I)."""
+    _, _, columns = block
     for I in inputs:
-        for C, v in sorted(tab.column(I).items()):
-            out.append(TableRecord(name, kind, I, C, canonical_string(v)))
-    return out
+        for C, v in columns[reverse(I)].items():
+            yield TableRecord(name, kind, I, C, canonical_string(v))
 
 
 def compute_records(algebra, kind, inp=None, max_height=None):
-    """TableRecords for one input tuple, or every input up to max_height."""
+    """TableRecords for one input tuple, or every input up to max_height.
+
+    One input reads its block from the process-wide caches
+    (pbw.transition_block, verify.shared_phi); a sweep walks the heights
+    (pbw.transition_blocks, intertwiner.phi_blocks), so it keeps only a
+    window of heights alive and leaves those caches as they were.
+    """
     if algebra not in ALGEBRAS:
         raise UsageError(f"unknown algebra {algebra!r}")
     if kind not in KINDS:
@@ -148,6 +150,7 @@ def compute_records(algebra, kind, inp=None, max_height=None):
     p = preset(algebra)
     bound = verify.DEFAULT_HEIGHTS[algebra] if max_height is None \
         else max_height
+    label = 1 if kind == "phi" else 2
     if inp is not None:
         if len(inp) != p.length:
             raise UsageError(f"{algebra} tuples have {p.length} entries, "
@@ -155,18 +158,19 @@ def compute_records(algebra, kind, inp=None, max_height=None):
         if sum(inp) > bound:
             raise UsageError(f"input sum {sum(inp)} beyond height bound "
                              f"{bound}")
-        inputs = [tuple(inp)]
+        inp = tuple(inp)
+        weight = p.conserved1(inp) if label == 1 else p.conserved2(inp)
+        block = pbw.transition_block(algebra, weight) if kind == "gamma" \
+            else verify.shared_phi(algebra).block(weight)
+        blocks = [(block, [inp])]
     else:
-        label = 1 if kind == "phi" else 2
-        inputs = [t for w in weights_up_to(algebra, bound)
-                  for t in tuples_with_weight(algebra, label, w)
-                  if sum(t) <= bound]
-    if kind == "gamma":
-        records = _gamma_records(algebra, inputs)
-    elif kind == "phi":
-        records = _phi_records(algebra, inputs)
-    else:
-        records = _checked_records(algebra, kind, inputs)
+        walk = pbw.transition_blocks if kind == "gamma" else phi_blocks
+        blocks = ((block, tuples_with_weight(algebra, label, weight))
+                  for weight, block in walk(algebra, bound))
+    emit = {"gamma": _gamma_records, "phi": _phi_records}.get(
+        kind, _checked_records)
+    records = [rec for block, inputs in blocks
+               for rec in emit(algebra, kind, block, inputs)]
     records.sort(key=lambda r: (r.out, r.inp))
     return records
 

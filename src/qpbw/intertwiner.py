@@ -12,6 +12,12 @@ downstream is a genuine cross-check between independent pipelines.
 
 The checked table composes Phi with full reversal of the input slots;
 depending on the algebra it is the R, K or F family of coefficients.
+
+A PhiTable keeps every block it has built for as long as it lives, so
+random access to one block costs the blocks below it once.  A sweep over
+a height range (phi_blocks) owns its table and drops each block once the
+last block that reads it is built, so at most two heights of blocks, and
+about one height's worth, are alive.
 """
 
 from .qfield import ONE, ZERO, ratio, rf, sum_products
@@ -164,6 +170,22 @@ class PhiTable:
             return ZERO
         _, _, columns = self.block(self.preset.conserved2(C))
         return columns[B].get(C, ZERO)
+
+
+def phi_blocks(name, max_height):
+    """Yield (weight, block) for every weight up to max_height, in
+    weights_up_to order, from a PhiTable of the walk's own.
+
+    The block at (m2, m1) is solved from the blocks at (m2 - 1, m1) and
+    (m2, m1 - 1), so in this order the block at (m2 - 1, m1) has been read
+    for the last time once (m2, m1) is built, and is dropped then: the
+    table holds at most two heights, the one being built and the rest of
+    the one below it.
+    """
+    table = PhiTable(name)
+    for m2, m1 in weights_up_to(name, max_height):
+        yield (m2, m1), table.block((m2, m1))
+        table._blocks.pop((m2 - 1, m1), None)
 
 
 class CheckedTable:

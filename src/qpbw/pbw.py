@@ -15,14 +15,22 @@ root vector at a time, each step one exact division by [a_r] times that
 root vector's [2]/[3] denominator, so normal ordering multiplies Laurent
 polynomials only and runs no gcd.  An inexact division raises
 ArithmeticError.
+
+gamma is read two ways.  Random access (transition_block) keeps every
+block and every row it has built for the life of the process, in
+lru_caches.  A sweep over a height range (transition_blocks) caches
+nothing and keeps a row only until the last row built from it: never
+more than word 1's highest root height above its own (A2 2, C2 3, G2 5).
 """
 
+from collections import defaultdict
 from functools import lru_cache
+from itertools import groupby
 
 from .qfield import LaurentPoly, poly_divexact, q_int, sum_products
 from .presets import (
     preset, rf, ONE, ZERO, reverse, serre_relations, tuples_with_weight,
-    zero_tuple,
+    weights_up_to, zero_tuple,
 )
 
 
@@ -102,17 +110,22 @@ def _root_vector(name, r):
             for w, c in wp.items()}, den
 
 
-@lru_cache(maxsize=None)
-def _word1_divided(name, A):
+def _last_slot(A):
+    """The last nonzero slot of A, -1 for the zero tuple."""
+    return max((k for k, a in enumerate(A) if a), default=-1)
+
+
+def _divided_row(name, A, row_below):
     """E_1^(A) over the divided word-2 basis: {B: gamma^A_B}.
 
-    With r the last nonzero slot, E_1^(A) = E_1^(A - e_r) . c_r / [a_r].
+    With r the last nonzero slot, E_1^(A) = E_1^(A - e_r) . c_r / [a_r];
+    row_below(A - e_r) supplies the row E_1^(A - e_r).
     """
     p = preset(name)
-    r = max((k for k in range(p.length) if A[k]), default=-1)
+    r = _last_slot(A)
     if r < 0:
         return {zero_tuple(name): ONE}
-    prev = _word1_divided(name, A[:r] + (A[r] - 1,) + A[r + 1:])
+    prev = row_below(A[:r] + (A[r] - 1,) + A[r + 1:])
     wp, den = _root_vector(name, r)
     den = den * q_int(A[r], p.d[p.word1[r]])
     v = mul_word_expr(name, prev, wp, side="right")
@@ -120,6 +133,12 @@ def _word1_divided(name, A):
                       "gamma of {} at weight {}, row {}, column {}",
                       name, p.conserved1(A), A, B)
             for B, c in v.items()}
+
+
+@lru_cache(maxsize=None)
+def _word1_divided(name, A):
+    """E_1^(A) over the divided word-2 basis, cached for the process."""
+    return _divided_row(name, A, lambda below: _word1_divided(name, below))
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +169,63 @@ class TransitionBlock:
 
     rows: word-1 exponent tuples (lexicographic); cols: word-2 tuples.
     Entry (A, B) is gamma^A_B, the coefficient of B^(B) in the divided
-    word-1 monomial E_1^(A); each row is the cached _word1_divided dict,
-    held without a copy.
+    word-1 monomial E_1^(A); row_dicts maps each row A to that monomial's
+    {B: gamma^A_B} dict, held without a copy.
     """
 
-    def __init__(self, name, weight, rows, cols):
+    def __init__(self, name, weight, rows, cols, row_dicts):
         self.name = name
         self.weight = weight
         self.rows = rows
         self.cols = cols
-        self._rows = {A: _word1_divided(name, A) for A in rows}
+        self._rows = row_dicts
 
     def gamma(self, A, B):
         row = self._rows.get(tuple(A))
         return ZERO if row is None else row.get(tuple(B), ZERO)
 
 
-@lru_cache(maxsize=None)
-def transition_block(name, weight):
+def _block_tuples(name, weight):
     rows = tuples_with_weight(name, 1, weight)
     cols = tuples_with_weight(name, 2, weight)
     if not rows or not cols:
         raise ValueError(f"no tuples of weight {weight} for {name}")
-    return TransitionBlock(name, weight, rows, cols)
+    return rows, cols
+
+
+@lru_cache(maxsize=None)
+def transition_block(name, weight):
+    """gamma on one weight block, its rows from the process-wide cache."""
+    rows, cols = _block_tuples(name, weight)
+    return TransitionBlock(name, weight, rows, cols,
+                           {A: _word1_divided(name, A) for A in rows})
+
+
+def transition_blocks(name, max_height):
+    """Yield (weight, TransitionBlock) for every weight up to max_height,
+    in weights_up_to order, holding only the rows still to be read.
+
+    The row of A, with last nonzero slot r, is read by the rows A + e_s,
+    s >= r, each higher by the height of the s-th root; it is dropped once
+    the highest of those heights is built.  So no row outlives the
+    `max root height` heights above its own (A2 2, C2 3, G2 5), and
+    nothing enters _word1_divided's cache.
+    """
+    p = preset(name)
+    lift = [sum(root) for root in p.word1_roots]
+    last_read = [max(lift[r:]) for r in range(p.length)]
+    live, expiring = {}, defaultdict(list)
+    for height, weights in groupby(weights_up_to(name, max_height), key=sum):
+        for weight in weights:
+            rows, cols = _block_tuples(name, weight)
+            block = {A: _divided_row(name, A, live.__getitem__)
+                     for A in rows}
+            live.update(block)
+            for A in rows:
+                expiring[height + last_read[max(_last_slot(A), 0)]].append(A)
+            yield weight, TransitionBlock(name, weight, rows, cols, block)
+        for A in expiring.pop(height, ()):
+            del live[A]
 
 
 def serre_residuals(name):

@@ -23,7 +23,8 @@ has integer coefficients.
 Each primitive has one copy, here: the product of Laurent coefficient
 dicts (_product) that LaurentPoly.__mul__ and the sparse accumulators
 share, the square-and-multiply loop (_power) of both ** operators, the
-coercion rf with the constants ONE and ZERO, and vec_add / vec_scale.
+coercion rf with the constants ONE and ZERO (and _lp, its LaurentPoly
+twin), and vec_add / vec_scale.
 
 Sparse sums of products have two entry points that share one way of
 accumulating and one finalisation: sum_products over (key, x, y) triples,
@@ -102,8 +103,9 @@ class LaurentPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
+        other = _lp(other)
+        if other is NotImplemented:
+            return NotImplemented
         if not self.c:
             return other
         if not other.c:
@@ -127,16 +129,18 @@ class LaurentPoly:
         return r
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
+        other = _lp(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
+        other = _lp(other)
+        if other is NotImplemented:
+            return NotImplemented
         r = LaurentPoly.__new__(LaurentPoly)
         r.c = _product(self.c, other.c)
         return r
@@ -164,9 +168,8 @@ class LaurentPoly:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
+        other = _lp(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.c == other.c
 
@@ -185,6 +188,17 @@ class LaurentPoly:
 
 _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly({0: 1})
+
+
+def _lp(x):
+    """x as a LaurentPoly: an int is coerced, and any other type gives
+    NotImplemented, so that a binary operator can leave the operation to
+    its other operand (a RationalFunction takes a LaurentPoly in)."""
+    if type(x) is LaurentPoly:
+        return x
+    if isinstance(x, int):
+        return LaurentPoly.const(x)
+    return NotImplemented
 
 
 def _power(x, n, one):

@@ -13,6 +13,13 @@ operators' type signatures.  The properties of the xi operators are
 instead proved for every occupation, with no bound: the q-Serre relations
 as identities between canonical Fock operators, and the key property
 rho(e_i) = pi(xi_i) at one ket whose entries are symbolic occupations.
+
+The theorem's block check walks Phi and gamma up the heights side by
+side (intertwiner.phi_blocks, pbw.transition_blocks), so a sweep keeps
+only a window of heights of each alive.  Every other check reads blocks
+by random access, from the process-wide shared_phi tables and pbw's
+caches, which keep every block for the life of the process and let the
+suites share them.
 """
 
 import time
@@ -22,7 +29,7 @@ from itertools import combinations_with_replacement, product
 from operator import add
 
 from . import fock, pbw
-from .intertwiner import CheckedTable, PhiTable
+from .intertwiner import CheckedTable, PhiTable, phi_blocks
 from .presets import (
     KIND_ALGEBRA, preset, qbinom, qpow, reverse, tuples_with_weight,
     weights_up_to, zero_tuple,
@@ -318,11 +325,12 @@ def verify_theorem(heights=None, algebras=("A2", "C2", "G2")):
 
 
 def _block_cases(name, h):
-    """Phi against gamma, entry by entry, on every block up to height h."""
-    phi = shared_phi(name)
-    for wgt in weights_up_to(name, h):
-        rows, cols, columns = phi.block(wgt)
-        tb = pbw.transition_block(name, wgt)
+    """Phi against gamma, entry by entry, on every block up to height h.
+
+    Both sides are height walks, so only a window of heights of each is
+    alive at a time, and neither process-wide cache grows."""
+    for (wgt, (rows, cols, columns)), (_, tb) in zip(
+            phi_blocks(name, h), pbw.transition_blocks(name, h)):
         for c_out, b_in in product(rows, cols):
             a = columns[b_in].get(c_out, ZERO)
             b = tb.gamma(reverse(c_out), reverse(b_in))

@@ -9,6 +9,7 @@ from qpbw.cli import (
     TableRecord, compute_records, main, record_from_json, record_to_json,
     records_from_csv, records_to_csv,
 )
+from qpbw.presets import ALGEBRA_KIND, tuples_with_weight, weights_up_to
 from qpbw.qfield import LaurentPoly, RationalFunction, parse
 
 
@@ -252,6 +253,55 @@ def test_inexact_division_exits_one(monkeypatch, capsys, fresh_pbw_caches,
     assert rc == 1
     assert out == ""
     assert err == f"qpbw: {message}"
+
+
+def test_inexact_division_in_a_sweep_exits_one(monkeypatch, capsys,
+                                               fresh_pbw_caches):
+    _off_root_vector(monkeypatch)
+    rc, out, err = run(["compute", "--algebra", "C2", "--kind", "gamma",
+                        "--max-height", "2"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == ("qpbw: inexact division in gamma of C2 at weight (0, 1), "
+                   "row (1, 0, 0, 0), column (0, 0, 0, 1)\n")
+
+
+# ---------------------------------------------------------------------------
+# sweeps stream: the same records as one input at a time, and no cache grows
+
+SWEEPS = [(name, kind, height)
+          for name, height in (("A2", 6), ("C2", 5), ("G2", 4))
+          for kind in ("gamma", "phi", ALGEBRA_KIND[name])]
+
+
+@pytest.mark.parametrize("name,kind,height", SWEEPS)
+def test_sweep_matches_one_input_at_a_time(name, kind, height):
+    """A sweep walks the heights; each --in input reads its block from
+    the process-wide caches (shared_phi, transition_block)."""
+    label = 1 if kind == "phi" else 2
+    inputs = [t for w in weights_up_to(name, height)
+              for t in tuples_with_weight(name, label, w)]
+    one_by_one = [r for t in inputs
+                  for r in compute_records(name, kind, t, height)]
+    one_by_one.sort(key=lambda r: (r.out, r.inp))
+    assert one_by_one
+    assert compute_records(name, kind, max_height=height) == one_by_one
+
+
+def test_sweep_leaves_the_process_caches_alone(monkeypatch,
+                                               fresh_pbw_caches):
+    monkeypatch.setattr(verify, "_PHI", {})
+    verify.shared_phi("C2").block((1, 1))
+    pbw.transition_block("C2", (1, 1))
+    before = {name: set(tab._blocks) for name, tab in verify._PHI.items()}
+    rows = pbw._word1_divided.cache_info().currsize
+    blocks = pbw.transition_block.cache_info().currsize
+    for name, kind, height in SWEEPS:
+        compute_records(name, kind, max_height=height)
+    assert {name: set(tab._blocks)
+            for name, tab in verify._PHI.items()} == before
+    assert pbw._word1_divided.cache_info().currsize == rows
+    assert pbw.transition_block.cache_info().currsize == blocks
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,35 @@ def test_block_layout_is_column_major(name, hmax):
             assert all(v for v in col.values()), (name, w, B)
 
 
+@pytest.mark.parametrize("name,height", (("A2", 6), ("C2", 5), ("G2", 4)))
+def test_phi_walk_matches_the_table_and_holds_two_heights(monkeypatch, name,
+                                                          height):
+    """The walk's table never holds blocks of more than two heights, and
+    at most h + 2 blocks while it builds height h: each block goes once
+    the last block that reads it is built."""
+    full = PhiTable(name, height)
+    block = PhiTable.block
+    held, sizes = [], []
+
+    def watched(self, weight):
+        got = block(self, weight)
+        if self is not full:
+            held.append({sum(w) for w in self._blocks})
+            sizes.append(len(self._blocks))
+        return got
+
+    monkeypatch.setattr(PhiTable, "block", watched)
+    weights = []
+    for w, got in intertwiner.phi_blocks(name, height):
+        assert got == full.block(w), (name, w)
+        weights.append(w)
+    assert weights == weights_up_to(name, height)
+    for heights, size in zip(held, sizes):
+        assert heights <= {max(heights) - 1, max(heights)}, (name, heights)
+        assert size <= max(heights) + 2, (name, heights)
+    assert held[-1] == {height - 1, height}
+
+
 def test_block_drops_zero_entries(monkeypatch):
     # Phi blocks are dense at every tested height, so plant a zero in
     # the solve of (1, 1), above blocks solved unpatched

@@ -26,6 +26,7 @@ from qpbw.pbw import (
     rho_column,
     serre_residuals,
     transition_block,
+    transition_blocks,
 )
 from qpbw.pbw import _rule_terms, _word1_divided
 
@@ -332,6 +333,33 @@ def test_gamma_matches_factorial_rescale(name, height):
                     == {B: canonical_string(v) for B, v in want.items()})
             for B in t.cols:
                 assert t.gamma(A, B) == want.get(B, ZERO), (name, A, B)
+
+
+@pytest.mark.parametrize("name,height,layers",
+                         [("A2", 6, 2), ("C2", 5, 3), ("G2", 7, 5)])
+def test_gamma_walk_rows_match_the_cache_and_expire(name, height, layers):
+    """Every row of the walk is _word1_divided's row.  Below the current
+    height the walk holds only rows that a row still to be built reads
+    (the row of A is read by A + e_s for s >= its last nonzero slot), so
+    none of them lies more than `layers` heights down."""
+    p = preset(name)
+    lift = [sum(root) for root in p.word1_roots]
+    walk = transition_blocks(name, height)
+    weights = []
+    for w, tb in walk:
+        assert (tb.rows, tb.cols) == (tuples_with_weight(name, 1, w),
+                                      tuples_with_weight(name, 2, w))
+        for A in tb.rows:
+            assert tb._rows[A] == _word1_divided(name, A), (name, A)
+        h = sum(w)
+        for A in walk.gi_frame.f_locals["live"]:
+            own = sum(p.conserved1(A))
+            last = max((k for k, a in enumerate(A) if a), default=0)
+            assert h - layers <= own <= h, (name, w, A)
+            assert own == h or own + max(lift[last:]) >= h, (name, w, A)
+        weights.append(w)
+    assert weights == weights_up_to(name, height)
+    assert max(lift) == layers
 
 
 def test_gamma_entry_matches_sympy():

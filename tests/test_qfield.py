@@ -289,6 +289,33 @@ def test_laurent_product_drops_zero_coefficients():
         one_plus ** -1
 
 
+@pytest.mark.parametrize("n,d", [
+    (LaurentPoly({0: 1}), LaurentPoly({0: 1})),
+    (LaurentPoly({0: 1}), LaurentPoly({0: 1, 1: 1})),
+], ids=["ONE", "one-over-1+q"])
+def test_laurent_poly_leaves_a_rational_operand_to_it(n, d):
+    """p op r, in both orders, is the RationalFunction of the two
+    fractions, whether r is ONE or has a denominator."""
+    p, r = LaurentPoly({0: 1, 2: 3}), RationalFunction(n, d)
+    for got, want in ((p + r, RationalFunction(p * d + n, d)),
+                      (r + p, RationalFunction(p * d + n, d)),
+                      (p - r, RationalFunction(p * d - n, d)),
+                      (r - p, RationalFunction(n - p * d, d)),
+                      (p * r, RationalFunction(p * n, d)),
+                      (r * p, RationalFunction(p * n, d))):
+        assert type(got) is RationalFunction
+        assert got == want
+
+
+@pytest.mark.parametrize("op", [
+    lambda p: p * 1.5, lambda p: 1.5 * p, lambda p: p + 1.5,
+    lambda p: 1.5 + p, lambda p: p - 1.5, lambda p: 1.5 - p,
+], ids=["mul", "rmul", "add", "radd", "sub", "rsub"])
+def test_laurent_poly_with_a_float_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(LaurentPoly({0: 1}))
+
+
 @given(laurents(), operands(), st.integers(min_value=0, max_value=4))
 @settings(max_examples=150, deadline=None)
 def test_laurent_product_and_power_match_sympy(p, x, n):
