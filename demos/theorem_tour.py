@@ -8,15 +8,15 @@ independently, the two matrices coincide.  This walks a small C2 block.
 
 from qpbw.intertwiner import PhiTable
 from qpbw.pbw import transition_block
-from qpbw.presets import preset, reverse
+from qpbw.presets import reverse, tuples_with_weight
 from qpbw.qfield import canonical_string
 
 name = "C2"
 weight = (2, 2)          # conserved pair (m2, m1)
 
-p = preset(name)
-phi = PhiTable(name)
-rows, cols, columns = phi.block(weight)
+columns = PhiTable(name).block(weight)     # {input: {output: entry}}
+rows = tuples_with_weight(name, 2, weight)  # outputs, word-2 tuples
+cols = tuples_with_weight(name, 1, weight)  # inputs, word-1 tuples
 tb = transition_block(name, weight)
 
 print(f"{name} block at weight {weight}: "

@@ -114,21 +114,13 @@ def _gamma_records(name, kind, tb, inputs):
                 yield TableRecord(name, kind, A, B, canonical_string(c))
 
 
-def _phi_records(name, kind, block, inputs):
-    """Phi^C_B over word-2 outputs C, for input kets B (word 1) of one
-    block."""
-    _, _, columns = block
-    for B in inputs:
-        for C, v in columns[B].items():
-            yield TableRecord(name, kind, B, C, canonical_string(v))
-
-
-def _checked_records(name, kind, block, inputs):
-    """The checked table's column above each word-2 input I of one block:
-    Phi's column above reverse(I)."""
-    _, _, columns = block
+def _phi_records(name, kind, columns, inputs):
+    """Phi's column above each input of one block: the input ket B (word
+    1) itself for kind phi, reverse(I) for a checked-table input I (word
+    2)."""
     for I in inputs:
-        for C, v in columns[reverse(I)].items():
+        B = I if kind == "phi" else reverse(I)
+        for C, v in columns[B].items():
             yield TableRecord(name, kind, I, C, canonical_string(v))
 
 
@@ -167,8 +159,7 @@ def compute_records(algebra, kind, inp=None, max_height=None):
         walk = pbw.transition_blocks if kind == "gamma" else phi_blocks
         blocks = ((block, tuples_with_weight(algebra, label, weight))
                   for weight, block in walk(algebra, bound))
-    emit = {"gamma": _gamma_records, "phi": _phi_records}.get(
-        kind, _checked_records)
+    emit = _gamma_records if kind == "gamma" else _phi_records
     records = [rec for block, inputs in blocks
                for rec in emit(algebra, kind, block, inputs)]
     records.sort(key=lambda r: (r.out, r.inp))

@@ -31,7 +31,7 @@ relations; the property checks carry lambda_i as the scalar it is.
 from functools import lru_cache
 
 from .qfield import ONE, rf, sum_products, vec_add, vec_scale
-from .presets import preset, qpow, tuples_with_weight
+from .presets import poch_run, preset, qpow, tuples_with_weight
 
 
 def letters_arg(name, word):
@@ -112,16 +112,15 @@ def _mono_apply(mono, m, d):
 
     Cached: operator application meets the same slot action many times.
 
-    The factor prod_t (1 - p^{2(m-t)}) vanishes exactly when the ket would
-    drop below the vacuum, so we bail out there; a symbolic m keeps it.
+    The lowering factor prod_{s<y} (1 - p^{2(m-s)}) vanishes exactly when
+    the ket would drop below the vacuum, so we bail out there; a symbolic
+    m keeps it.
     """
     x, t, y = mono
-    coeff = ONE
-    for s in range(y):
-        if m - s == 0:
-            return None
-        coeff = coeff * (ONE - qpow(2 * d * (m - s)))
     n = m - y
+    if isinstance(m, int) and n < 0:
+        return None
+    coeff = poch_run(n, y, d)
     if t:
         coeff = coeff * qpow(d * t * n)
     return coeff, n + x
@@ -306,15 +305,11 @@ def xi_bar_op(name, word, i):
 def xi_matrix(name, label, i, weight):
     """Matrix of the Laurent xi_bar_op = xi_i / lambda_i on bare kets |m>.
 
-    Returns (rows, cols, columns): cols enumerate the kets of the source
-    weight for the given word label, rows those of the raised weight, and
-    columns maps each A of cols to its image {row tuple: coefficient}, the
-    apply_op result for {A: ONE}: nonzero Laurent polynomials only.
+    Returns its columns: {A: image} for each ket A of the source weight
+    for the given word label, in tuples_with_weight order, the image being
+    the apply_op result for {A: ONE}, {row tuple: coefficient} over the
+    kets of the raised weight, nonzero Laurent polynomials only.
     """
-    p = preset(name)
-    cols = tuples_with_weight(name, label, weight)
-    inc = p.letter_increment(i)
-    rows = tuples_with_weight(name, label,
-                              (weight[0] + inc[0], weight[1] + inc[1]))
     bar = xi_bar_op(name, label, i)
-    return rows, cols, {A: apply_op(name, label, bar, {A: ONE}) for A in cols}
+    return {A: apply_op(name, label, bar, {A: ONE})
+            for A in tuples_with_weight(name, label, weight)}

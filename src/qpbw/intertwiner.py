@@ -6,9 +6,13 @@ word 2).  Blocks are produced inductively: the intertwining relations with
 xi_1 and xi_2 turn each block into an exact overdetermined linear system
 in terms of the block one step below.  The system is set up on bare kets
 |m>, where it has Laurent coefficients, and its solution lies in Z[q], so
-every quotient of the solve is an exact division.  Only Fock-side
-operators appear here, so agreement with the PBW-side transition matrices
-downstream is a genuine cross-check between independent pipelines.
+every quotient of the solve is an exact division.  The system stays in
+one sparse layout throughout: its rows are the columns of xi_matrix and
+of xi applied to the block below, as they are built, and solve_exact
+returns the block in the layout it is stored in, one {output: entry}
+column per input, nonzero entries only.  Only Fock-side operators appear
+here, so agreement with the PBW-side transition matrices downstream is a
+genuine cross-check between independent pipelines.
 
 The checked table composes Phi with full reversal of the input slots;
 depending on the algebra it is the R, K or F family of coefficients.
@@ -20,110 +24,102 @@ last block that reads it is built, so at most two heights of blocks, and
 about one height's worth, are alive.
 """
 
-from .qfield import ONE, ZERO, ratio, rf, sum_products
+from .qfield import ONE, ZERO, ratio, sum_products, vec_add, vec_scale
 from .presets import (
     ALGEBRA_KIND, preset, reverse, tuples_with_weight, weights_up_to,
 )
 from .fock import xi_matrix
 
 
-def solve_exact(prows, qrows):
+def solve_exact(prows, qrows, unknowns):
     """Solve P Y = Q over the rational-function field, P of full column rank.
 
-    P is m x n with m >= n, Q is m x k; both are given as lists of rows of
-    RationalFunctions.  Each row keeps only its nonzero entries, and the
+    P is m x n with m >= n, n the number of unknowns, and Q is m x k.  Both
+    are given as lists of sparse rows, {unknown: entry} for P and
+    {column: entry} for Q, RationalFunction entries, nonzero ones only.  The
     unknowns are found by substitution: while some row has exactly one
-    unknown column u left, Y[u] = (Q[r] - sum of P[r][c] Y[c] over its
-    known columns c) / P[r][u].  When every unknown is reached this way,
-    the rows used form a triangular n x n subsystem with nonzero diagonal,
-    so P has full column rank.  The residual P Y - Q is then checked to
+    unknown u left, Y[u] = (Q[r] - sum of P[r][c] Y[c] over its known
+    unknowns c) / P[r][u].  When every unknown is reached this way, the
+    rows used form a triangular n x n subsystem with nonzero diagonal, so
+    P has full column rank.  The residual P Y - Q is then checked to
     vanish on every row, so every equation holds and Y is the unique
-    solution.  Raises ArithmeticError when substitution stalls (no row
-    has a single unknown left), which every rank-deficient system does,
+    solution.  Returns Y as {unknown: {column: entry}}, unknowns in the
+    given order, nonzero entries only.  Raises ArithmeticError when
+    substitution stalls (no row has a single unknown left), which every
+    rank-deficient system does and so does an unknown that no row names,
     or when the system is inconsistent.  No Phi block stalls.
     """
-    prows = [[rf(x) for x in row] for row in prows]
-    qrows = [[rf(x) for x in row] for row in qrows]
-    m = len(prows)
-    n = len(prows[0]) if m else 0
-    k = len(qrows[0]) if qrows and qrows[0] else 0
-    if m < n:
-        raise ArithmeticError(f"underdetermined system ({m} rows, {n} unknowns)")
-    sparse = [{c: x for c, x in enumerate(row) if x} for row in prows]
-    Y = _substitute(sparse, qrows, n, k)
+    if len(prows) < len(unknowns):
+        raise ArithmeticError(f"underdetermined system ({len(prows)} rows, "
+                              f"{len(unknowns)} unknowns)")
+    Y = _substitute(prows, qrows, unknowns)
     if Y is None:
         raise ArithmeticError("no row has a single unknown left")
-    for r, (prow, qrow) in enumerate(zip(sparse, qrows)):
-        sums = _row_products(prow, Y, k)
-        if any(sums.get(j, ZERO) != qrow[j] for j in range(k)):
+    for r, (prow, qrow) in enumerate(zip(prows, qrows)):
+        if _row_products(prow, Y) != qrow:
             raise ArithmeticError(
                 f"inconsistent system: nonzero residual at row {r}")
     return Y
 
 
-def _row_products(prow, Y, k):
+def _row_products(prow, Y):
     """{j: sum over c of prow[c] * Y[c][j]} for one sparse row, zeros dropped."""
-    return sum_products((j, x, Y[c][j]) for c, x in prow.items()
-                        for j in range(k))
+    return sum_products((j, x, y) for c, x in prow.items()
+                        for j, y in Y[c].items())
 
 
-def _substitute(sparse, qrows, n, k):
+def _substitute(prows, qrows, unknowns):
     """Y by substitution through rows with one unknown left, or None."""
-    rows_of = [[] for _ in range(n)]
-    for r, prow in enumerate(sparse):
+    rows_of = {u: [] for u in unknowns}
+    for r, prow in enumerate(prows):
         for c in prow:
             rows_of[c].append(r)
-    left = [len(prow) for prow in sparse]
+    left = [len(prow) for prow in prows]
     ready = [r for r, u in enumerate(left) if u == 1]
-    Y = [None] * n
-    solved = 0
+    Y = {}
     while ready:
         r = ready.pop()
         if left[r] != 1:
             continue                    # its last unknown is already solved
-        prow = sparse[r]
-        u = next(c for c in prow if Y[c] is None)
+        prow = prows[r]
+        u = next(c for c in prow if c not in Y)
         known = {c: x for c, x in prow.items() if c != u}
-        sums = _row_products(known, Y, k)
+        rest = vec_add(qrows[r], vec_scale(_row_products(known, Y), -1))
         piv = prow[u]
-        Y[u] = []
-        for j in range(k):
-            a = qrows[r][j] - sums.get(j, ZERO)
-            Y[u].append(ratio(a.num * piv.den, a.den * piv.num))
-        solved += 1
+        Y[u] = {j: ratio(a.num * piv.den, a.den * piv.num)
+                for j, a in rest.items()}
         for r2 in rows_of[u]:
             left[r2] -= 1
             if left[r2] == 1:
                 ready.append(r2)
-    return Y if solved == n else None
+    if len(Y) < len(unknowns):
+        return None
+    return {u: Y[u] for u in unknowns}
 
 
 class PhiTable:
     """Blockwise coefficients of the intertwiner, filled on demand.
 
-    Block rows are word-2 tuples (outputs), columns word-1 tuples (inputs),
-    both in ascending lexicographic order; blocks are keyed by the
-    conserved pair.  block holds Phi on bare kets |m>, which is the
-    divided-power normalisation: every entry lies in Z[q].  Each block is
-    stored column by column, the layout solve_exact returns it in: one
-    {output: entry} dict per input, nonzero entries only, outputs in row
-    order.  It is solved once per weight from the Laurent operators
-    xi_i / lambda_i on bare kets (fock.xi_matrix) and shared by every later
-    call, so callers must not mutate it.  PhiTable(name, h) builds every
-    block with conserved height up to h at once.
+    A block holds the entries between the word-1 tuples (inputs) and the
+    word-2 tuples (outputs) of one conserved pair, its weight; both index
+    sets are presets.tuples_with_weight.  block holds Phi on bare kets |m>,
+    which is the divided-power normalisation: every entry lies in Z[q].
+    Each block is stored column by column, as solve_exact returns it:
+    {input: {output: entry}}, one column per input, nonzero entries only,
+    inputs and the outputs of each column in ascending lexicographic
+    order, which is tuples_with_weight's.  It is solved once per weight
+    from the Laurent operators xi_i / lambda_i on bare kets
+    (fock.xi_matrix) and shared by every later call, so callers must not
+    mutate it.
     """
 
-    def __init__(self, name, max_height=0):
+    def __init__(self, name):
         self.name = name
         self.preset = preset(name)
         self._blocks = {}
-        if max_height < 0:
-            raise ValueError("max_height must be nonnegative")
-        for w in weights_up_to(name, max_height):
-            self.block(w)
 
     def block(self, weight):
-        """Phi on bare kets: (rows, cols, {B: {C: entry}}), built once."""
+        """Phi on bare kets: {B: {C: entry}}, built once."""
         got = self._blocks.get(weight)
         if got is None:
             got = self._compute_block(weight)
@@ -134,10 +130,9 @@ class PhiTable:
         m2, m1 = weight
         if m2 < 0 or m1 < 0:
             raise ValueError(f"bad weight {weight}")
-        rows = tuples_with_weight(self.name, 2, weight)
         cols = tuples_with_weight(self.name, 1, weight)
         if m2 == 0 and m1 == 0:
-            return rows, cols, {cols[0]: {rows[0]: ONE}}
+            return {cols[0]: {cols[0]: ONE}}
         # X . M^i = M'^i . Phi(below), transposed and stacked over i.  The
         # scalar lambda_i of xi_i stands on both sides and cancels, so M and
         # M' are the Laurent xi_i / lambda_i on bare kets, P and Q are
@@ -148,33 +143,32 @@ class PhiTable:
             below = (m2 - inc[0], m1 - inc[1])
             if below[0] < 0 or below[1] < 0:
                 continue
-            _, src_cols, m_cols = xi_matrix(self.name, 1, i, below)
-            _, _, prev = self.block(below)
-            _, _, mp_cols = xi_matrix(self.name, 2, i, below)
-            for A in src_cols:
-                prows.append([m_cols[A].get(B, ZERO) for B in cols])
-                sums = sum_products((C, c, v) for D, v in prev[A].items()
-                                    for C, c in mp_cols[D].items())
-                qrows.append([sums.get(C, ZERO) for C in rows])
+            m_cols = xi_matrix(self.name, 1, i, below)
+            prev = self.block(below)
+            mp_cols = xi_matrix(self.name, 2, i, below)
+            for A, prow in m_cols.items():
+                prows.append(prow)
+                qrows.append(sum_products((C, c, v) for D, v in prev[A].items()
+                                          for C, c in mp_cols[D].items()))
         try:
-            Y = solve_exact(prows, qrows)
+            Y = solve_exact(prows, qrows, cols)
         except ArithmeticError as exc:
             raise ArithmeticError(
                 f"{self.name} block {weight}: {exc}") from None
-        return rows, cols, {B: {C: v for C, v in zip(rows, y) if v}
-                            for B, y in zip(cols, Y)}
+        return {B: dict(sorted(col.items())) for B, col in Y.items()}
 
     def phi(self, C, B):
         C, B = tuple(C), tuple(B)
-        if self.preset.conserved2(C) != self.preset.conserved1(B):
+        weight = self.preset.conserved2(C)
+        if weight != self.preset.conserved1(B):
             return ZERO
-        _, _, columns = self.block(self.preset.conserved2(C))
-        return columns[B].get(C, ZERO)
+        return self.block(weight)[B].get(C, ZERO)
 
 
 def phi_blocks(name, max_height):
     """Yield (weight, block) for every weight up to max_height, in
-    weights_up_to order, from a PhiTable of the walk's own.
+    weights_up_to order, from a PhiTable of the walk's own; each block is
+    PhiTable.block's {input: {output: entry}}.
 
     The block at (m2, m1) is solved from the blocks at (m2 - 1, m1) and
     (m2, m1 - 1), so in this order the block at (m2 - 1, m1) has been read
@@ -197,11 +191,9 @@ class CheckedTable:
     reflection equation, for G2 the F family.
     """
 
-    def __init__(self, name, phi):
-        if phi.name != name:
-            raise ValueError(f"table for {phi.name} used as {name}")
-        self.name = name
-        self.kind = ALGEBRA_KIND[name]
+    def __init__(self, phi):
+        self.name = phi.name
+        self.kind = ALGEBRA_KIND[phi.name]
         self.phi = phi
 
     def entry(self, out_t, in_t):
@@ -219,5 +211,4 @@ class CheckedTable:
         callers must not mutate it.
         """
         I = tuple(in_t)
-        _, _, columns = self.phi.block(self.phi.preset.conserved2(I))
-        return columns[reverse(I)]
+        return self.phi.block(self.phi.preset.conserved2(I))[reverse(I)]

@@ -78,6 +78,16 @@ def qbinom(n, r, d=1):
     return rf(q_binom(n, r, d))
 
 
+@lru_cache(maxsize=None)
+def poch_run(x, m, d):
+    """(p^2; p^2)_(x+m) / (p^2; p^2)_x = prod_{j=1..m} (1 - p^(2(x+j))),
+    p = q^d; x may be symbolic."""
+    out = ONE
+    for j in range(1, m + 1):
+        out = out * (ONE - qpow(2 * d * (x + j)))
+    return out
+
+
 def reverse(t):
     return tuple(reversed(t))
 

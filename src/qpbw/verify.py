@@ -31,8 +31,8 @@ from operator import add
 from . import fock, pbw
 from .intertwiner import CheckedTable, PhiTable, phi_blocks
 from .presets import (
-    KIND_ALGEBRA, preset, qbinom, qpow, reverse, tuples_with_weight,
-    weights_up_to, zero_tuple,
+    ALGEBRAS, KIND_ALGEBRA, poch_run, preset, qbinom, qpow, reverse,
+    tuples_with_weight, weights_up_to, zero_tuple,
 )
 from .qfield import (
     ONE, ZERO, apply_on_slots, canonical_string, is_integer_polynomial, rf,
@@ -143,7 +143,7 @@ def shared_phi(name):
 
 
 def shared_table(name):
-    return CheckedTable(name, shared_phi(name))
+    return CheckedTable(shared_phi(name))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def verify_3d_reflection(max_occ=3):
 # main theorem
 
 
-def verify_theorem(heights=None, algebras=("A2", "C2", "G2")):
+def verify_theorem(heights=None, algebras=ALGEBRAS):
     """The PBW transition matrices equal the intertwiner matrices."""
     t0 = time.perf_counter()
     heights = {**DEFAULT_HEIGHTS, **(heights or {})}
@@ -329,9 +329,10 @@ def _block_cases(name, h):
 
     Both sides are height walks, so only a window of heights of each is
     alive at a time, and neither process-wide cache grows."""
-    for (wgt, (rows, cols, columns)), (_, tb) in zip(
-            phi_blocks(name, h), pbw.transition_blocks(name, h)):
-        for c_out, b_in in product(rows, cols):
+    for (wgt, columns), (_, tb) in zip(phi_blocks(name, h),
+                                       pbw.transition_blocks(name, h)):
+        for c_out, b_in in product(tuples_with_weight(name, 2, wgt),
+                                   tuples_with_weight(name, 1, wgt)):
             a = columns[b_in].get(c_out, ZERO)
             b = tb.gamma(reverse(c_out), reverse(b_in))
             yield None if a == b else (
@@ -361,19 +362,10 @@ def _golden_cases(name):
 # property suite
 
 
-@lru_cache(maxsize=None)
-def _poch_run(x, m, d):
-    """(p^2; p^2)_(x+m) / (p^2; p^2)_x with p = q^d; x may be an _Occ."""
-    out = ONE
-    for j in range(1, m + 1):
-        out = out * (ONE - qpow(2 * d * (x + j)))
-    return out
-
-
 def _poch_product(p, tup):
     out = ONE
     for m, d in zip(tup, p.bases(p.word2)):
-        out = out * _poch_run(0, m, d)
+        out = out * poch_run(0, m, d)
     return out
 
 
@@ -560,9 +552,9 @@ def _key_prop_cases(name):
             c = left.get(delta, _KPoly()) * scale
             for x, dx, d in zip(ket, delta, bases):
                 if dx > 0:
-                    b = b * _poch_run(x, dx, d)
+                    b = b * poch_run(x, dx, d)
                 elif dx < 0:
-                    c = c * _poch_run(x + dx, -dx, d)
+                    c = c * poch_run(x + dx, -dx, d)
             yield None if b == c else f"word {label} e_{i} shift {delta}"
 
 
@@ -607,7 +599,7 @@ def _serre_fock_cases(name):
             f"first {first} -> {canonical_string(total[first])}")
 
 
-def verify_properties(heights=None, algebras=("A2", "C2", "G2")):
+def verify_properties(heights=None, algebras=ALGEBRAS):
     """Structural identities of the tables and representations."""
     t0 = time.perf_counter()
     heights = {**DEFAULT_HEIGHTS, **(heights or {})}
@@ -649,8 +641,7 @@ def verify_properties(heights=None, algebras=("A2", "C2", "G2")):
 # intertwining of the full generator matrix
 
 
-def verify_t_intertwining(bounds=None, heights=None,
-                          algebras=("A2", "C2", "G2")):
+def verify_t_intertwining(bounds=None, heights=None, algebras=ALGEBRAS):
     """Phi pi_1(t_jk) == pi_2(t_jk) Phi for every generator t_jk.
 
     Kets are enumerated by index sum up to ``bounds``.  A (generator, ket)
@@ -698,7 +689,7 @@ def _generator_cases(name, bound, height, skipped):
     kets = _states_with_total(p.length, bound)
 
     def phi_column(ket):
-        return phi.block(p.conserved1(ket))[2][ket]
+        return phi.block(p.conserved1(ket))[ket]
 
     for j, k in product(range(1, p.n_gen + 1), repeat=2):
         op1, op2 = (fock.pi_generator(name, word, j, k) for word in (1, 2))
@@ -720,6 +711,5 @@ def selftest():
         verify_properties(heights={"A2": 3, "C2": 3, "G2": 2}),
         verify_tetrahedron(max_occ=1),
         verify_3d_reflection(max_occ=1),
-        verify_t_intertwining(bounds={"A2": 2, "C2": 1, "G2": 0},
-                              algebras=("A2", "C2", "G2")),
+        verify_t_intertwining(bounds={"A2": 2, "C2": 1, "G2": 0}),
     ]

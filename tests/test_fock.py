@@ -458,9 +458,10 @@ def test_bare_xi_matrix_matches_scaled():
         for label in (1, 2):
             for i in (1, 2):
                 for w in ((0, 0), (1, 1), (2, 1), (1, 3)):
-                    rows, cols, bare = xi_matrix(name, label, i, w)
-                    *shape, _ = _scaled_xi_matrix(name, label, i, w)
-                    assert [rows, cols] == shape
+                    bare = xi_matrix(name, label, i, w)
+                    rows, cols, _ = _scaled_xi_matrix(name, label, i, w)
+                    assert list(bare) == list(cols)
+                    assert all(set(col) <= set(rows) for col in bare.values())
                     want = {A: {B: c * _D(name, label, B)
                                 / (_D(name, label, A) * _lam(name, i))
                                 for B, c in _plain_rho(name, label, i,
@@ -478,9 +479,13 @@ def test_xi_matrix_columns_are_apply_op_images():
         for label in (1, 2):
             for i in (1, 2):
                 bar = fock.xi_bar_op(name, label, i)
+                inc = preset(name).letter_increment(i)
                 for w in ((0, 0), (1, 1), (2, 1), (1, 3), (3, 2)):
-                    rows, cols, columns = xi_matrix(name, label, i, w)
-                    assert list(columns) == list(cols)
+                    columns = xi_matrix(name, label, i, w)
+                    rows = tuples_with_weight(name, label, (w[0] + inc[0],
+                                                            w[1] + inc[1]))
+                    assert list(columns) == list(tuples_with_weight(
+                        name, label, w))
                     for A, col in columns.items():
                         assert col == apply_op(name, label, bar, {A: ONE})
                         assert set(col) <= set(rows)

@@ -95,33 +95,55 @@ GOLDEN = {
 
 
 def test_solve_exact_unique():
-    P = [[rf(1), Q], [ZERO, rf(1)]]
-    Qm = [[Q * Q], [rf(3)]]
-    Y = solve_exact(P, Qm)
-    assert Y == [[Q * Q - rf(3) * Q], [rf(3)]]
+    P = [{"x": ONE, "y": Q}, {"y": ONE}]
+    Qm = [{"a": Q * Q}, {"a": rf(3)}]
+    Y = solve_exact(P, Qm, ("x", "y"))
+    assert Y == {"x": {"a": Q * Q - rf(3) * Q}, "y": {"a": rf(3)}}
+    assert list(Y) == ["x", "y"]
 
 
 def test_solve_exact_overdetermined_consistent():
     # third row is the sum of the first two
-    P = [[ONE, ZERO], [ZERO, ONE - Q], [ONE, ONE - Q]]
-    Qm = [[Q], [Q ** 3], [Q + Q ** 3]]
-    assert solve_exact(P, Qm) == [[Q], [Q ** 3 / (ONE - Q)]]
+    P = [{0: ONE}, {1: ONE - Q}, {0: ONE, 1: ONE - Q}]
+    Qm = [{0: Q}, {0: Q ** 3}, {0: Q + Q ** 3}]
+    assert solve_exact(P, Qm, (0, 1)) == {0: {0: Q},
+                                          1: {0: Q ** 3 / (ONE - Q)}}
 
 
 def test_solve_exact_rank_deficient():
-    with pytest.raises(ArithmeticError):
-        solve_exact([[ONE, Q], [Q, Q * Q]], [[ONE], [Q]])
+    with pytest.raises(ArithmeticError,
+                       match="^no row has a single unknown left$"):
+        solve_exact([{0: ONE, 1: Q}, {0: Q, 1: Q * Q}], [{0: ONE}, {0: Q}],
+                    (0, 1))
 
 
 def test_solve_exact_inconsistent():
-    with pytest.raises(ArithmeticError):
-        solve_exact([[ONE, ZERO], [ZERO, ONE], [ONE, ONE]],
-                    [[ONE], [ONE], [Q]])
+    with pytest.raises(ArithmeticError, match="^inconsistent system: "
+                       "nonzero residual at row 0$"):
+        solve_exact([{0: ONE}, {1: ONE}, {0: ONE, 1: ONE}],
+                    [{0: ONE}, {0: ONE}, {0: Q}], (0, 1))
 
 
 def test_solve_exact_underdetermined():
-    with pytest.raises(ArithmeticError):
-        solve_exact([[ONE, Q]], [[ONE]])
+    with pytest.raises(ArithmeticError, match=r"^underdetermined system "
+                       r"\(1 rows, 2 unknowns\)$"):
+        solve_exact([{0: ONE, 1: Q}], [{0: ONE}], (0, 1))
+
+
+def test_solve_exact_unknown_in_no_row():
+    # as many rows as unknowns, but no row names "y"
+    with pytest.raises(ArithmeticError,
+                       match="^no row has a single unknown left$"):
+        solve_exact([{"x": ONE}, {"x": Q}], [{0: ONE}, {0: Q}], ("x", "y"))
+
+
+def test_solve_exact_drops_zero_entries():
+    # y's column-0 entry is Q - Q, which cancels in the substitution
+    P = [{"x": ONE}, {"x": ONE, "y": ONE}]
+    Qm = [{0: Q, 1: ONE}, {0: Q, 1: Q}]
+    Y = solve_exact(P, Qm, ("x", "y"))
+    assert Y == {"x": {0: Q, 1: ONE}, "y": {1: Q - ONE}}
+    assert all(v for col in Y.values() for v in col.values())
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +153,12 @@ def test_solve_exact_underdetermined():
 def test_zero_block_is_one():
     for name in ("A2", "C2", "G2"):
         z = zero_tuple(name)
-        rows, cols, columns = PhiTable(name).block((0, 0))
-        assert rows == (z,) and cols == (z,)
-        assert columns == {z: {z: ONE}}
+        assert PhiTable(name).block((0, 0)) == {z: {z: ONE}}
 
 
 def test_a2_block_11_values():
-    phi = PhiTable("A2")
-    rows, cols, bare = phi.block((1, 1))
-    assert rows == ((0, 1, 0), (1, 0, 1)) and cols == rows
+    bare = PhiTable("A2").block((1, 1))
+    assert list(bare) == [(0, 1, 0), (1, 0, 1)]
     scaled = _columns_to_scaled("A2", bare)
     assert scaled[(0, 1, 0)][(0, 1, 0)] == -Q
     assert scaled[(1, 0, 1)][(0, 1, 0)] == ONE
@@ -153,10 +172,9 @@ def test_transpose_of_pbw_tilde():
     for name, hmax in (("A2", 4), ("C2", 4), ("G2", 3)):
         phi = PhiTable(name)
         for w in weights_up_to(name, hmax):
-            rows, cols, _ = phi.block(w)
             tb = transition_block(name, w)
-            for C in rows:
-                for B in cols:
+            for C in tuples_with_weight(name, 2, w):
+                for B in tuples_with_weight(name, 1, w):
                     phi_tilde = _to_scaled(name, C, B, phi.phi(C, B))
                     tilde = (tb.gamma(B, C) * _factorials(name, 1, B)
                              / _factorials(name, 2, C))
@@ -166,10 +184,10 @@ def test_transpose_of_pbw_tilde():
 def test_divided_power_conversion():
     phi = PhiTable("A2")
     p = preset("A2")
-    rows, cols, div = phi.block((1, 1))
+    div = phi.block((1, 1))
     scaled = _scaled_blocks("A2", 2)[(1, 1)]
-    for C in rows:
-        for B in cols:
+    for C in tuples_with_weight("A2", 2, (1, 1)):
+        for B in tuples_with_weight("A2", 1, (1, 1)):
             num = den = ONE
             for m, node in zip(C, p.word2):
                 num = num * d_norm(m, p.d[node])
@@ -192,19 +210,25 @@ def test_main_theorem_low_blocks():
     for name, hmax in (("A2", 4), ("C2", 4), ("G2", 3)):
         phi = PhiTable(name)
         for w in weights_up_to(name, hmax):
-            rows, cols, columns = phi.block(w)
+            columns = phi.block(w)
             tb = transition_block(name, w)
-            for C in rows:
-                for B in cols:
+            for C in tuples_with_weight(name, 2, w):
+                for B in tuples_with_weight(name, 1, w):
                     assert columns[B].get(C, ZERO) \
                         == tb.gamma(reverse(C), reverse(B)), (name, w, C, B)
 
 
+def _filled(name, max_height):
+    """A PhiTable holding every block up to max_height."""
+    phi = PhiTable(name)
+    for w in weights_up_to(name, max_height):
+        phi.block(w)
+    return phi
+
+
 def test_phi_table_fills_and_validates():
-    phi = PhiTable("A2", 3)
+    phi = _filled("A2", 3)
     assert set(weights_up_to("A2", 3)) <= set(phi._blocks)
-    with pytest.raises(ValueError):
-        PhiTable("A2", -1)
     with pytest.raises(ValueError):
         PhiTable("C2").block((-1, 0))
 
@@ -212,10 +236,11 @@ def test_phi_table_fills_and_validates():
 @pytest.mark.parametrize("name,hmax", (("A2", 6), ("C2", 5), ("G2", 4)))
 def test_block_layout_is_column_major(name, hmax):
     # one column per input, nonzero entries only, outputs in row order
-    phi = PhiTable(name, hmax)
+    phi = PhiTable(name)
     for w in weights_up_to(name, hmax):
-        rows, cols, columns = phi.block(w)
-        assert list(columns) == list(cols), (name, w)
+        columns = phi.block(w)
+        rows = tuples_with_weight(name, 2, w)
+        assert list(columns) == list(tuples_with_weight(name, 1, w)), (name, w)
         for B, col in columns.items():
             assert list(col) == [C for C in rows if C in col], (name, w, B)
             assert all(v for v in col.values()), (name, w, B)
@@ -227,7 +252,7 @@ def test_phi_walk_matches_the_table_and_holds_two_heights(monkeypatch, name,
     """The walk's table never holds blocks of more than two heights, and
     at most h + 2 blocks while it builds height h: each block goes once
     the last block that reads it is built."""
-    full = PhiTable(name, height)
+    full = _filled(name, height)
     block = PhiTable.block
     held, sizes = [], []
 
@@ -251,18 +276,25 @@ def test_phi_walk_matches_the_table_and_holds_two_heights(monkeypatch, name,
 
 
 def test_block_drops_zero_entries(monkeypatch):
-    # Phi blocks are dense at every tested height, so plant a zero in
-    # the solve of (1, 1), above blocks solved unpatched
-    phi = PhiTable("A2", 1)
+    # Phi blocks are dense at every tested height, so plant a zero in the
+    # solution of (1, 1), above blocks solved unpatched: the system is
+    # solved again against the right-hand side of the solution with its
+    # first entry zeroed, and the block keeps no entry there
+    phi = _filled("A2", 1)
     solve = intertwiner.solve_exact
 
-    def zero_first(prows, qrows):
-        Y = solve(prows, qrows)
-        Y[0][0] = ZERO
-        return Y
+    def zero_first(prows, qrows, unknowns):
+        Y = solve(prows, qrows, unknowns)
+        first = Y[unknowns[0]]
+        Y[unknowns[0]] = {**first, min(first): ZERO}
+        qrows = [intertwiner._row_products(prow, Y) for prow in prows]
+        return solve(prows, qrows, unknowns)
 
     monkeypatch.setattr(intertwiner, "solve_exact", zero_first)
-    rows, cols, columns = phi.block((1, 1))
+    columns = phi.block((1, 1))
+    rows = tuples_with_weight("A2", 2, (1, 1))
+    cols = tuples_with_weight("A2", 1, (1, 1))
+    assert list(columns) == list(cols)
     assert list(columns[cols[0]]) == list(rows[1:])
     assert list(columns[cols[1]]) == list(rows)
 
@@ -273,7 +305,7 @@ def test_block_drops_zero_entries(monkeypatch):
 
 def test_golden_columns_exact():
     for name, (I, want_strs) in GOLDEN.items():
-        tab = CheckedTable(name, PhiTable(name))
+        tab = CheckedTable(PhiTable(name))
         want = {out: val(s) for out, s in want_strs.items()}
         col = tab.column(I)
         assert col == want, name
@@ -286,24 +318,24 @@ def test_golden_columns_exact():
 def test_checked_column_is_the_block_column():
     # column hands out the stored column itself, never a copy
     for name, hmax in (("A2", 4), ("C2", 4), ("G2", 3)):
-        tab = CheckedTable(name, PhiTable(name))
+        tab = CheckedTable(PhiTable(name))
         p = tab.phi.preset
         for w in weights_up_to(name, hmax):
             for I in tuples_with_weight(name, 2, w):
                 col = tab.column(I)
                 assert col is tab.column(I)
-                assert col is tab.phi.block(p.conserved2(I))[2][reverse(I)]
+                assert col is tab.phi.block(p.conserved2(I))[reverse(I)]
                 assert col == {C: tab.entry(C, I) for C in tab.block_outputs(I)
                                if tab.entry(C, I)}
 
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: PhiTable("A2").phi((0, 1, 0), (0, 1)), id="phi"),
-    pytest.param(lambda: CheckedTable("A2", PhiTable("A2")).column((1, 0)),
+    pytest.param(lambda: CheckedTable(PhiTable("A2")).column((1, 0)),
                  id="column"),
-    pytest.param(lambda: CheckedTable("A2", PhiTable("A2")).entry(
+    pytest.param(lambda: CheckedTable(PhiTable("A2")).entry(
         (0, 1, 0), (1, 0, 0, 0)), id="entry"),
-    pytest.param(lambda: CheckedTable("C2", PhiTable("C2")).block_outputs(
+    pytest.param(lambda: CheckedTable(PhiTable("C2")).block_outputs(
         (1, 0, 1)), id="block_outputs"),
 ])
 def test_wrong_length_tuple_rejected(call):
@@ -313,21 +345,18 @@ def test_wrong_length_tuple_rejected(call):
 
 
 def test_checked_table_kinds_and_entry():
-    phi = PhiTable("C2")
-    tab = CheckedTable("C2", phi)
-    assert tab.kind == "K"
+    tab = CheckedTable(PhiTable("C2"))
+    assert (tab.name, tab.kind) == ("C2", "K")
     assert tab.entry((4, 0, 0, 3), (2, 1, 1, 0)) == val("q^4")
     assert tab.entry((4, 0, 0, 3), (2, 1, 1, 1)) == ZERO  # conservation
-    with pytest.raises(ValueError):
-        CheckedTable("A2", phi)
 
 
 def test_checked_is_phi_with_reversed_input():
-    tab = CheckedTable("A2", PhiTable("A2"))
+    tab = CheckedTable(PhiTable("A2"))
     assert tab.entry((1, 0, 1), (0, 1, 0)) == tab.phi.phi((1, 0, 1), (0, 1, 0))
     assert tab.entry((1, 0, 1), (1, 0, 1)) == tab.phi.phi((1, 0, 1), (1, 0, 1))
     # asymmetric probe where reversal matters
-    tabc = CheckedTable("C2", PhiTable("C2"))
+    tabc = CheckedTable(PhiTable("C2"))
     I = (1, 0, 0, 2)
     assert tabc.entry((1, 0, 0, 2), I) == tabc.phi.phi((1, 0, 0, 2), reverse(I))
 
@@ -345,10 +374,9 @@ def test_block_matches_two_step_rescale(name, hmax):
     phi = PhiTable(name)
     scaled = _scaled_blocks(name, hmax)
     for w, want in scaled.items():
-        rows, cols, columns = phi.block(w)
-        assert phi.block(w) is phi.block(w)
-        assert (rows, cols) == (tuples_with_weight(name, 2, w),
-                                tuples_with_weight(name, 1, w))
+        columns = phi.block(w)
+        assert phi.block(w) is columns
+        assert list(columns) == list(tuples_with_weight(name, 1, w))
         got = _columns_to_scaled(name, columns)
         assert got == want, (name, w)
         assert _canonical(got) == _canonical(want)
@@ -375,10 +403,9 @@ def _scaled_blocks(name, hmax):
     p = preset(name)
     blocks = {}
     for w in weights_up_to(name, hmax):
-        rows = tuples_with_weight(name, 2, w)
         cols = tuples_with_weight(name, 1, w)
         if w == (0, 0):
-            blocks[w] = {cols[0]: {rows[0]: ONE}}
+            blocks[w] = {cols[0]: {cols[0]: ONE}}
             continue
         prows, qrows = [], []
         for i in (1, 2):
@@ -390,13 +417,10 @@ def _scaled_blocks(name, hmax):
             mp_cols = _scaled_xi(name, 2, i, below)
             prev = blocks[below]
             for A in tuples_with_weight(name, 1, below):
-                prows.append([m_cols[A].get(B, ZERO) for B in cols])
-                sums = sum_products((C, c, v) for D, v in prev[A].items()
-                                    for C, c in mp_cols[D].items())
-                qrows.append([sums.get(C, ZERO) for C in rows])
-        Y = solve_exact(prows, qrows)
-        blocks[w] = {B: {C: v for C, v in zip(rows, y) if v}
-                     for B, y in zip(cols, Y)}
+                prows.append(m_cols[A])
+                qrows.append(sum_products((C, c, v) for D, v in prev[A].items()
+                                          for C, c in mp_cols[D].items()))
+        blocks[w] = solve_exact(prows, qrows, cols)
     return blocks
 
 
@@ -405,7 +429,7 @@ def test_bare_block_matches_scaled_recursion(name, hmax):
     phi = PhiTable(name)
     p = preset(name)
     for w, scaled in _scaled_blocks(name, hmax).items():
-        _, _, bare = phi.block(w)
+        bare = phi.block(w)
         want = {}
         for B, col in scaled.items():
             want[B] = {}
@@ -427,7 +451,7 @@ def test_bare_solve_divides_exactly(monkeypatch, name, hmax):
     def strict(num, den):
         return rf(qfield.poly_divexact(num, den))
     monkeypatch.setattr(intertwiner, "ratio", strict)
-    phi = PhiTable(name, hmax)
+    phi = _filled(name, hmax)
     assert set(weights_up_to(name, hmax)) <= set(phi._blocks)
 
 
@@ -447,7 +471,7 @@ def test_bare_block_matches_sympy():
     scaled = _scaled_blocks("C2", 4)[(2, 2)]
     assert any(not v.den.is_one() for col in scaled.values()
                for v in col.values())
-    _, _, bare = PhiTable("C2").block((2, 2))
+    bare = PhiTable("C2").block((2, 2))
     assert {B: set(col) for B, col in bare.items()} \
         == {B: set(col) for B, col in scaled.items()}
     for B, col in scaled.items():
@@ -478,6 +502,12 @@ def entries(draw, nonzero=False):
     if nonzero and num.is_zero():
         num = LaurentPoly({draw(st.integers(0, 2)): 1})
     return RationalFunction(num, draw(st.sampled_from(DENS)))
+
+
+def _sparse(rows):
+    """Dense rows as the sparse rows solve_exact reads: {index: entry},
+    zeros dropped."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
 def _mat_mul(A, B):
@@ -511,13 +541,17 @@ def triangular_systems(draw):
 def test_substitution_matches_bareiss(system):
     """Substitution recovers the Y that the system was built from."""
     P, Qm, Y = system
-    n, k = len(P[0]), len(Qm[0])
-    assert intertwiner._substitute(
-        [{c: x for c, x in enumerate(row) if x} for row in P], Qm, n, k) == Y
-    got = solve_exact(P, Qm)
-    assert got == Y
-    assert ([[canonical_string(v) for v in row] for row in got]
-            == [[canonical_string(v) for v in row] for row in Y])
+    unknowns = tuple(range(len(P[0])))
+    prows, qrows = _sparse(P), _sparse(Qm)
+    want = dict(enumerate(_sparse(Y)))
+    assert intertwiner._substitute(prows, qrows, unknowns) == want
+    got = solve_exact(prows, qrows, unknowns)
+    assert got == want
+    assert list(got) == list(unknowns)
+    assert ({u: {j: canonical_string(v) for j, v in col.items()}
+             for u, col in got.items()}
+            == {u: {j: canonical_string(v) for j, v in col.items()}
+                for u, col in want.items()})
 
 
 def test_solve_exact_matches_sympy():
@@ -538,19 +572,21 @@ def test_solve_exact_matches_sympy():
 
     want = sympy.Matrix([[to_sympy(x) for x in row] for row in P]).solve(
         sympy.Matrix([[to_sympy(x) for x in row] for row in Qm]))
-    got = solve_exact(P, Qm)
+    got = solve_exact(_sparse(P), _sparse(Qm), range(3))
     for i in range(3):
         for j in range(2):
-            assert sympy.cancel(to_sympy(got[i][j]) - want[i, j]) == 0
+            assert sympy.cancel(to_sympy(got[i].get(j, ZERO))
+                                - want[i, j]) == 0
 
 
 def test_dense_system_raises(monkeypatch):
     # no row of [[1, q], [q, 1]] has a single unknown, though it is regular
     with pytest.raises(ArithmeticError,
                        match="^no row has a single unknown left$"):
-        solve_exact([[ONE, Q], [Q, ONE]], [[ONE, ZERO], [ZERO, ONE]])
+        solve_exact([{0: ONE, 1: Q}, {0: Q, 1: ONE}], [{0: ONE}, {1: ONE}],
+                    (0, 1))
     # a Phi block that stalls names its algebra and weight
-    phi = PhiTable("A2", 1)
+    phi = _filled("A2", 1)
     monkeypatch.setattr(intertwiner, "_substitute", lambda *args: None)
     with pytest.raises(ArithmeticError, match=r"^A2 block \(1, 1\): no row "
                        "has a single unknown left$"):
@@ -560,5 +596,5 @@ def test_dense_system_raises(monkeypatch):
 @pytest.mark.parametrize("name,hmax", (("A2", 8), ("C2", 6), ("G2", 4)))
 def test_phi_blocks_need_no_fallback(name, hmax):
     # solve_exact raises on a block that substitution cannot solve
-    phi = PhiTable(name, hmax)
+    phi = _filled(name, hmax)
     assert set(weights_up_to(name, hmax)) <= set(phi._blocks)
