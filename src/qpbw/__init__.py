@@ -21,9 +21,9 @@ from .qfield import (
     RationalFunction,
     canonical_string,
     parse,
-    q_int,
+    qint,
     q_factorial,
-    q_pochhammer,
+    poch_run,
     d_norm,
 )
 from .presets import preset
@@ -43,9 +43,9 @@ __all__ = [
     "RationalFunction",
     "canonical_string",
     "parse",
-    "q_int",
+    "qint",
     "q_factorial",
-    "q_pochhammer",
+    "poch_run",
     "d_norm",
     "preset",
     "normal_order",

@@ -30,8 +30,8 @@ relations; the property checks carry lambda_i as the scalar it is.
 
 from functools import lru_cache
 
-from .qfield import ONE, rf, sum_products, vec_add, vec_scale
-from .presets import poch_run, preset, qpow, tuples_with_weight
+from .qfield import ONE, poch_run, qpow, rf, sum_products, vec_add, vec_scale
+from .presets import preset, tuples_with_weight
 
 
 def letters_arg(name, word):

@@ -44,10 +44,11 @@ def solve_exact(prows, qrows, unknowns):
     P has full column rank.  The residual P Y - Q is then checked to
     vanish on every row, so every equation holds and Y is the unique
     solution.  Returns Y as {unknown: {column: entry}}, unknowns in the
-    given order, nonzero entries only.  Raises ArithmeticError when
-    substitution stalls (no row has a single unknown left), which every
-    rank-deficient system does and so does an unknown that no row names,
-    or when the system is inconsistent.  No Phi block stalls.
+    given order, nonzero entries only.  Raises ArithmeticError when a row
+    of P names a key that is not an unknown, when substitution stalls (no
+    row has a single unknown left), which every rank-deficient system does
+    and so does an unknown that no row names, or when the system is
+    inconsistent.  No Phi block stalls.
     """
     if len(prows) < len(unknowns):
         raise ArithmeticError(f"underdetermined system ({len(prows)} rows, "
@@ -73,6 +74,8 @@ def _substitute(prows, qrows, unknowns):
     rows_of = {u: [] for u in unknowns}
     for r, prow in enumerate(prows):
         for c in prow:
+            if c not in rows_of:
+                raise ArithmeticError(f"row {r} names {c!r}, not an unknown")
             rows_of[c].append(r)
     left = [len(prow) for prow in prows]
     ready = [r for r, u in enumerate(left) if u == 1]

@@ -27,7 +27,7 @@ from collections import defaultdict
 from functools import lru_cache
 from itertools import groupby
 
-from .qfield import LaurentPoly, poly_divexact, q_int, sum_products
+from .qfield import LaurentPoly, poly_divexact, qint, sum_products
 from .presets import (
     preset, rf, ONE, ZERO, reverse, serre_relations, tuples_with_weight,
     weights_up_to, zero_tuple,
@@ -127,7 +127,7 @@ def _divided_row(name, A, row_below):
         return {zero_tuple(name): ONE}
     prev = row_below(A[:r] + (A[r] - 1,) + A[r + 1:])
     wp, den = _root_vector(name, r)
-    den = den * q_int(A[r], p.d[p.word1[r]])
+    den = den * qint(A[r], p.d[p.word1[r]]).num
     v = mul_word_expr(name, prev, wp, side="right")
     return {B: _exact(c.num, c.den * den,
                       "gamma of {} at weight {}, row {}, column {}",

@@ -15,6 +15,9 @@ The function-algebra side is driven by the generator matrices pi_i(T)
 (one q_i-oscillator per Dynkin node, parameters set to 1) together with
 the t-polynomials giving sigma_i and sigma_i e_i.
 
+Every q-number here (qpow, qint, qbracket, qbinom) is qfield's, the one
+home of the q-numbers; this module defines none of its own.
+
 Conventions:
   * a "word expression" is a dict {letters tuple -> RationalFunction},
     e.g. b_2 for A2 is {(1, 2): 1, (2, 1): -q};
@@ -30,10 +33,10 @@ from functools import lru_cache
 from .qfield import (
     ONE,
     ZERO,
-    LaurentPoly,
-    q_binom,
-    q_int,
-    qmq,
+    qbinom,
+    qbracket,
+    qint,
+    qpow,
     rf,
     sum_products,
     vec_add,
@@ -44,48 +47,6 @@ ALGEBRAS = ("A2", "C2", "G2")
 # Kind of each algebra's checked table: R (tetrahedron), K (3D reflection), F.
 KIND_ALGEBRA = {"R": "A2", "K": "C2", "F": "G2"}
 ALGEBRA_KIND = {a: k for k, a in KIND_ALGEBRA.items()}
-
-
-@lru_cache(maxsize=None)
-def qpow(n):
-    """q^n as a RationalFunction; n.qpow() for a symbolic (non-int) n."""
-    if not isinstance(n, int):
-        return n.qpow()
-    return rf(LaurentPoly.qpow(n))
-
-
-@lru_cache(maxsize=None)
-def qint(m, d=1):
-    """[m] in base q^d; (q^dm - q^-dm) / (q^d - q^-d) for a symbolic m."""
-    if not isinstance(m, int):
-        return (qpow(d * m) - qpow(-d * m)) * (ONE / qbracket(d))
-    return rf(q_int(m, d))
-
-
-@lru_cache(maxsize=None)
-def qbracket(n):
-    """<n> = q^n - q^-n."""
-    return rf(qmq(n))
-
-
-@lru_cache(maxsize=None)
-def qbinom(n, r, d=1):
-    """Gaussian binomial [n choose r] in base q^d (a Laurent polynomial);
-    [n] / [r] [n - 1 choose r - 1] for a symbolic n."""
-    if not isinstance(n, int):
-        return (qint(n, d) * qbinom(n - 1, r - 1, d) * (ONE / qint(r, d))
-                if r else ONE)
-    return rf(q_binom(n, r, d))
-
-
-@lru_cache(maxsize=None)
-def poch_run(x, m, d):
-    """(p^2; p^2)_(x+m) / (p^2; p^2)_x = prod_{j=1..m} (1 - p^(2(x+j))),
-    p = q^d; x may be symbolic."""
-    out = ONE
-    for j in range(1, m + 1):
-        out = out * (ONE - qpow(2 * d * (x + j)))
-    return out
 
 
 def reverse(t):
@@ -364,7 +325,7 @@ _Z = ()
 
 
 def _pi_a2():
-    q = LaurentPoly.qpow(1)
+    q = qpow(1)
     mqk = _op((-q, ("k",)))
     pi1 = [[_AM, _KK, _Z],
            [mqk, _AP, _Z],
@@ -376,8 +337,8 @@ def _pi_a2():
 
 
 def _pi_c2():
-    q = LaurentPoly.qpow(1)
-    q2 = LaurentPoly.qpow(2)
+    q = qpow(1)
+    q2 = qpow(2)
     mqk = _op((-q, ("k",)))
     mk = _op((-1, ("k",)))
     qk = _op((q, ("k",)))
@@ -394,10 +355,10 @@ def _pi_c2():
 
 
 def _pi_g2():
-    q = LaurentPoly.qpow(1)
-    q2 = LaurentPoly.qpow(2)
-    q3 = LaurentPoly.qpow(3)
-    two1 = q_int(2)
+    q = qpow(1)
+    q2 = qpow(2)
+    q3 = qpow(3)
+    two1 = qint(2)
     mqk = _op((-q, ("k",)))
     mq3k = _op((-q3, ("k",)))
     pi1 = [
@@ -431,7 +392,7 @@ def _tpoly(*terms):
 
 
 def _sigma_a2():
-    q = LaurentPoly.qpow(1)
+    q = qpow(1)
     return {
         (1, "sigma"): _tpoly((1, [(1, 3)])),
         (1, "sigma_e"): _tpoly((1, [(2, 3)])),
@@ -441,7 +402,7 @@ def _sigma_a2():
 
 
 def _sigma_c2():
-    q = LaurentPoly.qpow(1)
+    q = qpow(1)
     return {
         (1, "sigma"): _tpoly((1, [(1, 4)])),
         (1, "sigma_e"): _tpoly((1, [(2, 4)])),
@@ -451,7 +412,7 @@ def _sigma_c2():
 
 
 def _sigma_g2():
-    q = LaurentPoly.qpow(1)
+    q = qpow(1)
     return {
         (1, "sigma"): _tpoly((1, [(1, 7)])),
         (1, "sigma_e"): _tpoly((1, [(2, 7)])),

@@ -24,7 +24,9 @@ Each primitive has one copy, here: the product of Laurent coefficient
 dicts (_product) that LaurentPoly.__mul__ and the sparse accumulators
 share, the square-and-multiply loop (_power) of both ** operators, the
 coercion rf with the constants ONE and ZERO (and _lp, its LaurentPoly
-twin), and vec_add / vec_scale.
+twin), vec_add / vec_scale, and the q-numbers of Lusztig's integral form:
+the cached, RationalFunction-valued qpow, qint, qbracket, qbinom and the
+Pochhammer run poch_run, with q_factorial and d_norm built on them.
 
 Sparse sums of products have two entry points that share one way of
 accumulating and one finalisation: sum_products over (key, x, y) triples,
@@ -60,21 +62,6 @@ class LaurentPoly:
             self.c = {}
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return _LP_ZERO
-
-    @staticmethod
-    def one():
-        return _LP_ONE
-
-    @staticmethod
-    def qpow(n, coeff=1):
-        """coeff * q^n."""
-        if not coeff:
-            return _LP_ZERO
-        return LaurentPoly({n: coeff})
 
     @staticmethod
     def const(v):
@@ -796,39 +783,65 @@ def parse(text):
 
 
 # ---------------------------------------------------------------------------
-# q-constants.  `d` is the length exponent: the base is q_i = q^d.
+# q-numbers, cached RationalFunctions.  `d` is the length exponent: the
+# base is q_i = q^d.  A symbolic exponent or occupation (verify's key-prop
+# check) reaches q through its own power_of_q().
 # ---------------------------------------------------------------------------
 
-def q_int(m, d=1):
-    """[m] in base q^d:  (q^dm - q^-dm)/(q^d - q^-d), as a LaurentPoly."""
+@lru_cache(maxsize=None)
+def qpow(n):
+    """q^n as a RationalFunction; n.power_of_q() for a symbolic (non-int)
+    n."""
+    if not isinstance(n, int):
+        return n.power_of_q()
+    return rf(LaurentPoly({n: 1}))
+
+
+@lru_cache(maxsize=None)
+def qint(m, d=1):
+    """[m] in base q^d:  (q^dm - q^-dm)/(q^d - q^-d), a Laurent polynomial
+    for an int m, and that quotient for a symbolic m."""
+    if not isinstance(m, int):
+        return (qpow(d * m) - qpow(-d * m)) * (ONE / qbracket(d))
     if m < 0:
-        return -q_int(-m, d)
-    if m == 0:
-        return _LP_ZERO
-    return LaurentPoly({d * (m - 1 - 2 * t): 1 for t in range(m)})
+        return -qint(-m, d)
+    return rf(LaurentPoly({d * (m - 1 - 2 * t): 1 for t in range(m)}))
 
 
-def q_factorial(m, d=1):
-    """[m]! in base q^d."""
-    out = _LP_ONE
-    for t in range(2, m + 1):
-        out = out * q_int(t, d)
+@lru_cache(maxsize=None)
+def qbracket(n):
+    """<n> = q^n - q^-n  (zero when n = 0)."""
+    return qpow(n) - qpow(-n)
+
+
+@lru_cache(maxsize=None)
+def qbinom(n, r, d=1):
+    """Gaussian binomial [n choose r] in base q^d (a Laurent polynomial,
+    by exact division); [n] / [r] [n - 1 choose r - 1] for a symbolic n."""
+    if not isinstance(n, int):
+        return (qint(n, d) * qbinom(n - 1, r - 1, d) * (ONE / qint(r, d))
+                if r else ONE)
+    if r < 0 or r > n:
+        return ZERO
+    return rf(poly_divexact(q_factorial(n, d),
+                            q_factorial(r, d) * q_factorial(n - r, d)))
+
+
+@lru_cache(maxsize=None)
+def poch_run(x, m, d):
+    """(p^2; p^2)_(x+m) / (p^2; p^2)_x = prod_{j=1..m} (1 - p^(2(x+j))),
+    p = q^d; x may be symbolic.  poch_run(0, m, d) is (p^2; p^2)_m."""
+    out = ONE
+    for j in range(1, m + 1):
+        out = out * (ONE - qpow(2 * d * (x + j)))
     return out
 
 
-def q_binom(n, r, d=1):
-    """Gaussian binomial [n choose r] in base q^d, by exact division."""
-    if r < 0 or r > n:
-        return _LP_ZERO
-    return poly_divexact(q_factorial(n, d),
-                         q_factorial(r, d) * q_factorial(n - r, d))
-
-
-def q_pochhammer(m, d=1):
-    """(p^2; p^2)_m with p = q^d:  prod_{t=1..m} (1 - q^(2dt))."""
+def q_factorial(m, d=1):
+    """[m]! in base q^d, as a LaurentPoly."""
     out = _LP_ONE
-    for t in range(1, m + 1):
-        out = out * LaurentPoly({0: 1, 2 * d * t: -1})
+    for t in range(2, m + 1):
+        out = out * qint(t, d).num
     return out
 
 
@@ -837,16 +850,9 @@ def d_norm(m, d=1):
 
     Satisfies (p^2; p^2)_m * d_norm(m) = [m]!  in base p.
     """
-    num = LaurentPoly.qpow(-d * (m * (m - 1) // 2))
+    num = qpow(-d * (m * (m - 1) // 2)).num
     den = LaurentPoly({0: 1, 2 * d: -1}) ** m
     return RationalFunction(num, den)
-
-
-def qmq(n):
-    """q^n - q^-n  (zero when n = 0)."""
-    if n == 0:
-        return _LP_ZERO
-    return LaurentPoly({n: 1, -n: -1})
 
 
 def is_integer_polynomial(x):

@@ -31,12 +31,13 @@ from operator import add
 from . import fock, pbw
 from .intertwiner import CheckedTable, PhiTable, phi_blocks
 from .presets import (
-    ALGEBRAS, KIND_ALGEBRA, poch_run, preset, qbinom, qpow, reverse,
-    tuples_with_weight, weights_up_to, zero_tuple,
+    ALGEBRAS, KIND_ALGEBRA, preset, reverse, tuples_with_weight,
+    weights_up_to, zero_tuple,
 )
 from .qfield import (
-    ONE, ZERO, apply_on_slots, canonical_string, is_integer_polynomial, rf,
-    slot_column, sum_products, vec_add, vec_scale,
+    ONE, ZERO, apply_on_slots, canonical_string, is_integer_polynomial,
+    poch_run, qbinom, qpow, rf, slot_column, sum_products, vec_add,
+    vec_scale,
 )
 
 Check = namedtuple("Check", ["check_id", "passed", "witness"])
@@ -471,7 +472,7 @@ class _Occ(namedtuple("_Occ", ["c", "k"])):
     def __ge__(self, n):
         return True
 
-    def qpow(self):
+    def power_of_q(self):
         return _KPoly({_vsum(self.c, ()): qpow(self.k)})
 
 

@@ -137,6 +137,14 @@ def test_solve_exact_unknown_in_no_row():
         solve_exact([{"x": ONE}, {"x": Q}], [{0: ONE}, {0: Q}], ("x", "y"))
 
 
+def test_solve_exact_row_names_no_unknown():
+    # a row that names "z", which is not among the unknowns, is rejected
+    # before substitution, not read as a missing index
+    with pytest.raises(ArithmeticError,
+                       match="^row 0 names 'z', not an unknown$"):
+        solve_exact([{"z": ONE}], [{0: ONE}], ("x",))
+
+
 def test_solve_exact_drops_zero_entries():
     # y's column-0 entry is Q - Q, which cancels in the substitution
     P = [{"x": ONE}, {"x": ONE, "y": ONE}]

@@ -1,4 +1,5 @@
-"""The coercion rf and the constants ONE and ZERO live in qfield alone.
+"""The coercion rf, the constants ONE and ZERO and the q-numbers qpow,
+qint, qbracket, qbinom and poch_run live in qfield alone.
 
 The guard parses each module of the package except qfield and fails if it
 binds one of these names other than by import: a def or class of that
@@ -18,7 +19,8 @@ import qpbw
 
 SRC = Path(qpbw.__file__).parent
 
-PRIMITIVES = {"rf", "ONE", "ZERO"}
+PRIMITIVES = {"rf", "ONE", "ZERO",
+              "qpow", "qint", "qbracket", "qbinom", "poch_run"}
 
 
 def primitive_bindings(source):
@@ -44,7 +46,7 @@ def primitive_bindings(source):
                                         if p.name != "qfield.py"))
 def test_primitives_defined_only_in_qfield(path):
     assert primitive_bindings((SRC / path).read_text()) == [], \
-        f"{path}: import rf, ONE and ZERO from qfield"
+        f"{path}: import rf, ONE, ZERO and the q-numbers from qfield"
 
 
 @pytest.mark.parametrize("snippet,found", [
@@ -58,6 +60,16 @@ def test_primitives_defined_only_in_qfield(path):
                  id="unpack"),
     pytest.param("def f(rf=None):\n    pass\n", [("rf", 1)], id="parameter"),
     pytest.param("from .qfield import ONE, ZERO, rf", [], id="import-allowed"),
+    pytest.param("""
+    @lru_cache(maxsize=None)
+    def qpow(n):
+        return n
+    """, [("qpow", 3)], id="def-q-number"),
+    pytest.param("qint = qbracket = qbinom = poch_run = None",
+                 [("poch_run", 1), ("qbinom", 1), ("qbracket", 1),
+                  ("qint", 1)], id="assign-q-numbers"),
+    pytest.param("from .qfield import poch_run, qbinom, qbracket, qint, qpow",
+                 [], id="import-q-numbers-allowed"),
 ])
 def test_primitive_guard_fires(snippet, found):
     assert primitive_bindings(textwrap.dedent(snippet)) == found

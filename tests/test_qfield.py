@@ -17,10 +17,10 @@ from qpbw.qfield import (
     parse_laurent,
     poly_divexact,
     poly_gcd,
+    poch_run,
     q_factorial,
-    q_int,
-    q_pochhammer,
-    qmq,
+    qbracket,
+    qint,
     ratio,
     rf,
     slot_column,
@@ -67,38 +67,38 @@ def test_parse_roundtrip_examples():
 # ---------------------------------------------------------------------------
 
 def test_q_int_small():
-    assert q_int(0) == LaurentPoly()
-    assert q_int(1) == LaurentPoly({0: 1})
-    assert q_int(2) == LaurentPoly({1: 1, -1: 1})
-    assert q_int(3) == LaurentPoly({2: 1, 0: 1, -2: 1})
-    assert q_int(2, d=2) == LaurentPoly({2: 1, -2: 1})
-    assert q_int(2, d=3) == LaurentPoly({3: 1, -3: 1})
-    assert q_int(-2) == -q_int(2)
+    assert qint(0) == LaurentPoly()
+    assert qint(1) == LaurentPoly({0: 1})
+    assert qint(2) == LaurentPoly({1: 1, -1: 1})
+    assert qint(3) == LaurentPoly({2: 1, 0: 1, -2: 1})
+    assert qint(2, d=2) == LaurentPoly({2: 1, -2: 1})
+    assert qint(2, d=3) == LaurentPoly({3: 1, -3: 1})
+    assert qint(-2) == -qint(2)
 
 
 def test_q_int_is_ratio_of_qmq():
     # [m] = (q^m - q^-m)/(q - q^-1), checked by clearing denominators
     for d in (1, 2, 3):
         for m in range(8):
-            assert q_int(m, d) * qmq(d) == qmq(d * m)
+            assert qint(m, d) * qbracket(d) == qbracket(d * m)
 
 
 def test_q_factorial():
     assert q_factorial(0) == LaurentPoly({0: 1})
-    assert q_factorial(3) == q_int(2) * q_int(3)
-    assert q_factorial(4, d=2) == q_int(2, 2) * q_int(3, 2) * q_int(4, 2)
+    assert q_factorial(3) == qint(2) * qint(3)
+    assert q_factorial(4, d=2) == qint(2, 2) * qint(3, 2) * qint(4, 2)
 
 
 def test_pochhammer_times_dnorm_is_factorial():
     # (p^2; p^2)_m * p^{-m(m-1)/2}(1-p^2)^{-m} = [m]!  for p = q^d
     for d in (1, 2, 3):
         for m in range(9):
-            lhs = RationalFunction.from_laurent(q_pochhammer(m, d)) * d_norm(m, d)
+            lhs = poch_run(0, m, d) * d_norm(m, d)
             assert lhs == RationalFunction.from_laurent(q_factorial(m, d))
 
 
 def test_pochhammer_ratio_divides_exactly():
-    quotient = poly_divexact(q_pochhammer(4), q_pochhammer(1))
+    quotient = poly_divexact(poch_run(0, 4, 1).num, poch_run(0, 1, 1).num)
     expected = LaurentPoly({0: 1})
     for t in (2, 3, 4):
         expected = expected * LaurentPoly({0: 1, 2 * t: -1})
@@ -259,7 +259,8 @@ def test_normal_form_ignores_a_common_scalar(n, d, k):
 @given(rationals(), rationals(), rationals())
 @settings(max_examples=60, deadline=None)
 def test_single_normalisation_of_rescale(v, r, c):
-    # the form PhiTable.block uses for v * r / c
+    # v * r / c, normalised after each operation, equals the quotient of
+    # the products of numerators and denominators normalised once
     if c.is_zero():
         return
     once = RationalFunction(v.num * r.num * c.den, v.den * r.den * c.num)
@@ -381,8 +382,7 @@ def factors(draw):
     if kind == "unit":
         return draw(st.sampled_from((ONE, -ONE)))
     if kind == "monomial":
-        return rf(LaurentPoly.qpow(draw(exps),
-                                   draw(coeffs.filter(lambda v: v))))
+        return rf(LaurentPoly({draw(exps): draw(coeffs.filter(lambda v: v))}))
     return draw(rationals())
 
 

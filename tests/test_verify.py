@@ -15,8 +15,7 @@ from qpbw import cli, intertwiner, pbw, verify
 from qpbw.presets import ONE, preset, qbinom, qpow, zero_tuple
 from qpbw import fock
 from qpbw.qfield import (
-    LaurentPoly, RationalFunction, canonical_string, q_pochhammer,
-    sum_products,
+    LaurentPoly, RationalFunction, canonical_string, poch_run, sum_products,
 )
 
 
@@ -203,7 +202,7 @@ def _key_prop_sweep(name, bound):
         def P(t, bases=bases):
             out = ONE
             for m, d in zip(t, bases):
-                out = out * q_pochhammer(m, d)
+                out = out * poch_run(0, m, d)
             return out
 
         for i in (1, 2):
@@ -239,8 +238,8 @@ def _equals_at(x, t, want):
     nums = {}
     for exps, v in verify._KPoly.of(x).items():
         shifted = v.num.shift(sum(e * m for e, m in zip(exps, t)))
-        nums[v.den] = nums.get(v.den, LaurentPoly.zero()) + shifted
-    num, den = LaurentPoly.zero(), LaurentPoly.one()
+        nums[v.den] = nums.get(v.den, LaurentPoly()) + shifted
+    num, den = LaurentPoly(), LaurentPoly({0: 1})
     for d, n in nums.items():
         num, den = num * d + n * den, den * d
     return num * want.den == want.num * den
