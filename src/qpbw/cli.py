@@ -32,7 +32,6 @@ from .presets import (
 from .qfield import canonical_string, parse as parse_coefficient
 
 KINDS = ("gamma", "phi", "R", "K", "F")
-FORMATS = ("json", "csv")
 # the options each suite reads; setting any other one is a usage error
 SUITE_OPTIONS = {
     "tetra": ("max_occ",),
@@ -207,48 +206,28 @@ def _given(**kw):
 # ---------------------------------------------------------------------------
 # plumbing
 
-def _apply_config(args):
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _config_flags(path):
+    """Each key = value line of the config file as the flag --key=value."""
     try:
         fh = open(path)
     except OSError as e:
         raise UsageError(f"cannot read config: {e}")
-    cfg = {}
+    flags = []
     with fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, val = line.partition("=")
+            key = key.strip().replace("_", "-")
+            if not eq or not key:
                 raise UsageError(f"bad config line (want key=value): "
                                  f"{line!r}")
-            k, v = line.split("=", 1)
-            cfg[k.strip().replace("-", "_")] = v.strip()
-    names = {"algebra": str, "kind": str, "inp": str, "max_height": int,
-             "max_occ": int, "fmt": str, "out": str}
-    # the flags' choices, which a config value must meet as well
-    choices = {"algebra": ALGEBRAS, "kind": KINDS, "fmt": FORMATS}
-    alias = {"format": "fmt", "in": "inp"}
-    command = args.command
-    if command == "verify":
-        command = f"verify {args.suite}"
-    for raw, val in cfg.items():
-        key = alias.get(raw, raw)
-        if key not in names:
-            raise UsageError(f"unknown config key {key!r}")
-        if not hasattr(args, key):
-            raise UsageError(f"{command} does not read config key {raw!r}")
-        if getattr(args, key) is not None:
-            continue                      # flags win
-        try:
-            value = names[key](val)
-            if value not in choices.get(key, (value,)):
-                raise ValueError(val)
-        except ValueError:
-            raise UsageError(f"bad config value for {raw}: {val!r}")
-        setattr(args, key, value)
+            if "config".startswith(key):  # every prefix of it means --config
+                raise UsageError(f"a config file cannot set --config: "
+                                 f"{line!r}")
+            flags.append(f"--{key}={val.strip()}")
+    return flags
 
 
 def _emit(lines, out_path):
@@ -275,7 +254,9 @@ def _report_exit(reports, out_path):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
-                        help="key=value defaults; flags override")
+                        help="file of key = value lines, each read as the "
+                             "flag --key=value before the command line's "
+                             "own flags, which win")
     common.add_argument("--out", metavar="PATH",
                         help="write output here instead of stdout")
     ap = argparse.ArgumentParser(
@@ -292,7 +273,7 @@ def _build_parser():
                     help="comma-separated exponent tuple, e.g. 3,1,4")
     pc.add_argument("--max-height", dest="max_height", type=int,
                     help="index-sum bound for enumerated inputs")
-    pc.add_argument("--format", dest="fmt", choices=FORMATS)
+    pc.add_argument("--format", dest="fmt", choices=("json", "csv"))
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run one verification suite")
@@ -309,10 +290,13 @@ def _build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:     # before the command line's flags, which win
+            args = ap.parse_args(argv[:1] + _config_flags(args.config)
+                                 + argv[1:])
         for key in ("max_height", "max_occ"):
             val = getattr(args, key, None)
             if val is not None and val < 0:

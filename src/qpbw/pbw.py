@@ -62,21 +62,22 @@ def _rule_terms(name, side, letter, t):
     return tuple(rules[letter](t))
 
 
-def mul_letter(name, v, letter, side="right"):
-    """Multiply a divided PBW vector by one generator on the given side."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def mul_letter(name, v, letter):
+    """Multiply a divided PBW vector by one generator on the right.
+
+    Left multiplication has one path, rho_column.
+    """
     return sum_products((u, coeff, c) for t, c in v.items()
-                        for coeff, u in _rule_terms(name, side, letter, t))
+                        for coeff, u in _rule_terms(name, "right", letter, t))
 
 
-def mul_word_expr(name, v, wp, side="right"):
-    """v . wp (side right) or wp . v (side left) for a word expression wp."""
+def mul_word_expr(name, v, wp):
+    """v . wp for a word expression wp."""
     def terms():
         for w, c in wp.items():
             cur = v
-            for i in (w if side == "right" else reverse(w)):
-                cur = mul_letter(name, cur, i, side)
+            for i in w:
+                cur = mul_letter(name, cur, i)
             for t, x in cur.items():
                 yield t, x, c
 
@@ -90,7 +91,7 @@ def normal_order(name, wp):
     left-to-right from the empty monomial.
     """
     unit = {zero_tuple(name): ONE}
-    return mul_word_expr(name, unit, wp, side="right")
+    return mul_word_expr(name, unit, wp)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +129,7 @@ def _divided_row(name, A, row_below):
     prev = row_below(A[:r] + (A[r] - 1,) + A[r + 1:])
     wp, den = _root_vector(name, r)
     den = den * qint(A[r], p.d[p.word1[r]]).num
-    v = mul_word_expr(name, prev, wp, side="right")
+    v = mul_word_expr(name, prev, wp)
     return {B: _exact(c.num, c.den * den,
                       "gamma of {} at weight {}, row {}, column {}",
                       name, p.conserved1(A), A, B)
@@ -155,6 +156,7 @@ def rho_column(name, label, letter, A):
     if label == 2:
         terms = _rule_terms(name, "left", letter, A)
     else:
+        preset(name).word(label)    # a label other than 1 or 2 raises
         terms = [(c, reverse(t)) for c, t in
                  _rule_terms(name, "right", letter, reverse(A))]
     return sum_products((t, coeff, ONE) for coeff, t in terms)

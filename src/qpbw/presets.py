@@ -480,6 +480,7 @@ def tuples_with_weight(name, label, weight):
     the leftmost position slowest).
     """
     p = preset(name)
+    p.word(label)                   # a label other than 1 or 2 raises
     roots = p.word2_roots if label == 2 else p.word1_roots
     out = []
     acc = [0] * p.length

@@ -21,7 +21,6 @@ from qpbw.presets import (
 )
 from qpbw.pbw import (
     mul_letter,
-    mul_word_expr,
     normal_order,
     rho_column,
     serre_residuals,
@@ -150,17 +149,21 @@ def test_normal_order_examples():
         "A2", {(1, 0, 1): rf(1)})
 
 
+def _left_mul(name, v, letter):
+    """e_letter . v for a divided word-2 vector v, through rho_column."""
+    return sum_products((u, x, c) for t, c in v.items()
+                        for u, x in rho_column(name, 2, letter, t).items())
+
+
 def test_mul_letter_examples():
-    assert mul_letter("A2", {(0, 0, 0): rf(1)}, 1, "right") == _divided(
+    assert mul_letter("A2", {(0, 0, 0): rf(1)}, 1) == _divided(
         "A2", {(0, 0, 1): rf(1)}, (0, 0, 0))
-    assert mul_letter("A2", {(0, 0, 1): rf(1)}, 2, "right") == _divided(
+    assert mul_letter("A2", {(0, 0, 1): rf(1)}, 2) == _divided(
         "A2", {(1, 0, 1): qpow(1), (0, 1, 0): rf(1)}, (0, 0, 1))
     # e_2 . B[2,0,1,1] = B[3,0,1,1]; divided, the coefficient is [3]_{q^2}
-    got = mul_letter("C2", {(2, 0, 1, 1): rf(1)}, 2, "left")
+    got = rho_column("C2", 2, 2, (2, 0, 1, 1))
     assert got == _divided("C2", {(3, 0, 1, 1): rf(1)}, (2, 0, 1, 1))
     assert got == {(3, 0, 1, 1): qint(3, 2)}
-    with pytest.raises(ValueError):
-        mul_letter("A2", {}, 1, "middle")
 
 
 def test_fold_direction_independence():
@@ -173,8 +176,10 @@ def test_fold_direction_independence():
             w1 = tuple(rng.choice((1, 2)) for _ in range(n1))
             w2 = tuple(rng.choice((1, 2)) for _ in range(n2))
             whole = normal_order(name, {w1 + w2: rf(1)})
-            tail = normal_order(name, {w2: rf(1)})
-            assert whole == mul_word_expr(name, tail, {w1: rf(1)}, "left")
+            left = normal_order(name, {w2: rf(1)})
+            for i in reversed(w1):
+                left = _left_mul(name, left, i)
+            assert whole == left
 
 
 @st.composite
@@ -213,6 +218,16 @@ def test_tuples_with_weight():
             assert list(t1) == sorted(t1) and list(t2) == sorted(t2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: tuples_with_weight("C2", 3, (1, 2)),
+    lambda: rho_column("C2", 3, 1, (0, 0, 0, 0)),
+    lambda: rho_column("C2", 0, 1, (0, 0, 0, 0)),
+], ids=["tuples_with_weight", "rho_column-3", "rho_column-0"])
+def test_bad_word_label_raises(call):
+    with pytest.raises(ValueError, match="word label must be 1 or 2"):
+        call()
+
+
 def test_rho_matrix_examples():
     col = rho_column("A2", 1, 1, (0, 0, 0))
     assert col == {(1, 0, 0): rf(1)}
@@ -232,7 +247,7 @@ def test_rho_matrix_word1_left_consistency():
     ]
     for name, A in cases:
         for i in (1, 2):
-            direct = mul_letter(name, _word1_divided(name, A), i, "left")
+            direct = _left_mul(name, _word1_divided(name, A), i)
             recombined = sum_products(
                 (B, c, x) for C, c in rho_column(name, 1, i, A).items()
                 for B, x in _word1_divided(name, C).items())
