@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from collections import namedtuple
 
@@ -29,7 +30,7 @@ from .intertwiner import phi_blocks
 from .presets import (
     ALGEBRAS, KIND_ALGEBRA, preset, reverse, tuples_with_weight,
 )
-from .qfield import canonical_string, parse as parse_coefficient
+from .qfield import canonical_string
 
 KINDS = ("gamma", "phi", "R", "K", "F")
 # the options each suite reads; setting any other one is a usage error
@@ -60,14 +61,6 @@ def record_to_json(rec):
                        "coeff": rec.coeff}, separators=(", ", ": "))
 
 
-def record_from_json(line):
-    d = json.loads(line)
-    rec = TableRecord(d["algebra"], d["kind"], tuple(d["in"]),
-                      tuple(d["out"]), d["coeff"])
-    parse_coefficient(rec.coeff)      # wire invariant: must parse back
-    return rec
-
-
 def records_to_csv(records):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -76,18 +69,6 @@ def records_to_csv(records):
         w.writerow([r.algebra, r.kind, ",".join(map(str, r.inp)),
                     ",".join(map(str, r.out)), r.coeff])
     return buf.getvalue().splitlines()
-
-
-def records_from_csv(lines):
-    rows = list(csv.reader(lines))
-    if not rows or rows[0] != ["algebra", "kind", "in", "out", "coeff"]:
-        raise ValueError("missing csv header")
-    out = []
-    for alg, kind, inp, outp, coeff in rows[1:]:
-        parse_coefficient(coeff)
-        out.append(TableRecord(alg, kind, _parse_tuple(inp),
-                               _parse_tuple(outp), coeff))
-    return out
 
 
 def _parse_tuple(text):
@@ -271,6 +252,10 @@ def _build_parser():
     pc.add_argument("--kind", choices=KINDS)
     pc.add_argument("--in", dest="inp", metavar="TUPLE",
                     help="comma-separated exponent tuple, e.g. 3,1,4")
+    # argparse reads a token that starts with a minus as a flag unless it
+    # is a plain negative number; read any minus-digit token as a value, so
+    # that --in -1,0,0 reaches _parse_tuple as --in=-1,0,0 does
+    pc._negative_number_matcher = re.compile(r"-\d")
     pc.add_argument("--max-height", dest="max_height", type=int,
                     help="index-sum bound for enumerated inputs")
     pc.add_argument("--format", dest="fmt", choices=("json", "csv"))

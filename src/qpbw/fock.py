@@ -30,7 +30,7 @@ relations; the property checks carry lambda_i as the scalar it is.
 
 from functools import lru_cache
 
-from .qfield import ONE, poch_run, qpow, rf, sum_products, vec_add, vec_scale
+from .qfield import ONE, poch_run, qpow, sum_products, vec_add, vec_scale
 from .presets import preset, tuples_with_weight
 
 
@@ -158,28 +158,6 @@ def op_mul(name, word, xop, yop):
     return sum_products(terms())
 
 
-def op_from_terms(name, word, terms):
-    """Build an operator from (coeff, ((slot, atom), ...)) product terms.
-
-    Slots are 1-based; atoms within one slot multiply in the order listed.
-    Used to transcribe displayed operator formulas in tests.
-    """
-    w = letters_arg(name, word)
-    profile = preset(name).bases(w)
-
-    def products():
-        for coeff, factors in terms:
-            slot_atoms = [[] for _ in w]
-            for slot, atom in factors:
-                slot_atoms[slot - 1].append(atom)
-            coeff = rf(coeff)
-            for monos, c in _slotwise(_mono_mul_word((0, 0, 0), atoms, d)
-                                      for atoms, d in zip(slot_atoms, profile)):
-                yield monos, coeff, c
-
-    return sum_products(products())
-
-
 def apply_op(name, word, op, vec):
     """Apply an operator to a Fock vector {occupation tuple: coeff} of bare
     kets |A>."""
@@ -275,16 +253,6 @@ def _sigma_data(name, word, tag):
             f"pi_{word}(sigma_{i}) of {name} has a non-unit prefactor: "
             f"{coeff}")
     return op, tuple(t for _, t, _ in monos)
-
-
-def sigma_op(name, word, i):
-    """pi_word(sigma_i): guaranteed a single diagonal +-q^N k-monomial."""
-    return _sigma_data(name, word_arg(name, word), (i, "sigma"))[0]
-
-
-def sigma_e_op(name, word, i):
-    """pi_word(sigma_i e_i)."""
-    return _sigma_data(name, word_arg(name, word), (i, "sigma_e"))[0]
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,13 @@
 """The command-line surface: records, formats, exit codes, determinism."""
 
+import csv
 import json
 
 import pytest
 
 from qpbw import cli, pbw, verify
 from qpbw.cli import (
-    TableRecord, compute_records, main, record_from_json, record_to_json,
-    records_from_csv, records_to_csv,
+    TableRecord, compute_records, main, record_to_json, records_to_csv,
 )
 from qpbw.presets import ALGEBRA_KIND, tuples_with_weight, weights_up_to
 from qpbw.qfield import LaurentPoly, RationalFunction, parse
@@ -24,6 +24,14 @@ def run(argv, capsys):
     return rc, out.out, out.err
 
 
+def from_json(line):
+    """The record a JSON line holds; its coefficient must parse back."""
+    d = json.loads(line)
+    parse(d["coeff"])
+    return TableRecord(d["algebra"], d["kind"], tuple(d["in"]),
+                       tuple(d["out"]), d["coeff"])
+
+
 # ---------------------------------------------------------------------------
 # compute: the three pinned columns
 
@@ -32,7 +40,7 @@ def test_compute_a2_r_column(capsys):
     rc, out, _ = run(["compute", "--algebra", "A2", "--kind", "R",
                       "--in", "3,1,4"], capsys)
     assert rc == 0
-    recs = [record_from_json(ln) for ln in out.splitlines()]
+    recs = [from_json(ln) for ln in out.splitlines()]
     assert len(recs) == 5
     assert all(r.inp == (3, 1, 4) and r.kind == "R" for r in recs)
     assert recs[-1] == TableRecord("A2", "R", (3, 1, 4), (4, 0, 5), "q^12")
@@ -56,7 +64,7 @@ def test_compute_gamma_zero_tuple(capsys):
     rc, out, _ = run(["compute", "--algebra", "A2", "--kind", "gamma",
                       "--in", "0,0,0"], capsys)
     assert rc == 0
-    (rec,) = [record_from_json(ln) for ln in out.splitlines()]
+    (rec,) = [from_json(ln) for ln in out.splitlines()]
     assert rec == TableRecord("A2", "gamma", (0, 0, 0), (0, 0, 0), "1")
 
 
@@ -90,12 +98,18 @@ def test_phi_records_match_gamma_records():
 
 def test_json_round_trip():
     recs = compute_records("A2", "R", (3, 1, 4))
-    assert [record_from_json(record_to_json(r)) for r in recs] == recs
+    assert [from_json(record_to_json(r)) for r in recs] == recs
 
 
 def test_csv_round_trip():
     recs = compute_records("C2", "K", (2, 1, 1, 0))
-    assert records_from_csv(records_to_csv(recs)) == recs
+    header, *rows = csv.reader(records_to_csv(recs))
+    assert header == ["algebra", "kind", "in", "out", "coeff"]
+    for row in rows:
+        parse(row[4])
+    assert [TableRecord(alg, kind, tuple(map(int, inp.split(","))),
+                        tuple(map(int, out.split(","))), coeff)
+            for alg, kind, inp, out, coeff in rows] == recs
 
 
 def test_csv_header_and_quoting(capsys):
@@ -168,20 +182,36 @@ def test_out_path_is_checked_before_any_work(argv, attr, tmp_path,
 # usage errors (exit 2) and check failures (exit 1)
 
 
-@pytest.mark.parametrize("argv", [
-    ["compute", "--algebra", "A2", "--kind", "K", "--in", "1,1,1"],
-    ["compute", "--algebra", "G2", "--kind", "R", "--in", "0,0,0,0,0,0"],
-    ["compute", "--kind", "gamma", "--in", "0,0,0"],
-    ["compute", "--algebra", "A2", "--kind", "gamma", "--in", "1,2"],
-    ["compute", "--algebra", "A2", "--kind", "gamma", "--in", "1,x,2"],
-    ["compute", "--algebra", "A2", "--kind", "gamma", "--in", "1,-2,1"],
-    ["compute", "--algebra", "A2", "--kind", "gamma", "--in", "9,9,9"],
-])
-def test_usage_errors(argv, capsys):
+USAGE_ERRORS = [
+    (["compute", "--algebra", "A2", "--kind", "K", "--in", "1,1,1"],
+     "kind K belongs to C2, not A2"),
+    (["compute", "--algebra", "G2", "--kind", "R", "--in", "0,0,0,0,0,0"],
+     "kind R belongs to A2, not G2"),
+    (["compute", "--kind", "gamma", "--in", "0,0,0"],
+     "compute needs --algebra and --kind"),
+    (["compute", "--algebra", "A2", "--kind", "gamma", "--in", "1,2"],
+     "A2 tuples have 3 entries, got (1, 2)"),
+    (["compute", "--algebra", "A2", "--kind", "gamma", "--in", "1,x,2"],
+     "not a comma-separated integer tuple: '1,x,2'"),
+    (["compute", "--algebra", "A2", "--kind", "gamma", "--in", "1,-2,1"],
+     "negative exponent in '1,-2,1'"),
+    (["compute", "--algebra", "A2", "--kind", "gamma", "--in", "9,9,9"],
+     "input sum 27 beyond height bound 8"),
+    # a leading minus: argparse must hand the tuple to --in, not read a flag
+    (["compute", "--algebra", "A2", "--kind", "gamma", "--in", "-1,0,0"],
+     "negative exponent in '-1,0,0'"),
+    (["compute", "--algebra", "A2", "--kind", "gamma", "--in=-1,0,0"],
+     "negative exponent in '-1,0,0'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+def test_usage_errors(argv, message, capsys):
     rc, out, err = run(argv, capsys)
     assert rc == 2
     assert out == ""
-    assert err.startswith("qpbw: ")
+    assert err == f"qpbw: {message}\n"
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from qpbw import fock
 from qpbw.fock import (
-    apply_op, letters_arg, op_from_terms, op_mul, pi_generator, sigma_e_op,
-    sigma_op, word_arg, xi_matrix,
+    apply_op, letters_arg, op_mul, pi_generator, word_arg, xi_matrix,
 )
-from qpbw.fock import _mono_apply, _mono_mul_word
+from qpbw.fock import _mono_apply, _mono_mul_word, _sigma_data, _slotwise
 from qpbw.qfield import d_norm, q_factorial, sum_products, vec_scale
 from qpbw.presets import (
     ONE, preset, qint, qpow, reverse, rf, tuples_with_weight,
@@ -25,6 +24,27 @@ from qpbw.presets import (
 from plain_rules import plain_rule
 
 _TOKEN = re.compile(r"([aA][+-]|[kK])(\d)(')?$")
+
+
+def op_from_terms(name, word, terms):
+    """Build an operator from (coeff, ((slot, atom), ...)) product terms.
+
+    Slots are 1-based; atoms within one slot multiply in the order listed.
+    """
+    w = letters_arg(name, word)
+    profile = preset(name).bases(w)
+
+    def products():
+        for coeff, factors in terms:
+            slot_atoms = [[] for _ in w]
+            for slot, atom in factors:
+                slot_atoms[slot - 1].append(atom)
+            coeff = rf(coeff)
+            for monos, c in _slotwise(_mono_mul_word((0, 0, 0), atoms, d)
+                                      for atoms, d in zip(slot_atoms, profile)):
+                yield monos, coeff, c
+
+    return sum_products(products())
 
 
 def term(name, word, spec, coeff=1):
@@ -56,6 +76,11 @@ def disp(name, word, *specs):
         else:
             terms.append(term(name, word, s[0], s[1]))
     return op_from_terms(name, word, terms)
+
+
+def sigma(name, word, i, kind="sigma"):
+    """pi_word(sigma_i), or pi_word(sigma_i e_i) for kind "sigma_e"."""
+    return _sigma_data(name, word_arg(name, word), (i, kind))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,32 +269,35 @@ def test_word_arguments():
 
 
 def test_sigma_displays_a2():
-    assert sigma_op("A2", 1, 1) == disp("A2", 1, "k1 k2")
-    assert sigma_e_op("A2", 1, 1) == disp("A2", 1, "a+1 k2")
-    assert sigma_op("A2", 1, 2) == disp("A2", 1, "k2 k3")
-    assert sigma_e_op("A2", 1, 2) == disp("A2", 1, "a-1 a+2 k3", "k1 a+3")
+    assert sigma("A2", 1, 1) == disp("A2", 1, "k1 k2")
+    assert sigma("A2", 1, 1, "sigma_e") == disp("A2", 1, "a+1 k2")
+    assert sigma("A2", 1, 2) == disp("A2", 1, "k2 k3")
+    assert sigma("A2", 1, 2, "sigma_e") \
+        == disp("A2", 1, "a-1 a+2 k3", "k1 a+3")
     # the second word just swaps the roles of the two nodes here
     for i in (1, 2):
-        assert sigma_op("A2", 2, i) == sigma_op("A2", 1, 3 - i)
-        assert sigma_e_op("A2", 2, i) == sigma_e_op("A2", 1, 3 - i)
+        assert sigma("A2", 2, i) == sigma("A2", 1, 3 - i)
+        assert sigma("A2", 2, i, "sigma_e") \
+            == sigma("A2", 1, 3 - i, "sigma_e")
 
 
 def test_sigma_displays_c2():
     two1 = qint(2, 1)
-    assert sigma_op("C2", 1, 1) == disp("C2", 1, ("k1 K2 k3", -1))
-    assert sigma_e_op("C2", 1, 1) == disp("C2", 1, ("a+1 K2 k3", -1))
-    assert sigma_op("C2", 1, 2) == disp("C2", 1, ("K2 k3 k3 K4", -1))
-    assert sigma_e_op("C2", 1, 2) == disp(
+    assert sigma("C2", 1, 1) == disp("C2", 1, ("k1 K2 k3", -1))
+    assert sigma("C2", 1, 1, "sigma_e") == disp("C2", 1, ("a+1 K2 k3", -1))
+    assert sigma("C2", 1, 2) == disp("C2", 1, ("K2 k3 k3 K4", -1))
+    assert sigma("C2", 1, 2, "sigma_e") == disp(
         "C2", 1,
         ("a-1 a-1 A+2 k3 k3 K4", -1),
         ("a-1 k1 a+3 k3 K4", -two1),
         ("k1 k1 A-2 a+3 a+3 K4", -1),
         ("k1 k1 K2 A+4", -1))
-    assert sigma_op("C2", 2, 1) == disp("C2", 2, ("k2 K3 k4", -1))
-    assert sigma_e_op("C2", 2, 1) == disp(
+    assert sigma("C2", 2, 1) == disp("C2", 2, ("k2 K3 k4", -1))
+    assert sigma("C2", 2, 1, "sigma_e") == disp(
         "C2", 2, ("K1 k2 a+4", -1), ("K1 a-2 A+3 k4", -1), ("A-1 a+2 K3 k4", -1))
-    assert sigma_op("C2", 2, 2) == disp("C2", 2, ("K1 k2 k2 K3", -1))
-    assert sigma_e_op("C2", 2, 2) == disp("C2", 2, ("A+1 k2 k2 K3", -1))
+    assert sigma("C2", 2, 2) == disp("C2", 2, ("K1 k2 k2 K3", -1))
+    assert sigma("C2", 2, 2, "sigma_e") \
+        == disp("C2", 2, ("A+1 k2 k2 K3", -1))
 
 
 def test_sigma_displays_g2():
@@ -277,11 +305,12 @@ def test_sigma_displays_g2():
     # factor is shared by sigma_2 and sigma_2 e_2, so it drops out of xi_2
     mq = -qpow(1)
     two2, three1 = qint(2, 3), qint(3, 1)
-    assert sigma_op("G2", 1, 1) == disp("G2", 1, "k1 K2 k3 k3 K4 k5")
-    assert sigma_e_op("G2", 1, 1) == disp("G2", 1, "a+1 K2 k3 k3 K4 k5")
-    assert sigma_op("G2", 1, 2) == vec_scale(
+    assert sigma("G2", 1, 1) == disp("G2", 1, "k1 K2 k3 k3 K4 k5")
+    assert sigma("G2", 1, 1, "sigma_e") \
+        == disp("G2", 1, "a+1 K2 k3 k3 K4 k5")
+    assert sigma("G2", 1, 2) == vec_scale(
         disp("G2", 1, "K2 k3 k3 k3 K4 K4 k5 k5 k5 K6"), mq)
-    assert sigma_e_op("G2", 1, 2) == vec_scale(disp(
+    assert sigma("G2", 1, 2, "sigma_e") == vec_scale(disp(
         "G2", 1,
         "k1 k1 k1 K2 K2 k3 k3 k3 K4 A+6",
         ("k1 k1 k1 A-2 K2 A+4 K4 k5 k5 k5 K6", two2),
@@ -297,11 +326,11 @@ def test_sigma_displays_g2():
         ("k1 k1 k1 A-2 K2 a+3 k3 K4 a+5 k5 k5 K6", three1),
         "k1 k1 k1 K2 K2 a-3 a-3 a-3 A+4 A+4 k5 k5 k5 K6",
         ("k1 k1 k1 K2 K2 a-3 a-3 k3 A+4 a+5 k5 k5 K6", three1)), mq)
-    assert sigma_op("G2", 2, 1) == disp("G2", 2, "k2 K3 k4 k4 K5 k6")
-    assert sigma_op("G2", 2, 2) == vec_scale(
+    assert sigma("G2", 2, 1) == disp("G2", 2, "k2 K3 k4 k4 K5 k6")
+    assert sigma("G2", 2, 2) == vec_scale(
         disp("G2", 2, "K1 k2 k2 k2 K3 K3 k4 k4 k4 K5"), mq)
     two1 = qint(2, 1)
-    assert sigma_e_op("G2", 2, 1) == disp(
+    assert sigma("G2", 2, 1, "sigma_e") == disp(
         "G2", 2,
         "K1 k2 k2 K3 k4 a+6",
         "A-1 a+2 K3 k4 k4 K5 k6",
@@ -309,7 +338,7 @@ def test_sigma_displays_g2():
         "K1 a-2 a-2 A+3 k4 k4 K5 k6",
         ("K1 a-2 k2 a+4 k4 K5 k6", two1),
         "K1 k2 k2 A-3 a+4 a+4 K5 k6")
-    assert sigma_e_op("G2", 2, 2) == vec_scale(
+    assert sigma("G2", 2, 2, "sigma_e") == vec_scale(
         disp("G2", 2, "A+1 k2 k2 k2 K3 K3 k4 k4 k4 K5"), mq)
 
 
@@ -317,8 +346,8 @@ def test_sigma_commutation():
     for name in ("A2", "C2", "G2"):
         p = preset(name)
         for word in (1, 2):
-            s = {i: sigma_op(name, word, i) for i in (1, 2)}
-            t = {i: sigma_e_op(name, word, i) for i in (1, 2)}
+            s = {i: sigma(name, word, i) for i in (1, 2)}
+            t = {i: sigma(name, word, i, "sigma_e") for i in (1, 2)}
             mul = lambda a, b: op_mul(name, word, a, b)
             assert mul(s[1], s[2]) == mul(s[2], s[1])
             for i in (1, 2):
@@ -496,7 +525,7 @@ def test_sigma_is_invertible_monomial():
     for name in ("A2", "C2", "G2"):
         for word in (1, 2):
             for i in (1, 2):
-                op = sigma_op(name, word, i)
+                op = sigma(name, word, i)
                 assert len(op) == 1
                 (monos, coeff), = op.items()
                 assert all(x == 0 and y == 0 for x, _, y in monos)

@@ -16,7 +16,7 @@ from qpbw.qfield import (
     sum_products,
 )
 from qpbw.presets import (
-    ALGEBRAS, ZERO, preset, rf, qpow, qint, qbracket, wp_mul, reverse,
+    ALGEBRAS, ZERO, preset, rf, qpow, qint, qbracket, wp_mul,
     tuples_with_weight, weights_up_to, zero_tuple,
 )
 from qpbw.pbw import (
@@ -52,14 +52,14 @@ def _divided(name, plain, t=None):
     return {u: c * _factorials(name, 2, u) / ft for u, c in plain.items()}
 
 
-def _plain_mul(name, v, wp, side="right"):
-    """v . wp (side right) or wp . v (side left) over plain monomials B[A],
-    read straight off the plain rules."""
+def _plain_mul(name, v, wp):
+    """v . wp over plain monomials B[A], read straight off the plain right
+    rules."""
     def terms():
         for w, c in wp.items():
             cur = v
-            for i in (w if side == "right" else reverse(w)):
-                rule = plain_rule(name, side, i)
+            for i in w:
+                rule = plain_rule(name, "right", i)
                 cur = sum_products((u, coeff, x) for t, x in cur.items()
                                    for coeff, u in rule(t))
             for t, x in cur.items():
