@@ -84,24 +84,18 @@ def _parse_tuple(text):
 # ---------------------------------------------------------------------------
 # compute
 
-def _gamma_records(name, kind, tb, inputs):
-    """gamma^A_B over word-1 outputs B, for word-2 inputs A of one block."""
-    for A in inputs:
-        ra = reverse(A)
-        for B in tb.rows:
-            c = tb.gamma(ra, reverse(B))
-            if not c.num.is_zero():
-                yield TableRecord(name, kind, A, B, canonical_string(c))
-
-
-def _phi_records(name, kind, columns, inputs):
-    """Phi's column above each input of one block: the input ket B (word
-    1) itself for kind phi, reverse(I) for a checked-table input I (word
-    2)."""
+def _records(name, kind, block, inputs):
+    """The records above each input I of one block, read from one dict of
+    it: for kind phi, Phi's column of the word-1 ket I itself; for a
+    checked kind, Phi's column of reverse(I); for kind gamma, gamma's row
+    reverse(I), each word-2 column C of it read as the word-1 output
+    reverse(C), which is a row key of the block: the records share that
+    key rather than each holding a copy."""
+    out = {reverse(A): A for A in block} if kind == "gamma" else {}
     for I in inputs:
-        B = I if kind == "phi" else reverse(I)
-        for C, v in columns[B].items():
-            yield TableRecord(name, kind, I, C, canonical_string(v))
+        for C, v in block[I if kind == "phi" else reverse(I)].items():
+            yield TableRecord(name, kind, I, out.get(C, C),
+                              canonical_string(v))
 
 
 def compute_records(algebra, kind, inp=None, max_height=None):
@@ -139,9 +133,8 @@ def compute_records(algebra, kind, inp=None, max_height=None):
         walk = pbw.transition_blocks if kind == "gamma" else phi_blocks
         blocks = ((block, tuples_with_weight(algebra, label, weight))
                   for weight, block in walk(algebra, bound))
-    emit = _gamma_records if kind == "gamma" else _phi_records
     records = [rec for block, inputs in blocks
-               for rec in emit(algebra, kind, block, inputs)]
+               for rec in _records(algebra, kind, block, inputs)]
     records.sort(key=lambda r: (r.out, r.inp))
     return records
 
@@ -257,7 +250,8 @@ def _build_parser():
     # that --in -1,0,0 reaches _parse_tuple as --in=-1,0,0 does
     pc._negative_number_matcher = re.compile(r"-\d")
     pc.add_argument("--max-height", dest="max_height", type=int,
-                    help="index-sum bound for enumerated inputs")
+                    help="a sweep's bound on the weight height m2 + m1; "
+                         "with --in, a cap on the input's index sum")
     pc.add_argument("--format", dest="fmt", choices=("json", "csv"))
 
     pv = sub.add_parser("verify", parents=[common],

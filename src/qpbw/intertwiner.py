@@ -24,7 +24,7 @@ last block that reads it is built, so at most two heights of blocks, and
 about one height's worth, are alive.
 """
 
-from .qfield import ONE, ZERO, ratio, sum_products, vec_add, vec_scale
+from .qfield import ONE, ZERO, exact_quotient, sum_products, vec_add, vec_scale
 from .presets import (
     ALGEBRA_KIND, preset, reverse, tuples_with_weight, weights_up_to,
 )
@@ -32,23 +32,24 @@ from .fock import xi_matrix
 
 
 def solve_exact(prows, qrows, unknowns):
-    """Solve P Y = Q over the rational-function field, P of full column rank.
+    """Solve P Y = Q over Z[q, q^-1], P of full column rank.
 
     P is m x n with m >= n, n the number of unknowns, and Q is m x k.  Both
     are given as lists of sparse rows, {unknown: entry} for P and
     {column: entry} for Q, RationalFunction entries, nonzero ones only.  The
     unknowns are found by substitution: while some row has exactly one
     unknown u left, Y[u] = (Q[r] - sum of P[r][c] Y[c] over its known
-    unknowns c) / P[r][u].  When every unknown is reached this way, the
-    rows used form a triangular n x n subsystem with nonzero diagonal, so
-    P has full column rank.  The residual P Y - Q is then checked to
-    vanish on every row, so every equation holds and Y is the unique
-    solution.  Returns Y as {unknown: {column: entry}}, unknowns in the
-    given order, nonzero entries only.  Raises ArithmeticError when a row
-    of P names a key that is not an unknown, when substitution stalls (no
-    row has a single unknown left), which every rank-deficient system does
-    and so does an unknown that no row names, or when the system is
-    inconsistent.  No Phi block stalls.
+    unknowns c) / P[r][u], each entry an exact division of Laurent
+    polynomials.  When every unknown is reached this way, the rows used
+    form a triangular n x n subsystem with nonzero diagonal, so P has full
+    column rank.  The residual P Y - Q is then checked to vanish on every
+    row, so every equation holds and Y is the unique solution.  Returns Y
+    as {unknown: {column: entry}}, unknowns in the given order, nonzero
+    entries only.  Raises ArithmeticError when a row of P names a key that
+    is not an unknown, when a division is inexact (the solution is not
+    Laurent), when substitution stalls (no row has a single unknown left),
+    which every rank-deficient system does and so does an unknown that no
+    row names, or when the system is inconsistent.  No Phi block stalls.
     """
     if len(prows) < len(unknowns):
         raise ArithmeticError(f"underdetermined system ({len(prows)} rows, "
@@ -89,7 +90,8 @@ def _substitute(prows, qrows, unknowns):
         known = {c: x for c, x in prow.items() if c != u}
         rest = vec_add(qrows[r], vec_scale(_row_products(known, Y), -1))
         piv = prow[u]
-        Y[u] = {j: ratio(a.num * piv.den, a.den * piv.num)
+        Y[u] = {j: exact_quotient(a.num * piv.den, a.den * piv.num,
+                                  "Y[{!r}][{!r}]", u, j)
                 for j, a in rest.items()}
         for r2 in rows_of[u]:
             left[r2] -= 1

@@ -16,38 +16,29 @@ root vector's [2]/[3] denominator, so normal ordering multiplies Laurent
 polynomials only and runs no gcd.  An inexact division raises
 ArithmeticError.
 
-gamma is read two ways.  Random access (transition_block) keeps every
-block and every row it has built for the life of the process, in
-lru_caches.  A sweep over a height range (transition_blocks) caches
-nothing and keeps a row only until the last row built from it: never
-more than word 1's highest root height above its own (A2 2, C2 3, G2 5).
+gamma is held by weight block, as a TransitionBlock: the dict
+{A: {B: gamma^A_B}} of the block's word-1 rows, nonzero entries only,
+which is the layout of a Phi block.  It is read two ways.  Random access
+(transition_block) keeps every block and every row it has built for the
+life of the process, in lru_caches.  A sweep over a height range
+(transition_blocks) caches nothing and keeps a row only until the last
+row built from it: never more than word 1's highest root height above its
+own (A2 2, C2 3, G2 5).
 """
 
 from collections import defaultdict
 from functools import lru_cache
 from itertools import groupby
 
-from .qfield import LaurentPoly, poly_divexact, qint, sum_products
+from .qfield import LaurentPoly, exact_quotient, qint, sum_products
 from .presets import (
-    preset, rf, ONE, ZERO, reverse, serre_relations, tuples_with_weight,
+    preset, ONE, ZERO, reverse, serre_relations, tuples_with_weight,
     weights_up_to, zero_tuple,
 )
 
 
 # ---------------------------------------------------------------------------
 # the multiplication primitive
-
-
-def _exact(num, den, where, *args):
-    """num / den as a RationalFunction; ArithmeticError if inexact.
-
-    The error names the place, where.format(*args), formatted only then.
-    """
-    try:
-        return rf(poly_divexact(num, den))
-    except ValueError:
-        raise ArithmeticError(
-            "inexact division in " + where.format(*args)) from None
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +98,8 @@ def _root_vector(name, r):
     """
     wp = preset(name).root_vectors1[r]
     den = max((c.den for c in wp.values()), key=LaurentPoly.degree)
-    return {w: _exact(c.num * den, c.den, "root vector {} of {}", r, name)
+    return {w: exact_quotient(c.num * den, c.den, "root vector {} of {}",
+                              r, name)
             for w, c in wp.items()}, den
 
 
@@ -130,9 +122,9 @@ def _divided_row(name, A, row_below):
     wp, den = _root_vector(name, r)
     den = den * qint(A[r], p.d[p.word1[r]]).num
     v = mul_word_expr(name, prev, wp)
-    return {B: _exact(c.num, c.den * den,
-                      "gamma of {} at weight {}, row {}, column {}",
-                      name, p.conserved1(A), A, B)
+    return {B: exact_quotient(c.num, c.den * den,
+                              "gamma of {} at weight {}, row {}, column {}",
+                              name, p.conserved1(A), A, B)
             for B, c in v.items()}
 
 
@@ -166,41 +158,28 @@ def rho_column(name, label, letter, A):
 # transition matrices
 
 
-class TransitionBlock:
-    """gamma on one weight block.
+class TransitionBlock(dict):
+    """gamma on one weight block: {A: {B: gamma^A_B}}.
 
-    rows: word-1 exponent tuples (lexicographic); cols: word-2 tuples.
-    Entry (A, B) is gamma^A_B, the coefficient of B^(B) in the divided
-    word-1 monomial E_1^(A); row_dicts maps each row A to that monomial's
-    {B: gamma^A_B} dict, held without a copy.
+    The keys are the block's word-1 tuples A, in tuples_with_weight
+    order; the value of A is the divided word-1 monomial E_1^(A) over the
+    divided word-2 basis, {B: gamma^A_B}, nonzero entries only, held
+    without a copy, so callers must not mutate it.  The word-2 tuples B of
+    the block are tuples_with_weight(name, 2, weight).
     """
 
-    def __init__(self, name, weight, rows, cols, row_dicts):
-        self.name = name
-        self.weight = weight
-        self.rows = rows
-        self.cols = cols
-        self._rows = row_dicts
-
     def gamma(self, A, B):
-        row = self._rows.get(tuple(A))
-        return ZERO if row is None else row.get(tuple(B), ZERO)
-
-
-def _block_tuples(name, weight):
-    rows = tuples_with_weight(name, 1, weight)
-    cols = tuples_with_weight(name, 2, weight)
-    if not rows or not cols:
-        raise ValueError(f"no tuples of weight {weight} for {name}")
-    return rows, cols
+        """gamma^A_B; ZERO off the block's support."""
+        return self.get(tuple(A), {}).get(tuple(B), ZERO)
 
 
 @lru_cache(maxsize=None)
 def transition_block(name, weight):
     """gamma on one weight block, its rows from the process-wide cache."""
-    rows, cols = _block_tuples(name, weight)
-    return TransitionBlock(name, weight, rows, cols,
-                           {A: _word1_divided(name, A) for A in rows})
+    rows = tuples_with_weight(name, 1, weight)
+    if not rows:
+        raise ValueError(f"no tuples of weight {weight} for {name}")
+    return TransitionBlock((A, _word1_divided(name, A)) for A in rows)
 
 
 def transition_blocks(name, max_height):
@@ -219,13 +198,13 @@ def transition_blocks(name, max_height):
     live, expiring = {}, defaultdict(list)
     for height, weights in groupby(weights_up_to(name, max_height), key=sum):
         for weight in weights:
-            rows, cols = _block_tuples(name, weight)
-            block = {A: _divided_row(name, A, live.__getitem__)
-                     for A in rows}
+            block = TransitionBlock(
+                (A, _divided_row(name, A, live.__getitem__))
+                for A in tuples_with_weight(name, 1, weight))
             live.update(block)
-            for A in rows:
+            for A in block:
                 expiring[height + last_read[max(_last_slot(A), 0)]].append(A)
-            yield weight, TransitionBlock(name, weight, rows, cols, block)
+            yield weight, block
         for A in expiring.pop(height, ()):
             del live[A]
 

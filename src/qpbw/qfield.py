@@ -748,16 +748,17 @@ def apply_on_slots(vec, pos, column):
     return _finish(laurent, rest)
 
 
-def ratio(num, den):
-    """num / den for LaurentPolys, equal to RationalFunction(num, den).
+def exact_quotient(num, den, where, *args):
+    """num / den for LaurentPolys, as a RationalFunction; ArithmeticError
+    unless den divides num in Z[q, q^-1].
 
-    Divides exactly when den divides num in Z[q, q^-1], which skips the
-    gcd that the normalisation would run; otherwise normalises as usual.
+    The error names the place, where.format(*args), formatted only then.
     """
     try:
         return RationalFunction.from_laurent(poly_divexact(num, den))
     except ValueError:
-        return RationalFunction(num, den)
+        raise ArithmeticError(
+            "inexact division in " + where.format(*args)) from None
 
 
 def rf_to_str(r):

@@ -415,7 +415,8 @@ def _conservation_cases(name, tab, wset):
 def _integrality_cases(name, wset):
     for wgt in wset:
         tb = pbw.transition_block(name, wgt)
-        for a_row, b_col in product(tb.rows, tb.cols):
+        for a_row, b_col in product(tuples_with_weight(name, 1, wgt),
+                                    tuples_with_weight(name, 2, wgt)):
             v = tb.gamma(a_row, b_col)
             yield None if is_integer_polynomial(v) \
                 else f"gamma[{a_row},{b_col}] = {canonical_string(v)}"

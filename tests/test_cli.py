@@ -9,8 +9,10 @@ from qpbw import cli, pbw, verify
 from qpbw.cli import (
     TableRecord, compute_records, main, record_to_json, records_to_csv,
 )
-from qpbw.presets import ALGEBRA_KIND, tuples_with_weight, weights_up_to
-from qpbw.qfield import LaurentPoly, RationalFunction, parse
+from qpbw.presets import (
+    ALGEBRA_KIND, preset, reverse, tuples_with_weight, weights_up_to,
+)
+from qpbw.qfield import LaurentPoly, RationalFunction, canonical_string, parse
 
 
 def run(argv, capsys):
@@ -70,6 +72,16 @@ def test_compute_gamma_zero_tuple(capsys):
 
 # ---------------------------------------------------------------------------
 # record semantics
+
+
+def test_sweep_max_height_bounds_the_weight_height(capsys):
+    """A sweep's --max-height bounds the weight height m2 + m1, not the
+    index sum: (0, 1, 0), of index sum 1, has weight (1, 1), height 2."""
+    rc, out, _ = run(["compute", "--algebra", "A2", "--kind", "gamma",
+                      "--max-height", "1"], capsys)
+    assert rc == 0
+    assert [from_json(ln).inp for ln in out.splitlines()] \
+        == [(0, 0, 0), (1, 0, 0), (0, 0, 1)]
 
 
 def test_records_sorted_by_output_then_input():
@@ -321,6 +333,37 @@ def test_sweep_matches_one_input_at_a_time(name, kind, height):
     one_by_one.sort(key=lambda r: (r.out, r.inp))
     assert one_by_one
     assert compute_records(name, kind, max_height=height) == one_by_one
+
+
+def _gamma_records_by_probe(name, inputs):
+    """gamma records built the way the row-dict emitter replaced: for each
+    word-2 input A, every word-1 output B of its block read through
+    TransitionBlock.gamma(reverse(A), reverse(B)), zeros skipped."""
+    p = preset(name)
+    records = []
+    for A in inputs:
+        weight = p.conserved2(A)
+        tb = pbw.transition_block(name, weight)
+        for B in tuples_with_weight(name, 1, weight):
+            c = tb.gamma(reverse(A), reverse(B))
+            if not c.is_zero():
+                records.append(TableRecord(name, "gamma", A, B,
+                                           canonical_string(c)))
+    return sorted(records, key=lambda r: (r.out, r.inp))
+
+
+@pytest.mark.parametrize("name,height", [("A2", 6), ("C2", 5), ("G2", 4)])
+def test_gamma_records_match_entry_probes(name, height):
+    """The gamma emitter iterates each row dict; probing every entry of
+    the block gives the same records, for a sweep and for each --in."""
+    inputs = [A for w in weights_up_to(name, height)
+              for A in tuples_with_weight(name, 2, w)]
+    want = _gamma_records_by_probe(name, inputs)
+    assert want
+    assert compute_records(name, "gamma", max_height=height) == want
+    for A in inputs:
+        assert compute_records(name, "gamma", A, height) \
+            == _gamma_records_by_probe(name, [A]), A
 
 
 def test_sweep_leaves_the_process_caches_alone(monkeypatch,

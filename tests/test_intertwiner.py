@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbw import intertwiner, qfield
+from qpbw import intertwiner
 from qpbw.fock import apply_op, xi_bar_op
 from qpbw.intertwiner import (
     CheckedTable, PhiTable, solve_exact,
@@ -103,11 +103,17 @@ def test_solve_exact_unique():
 
 
 def test_solve_exact_overdetermined_consistent():
-    # third row is the sum of the first two
+    # third row is the sum of the first two; the pivot 1 - q divides
     P = [{0: ONE}, {1: ONE - Q}, {0: ONE, 1: ONE - Q}]
-    Qm = [{0: Q}, {0: Q ** 3}, {0: Q + Q ** 3}]
-    assert solve_exact(P, Qm, (0, 1)) == {0: {0: Q},
-                                          1: {0: Q ** 3 / (ONE - Q)}}
+    Qm = [{0: Q}, {0: Q ** 3 - Q ** 4}, {0: Q + Q ** 3 - Q ** 4}]
+    assert solve_exact(P, Qm, (0, 1)) == {0: {0: Q}, 1: {0: Q ** 3}}
+
+
+def test_solve_exact_non_laurent_solution():
+    # the unique solution y = q^3 / (1 - q) is not a Laurent polynomial
+    with pytest.raises(ArithmeticError,
+                       match=r"^inexact division in Y\[1\]\[0\]$"):
+        solve_exact([{0: ONE}, {1: ONE - Q}], [{0: Q}, {0: Q ** 3}], (0, 1))
 
 
 def test_solve_exact_rank_deficient():
@@ -428,8 +434,17 @@ def _scaled_blocks(name, hmax):
                 prows.append(m_cols[A])
                 qrows.append(sum_products((C, c, v) for D, v in prev[A].items()
                                           for C, c in mp_cols[D].items()))
-        blocks[w] = solve_exact(prows, qrows, cols)
+        blocks[w] = _solve_over_q(prows, qrows, cols)
     return blocks
+
+
+def _solve_over_q(prows, qrows, unknowns):
+    """solve_exact's substitution over Q(q), with field division in place
+    of its exact one: the scaled-ket systems have non-Laurent solutions."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intertwiner, "exact_quotient",
+                   lambda num, den, *where: RationalFunction(num, den))
+        return solve_exact(prows, qrows, unknowns)
 
 
 @pytest.mark.parametrize("name,hmax", (("A2", 8), ("C2", 6), ("G2", 5)))
@@ -454,13 +469,30 @@ def test_bare_block_matches_scaled_recursion(name, hmax):
 
 
 @pytest.mark.parametrize("name,hmax", (("A2", 8), ("C2", 6), ("G2", 5)))
-def test_bare_solve_divides_exactly(monkeypatch, name, hmax):
-    # every quotient of the bare-ket solve is an exact Laurent division
-    def strict(num, den):
-        return rf(qfield.poly_divexact(num, den))
-    monkeypatch.setattr(intertwiner, "ratio", strict)
+def test_bare_solve_divides_exactly(name, hmax):
+    # every quotient of the bare-ket solve is an exact Laurent division,
+    # which the solve enforces
     phi = _filled(name, hmax)
     assert set(weights_up_to(name, hmax)) <= set(phi._blocks)
+
+
+def test_inexact_pivot_names_the_block(monkeypatch):
+    # xi_2 on the word-1 vacuum, times (1 + q), leaves the block at (1, 0)
+    # the solution 1/(1 + q), which is not Laurent: the solve refuses it
+    xi_matrix = intertwiner.xi_matrix
+
+    def mutated(name, label, i, below):
+        cols = xi_matrix(name, label, i, below)
+        if (name, label, i, below) == ("A2", 1, 2, (0, 0)):
+            cols = {A: {u: v * (ONE + Q) for u, v in col.items()}
+                    for A, col in cols.items()}
+        return cols
+
+    monkeypatch.setattr(intertwiner, "xi_matrix", mutated)
+    with pytest.raises(ArithmeticError, match=r"^A2 block \(1, 0\): "
+                       r"inexact division in Y\[\(0, 0, 1\)\]"
+                       r"\[\(1, 0, 0\)\]$"):
+        PhiTable("A2").block((1, 0))
 
 
 def test_bare_block_matches_sympy():
@@ -502,14 +534,15 @@ DENS = (LaurentPoly({0: 1}), LaurentPoly({0: 1, 2: -1}),
 
 
 @st.composite
-def entries(draw, nonzero=False):
-    """A RationalFunction with small support, sometimes with a denominator."""
+def entries(draw, nonzero=False, dens=DENS):
+    """A RationalFunction with small support, its denominator one of
+    dens."""
     c = draw(st.dictionaries(st.integers(min_value=-2, max_value=3),
                              small_coeffs, max_size=3))
     num = LaurentPoly(c)
     if nonzero and num.is_zero():
         num = LaurentPoly({draw(st.integers(0, 2)): 1})
-    return RationalFunction(num, draw(st.sampled_from(DENS)))
+    return RationalFunction(num, draw(st.sampled_from(dens)))
 
 
 def _sparse(rows):
@@ -526,7 +559,7 @@ def _mat_mul(A, B):
 @st.composite
 def triangular_systems(draw):
     """(P, Q, Y): a lower-triangular system with extra consistent rows,
-    rows and columns shuffled, and the Y it was built from."""
+    rows and columns shuffled, and the Laurent Y it was built from."""
     n = draw(st.integers(min_value=1, max_value=4))
     k = draw(st.integers(min_value=1, max_value=3))
     P = [[draw(entries(nonzero=True)) if c == r
@@ -536,7 +569,8 @@ def triangular_systems(draw):
         a, b = draw(entries()), draw(entries())
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         P.append([a * x + b * y for x, y in zip(P[i], P[j])])
-    Y = [[draw(entries()) for _ in range(k)] for _ in range(n)]
+    Y = [[draw(entries(dens=DENS[:1])) for _ in range(k)]
+         for _ in range(n)]
     rows = draw(st.permutations(range(len(P))))
     cols = draw(st.permutations(range(n)))
     P = [[P[r][c] for c in cols] for r in rows]
@@ -564,11 +598,13 @@ def test_substitution_matches_bareiss(system):
 
 def test_solve_exact_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    # triangular after swapping rows 0 and 2 and columns 0 and 1
+    # triangular after swapping rows 0 and 2 and columns 0 and 1, with a
+    # Laurent solution
     P = [[ONE + Q, Q * Q, ZERO],
          [(ONE - Q) / (ONE + Q * Q), ZERO, Q],
          [ZERO, ONE - Q * Q, ZERO]]
-    Qm = [[ONE, Q], [Q ** 3, ONE / (ONE - Q)], [ONE - Q, rf(2)]]
+    Y = [[ONE, Q], [Q ** 3, ONE - Q], [ONE / Q, rf(2)]]
+    Qm = _mat_mul(P, Y)
     q = sympy.Symbol("q")
 
     def poly(p):
@@ -581,6 +617,7 @@ def test_solve_exact_matches_sympy():
     want = sympy.Matrix([[to_sympy(x) for x in row] for row in P]).solve(
         sympy.Matrix([[to_sympy(x) for x in row] for row in Qm]))
     got = solve_exact(_sparse(P), _sparse(Qm), range(3))
+    assert got == dict(enumerate(_sparse(Y)))
     for i in range(3):
         for j in range(2):
             assert sympy.cancel(to_sympy(got[i].get(j, ZERO))

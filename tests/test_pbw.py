@@ -269,8 +269,8 @@ def test_rho_matrix_word1_e1_is_first_slot_raiser():
 
 def test_transition_block_a2_weight_11():
     t = transition_block("A2", (1, 1))
-    assert t.rows == ((0, 1, 0), (1, 0, 1))
-    assert t.cols == ((0, 1, 0), (1, 0, 1))
+    assert tuple(t) == ((0, 1, 0), (1, 0, 1))
+    assert tuples_with_weight("A2", 2, (1, 1)) == ((0, 1, 0), (1, 0, 1))
     assert t.gamma((0, 1, 0), (1, 0, 1)) == lp({0: 1, 2: -1})
     assert t.gamma((0, 1, 0), (0, 1, 0)) == -qpow(1)
     assert t.gamma((0, 0, 0), (0, 1, 0)) == rf(0)
@@ -297,8 +297,8 @@ def test_gamma_integrality_small_blocks():
     for name, h in bounds.items():
         for w in weights_up_to(name, h):
             t = transition_block(name, w)
-            for A in t.rows:
-                for B in t.cols:
+            for A in t:
+                for B in tuples_with_weight(name, 2, w):
                     g = t.gamma(A, B)
                     assert is_integer_polynomial(g), (name, w, A, B)
 
@@ -339,14 +339,14 @@ def _rescaled_gamma(name, A, B, tilde):
 def test_gamma_matches_factorial_rescale(name, height):
     for w in weights_up_to(name, height):
         t = transition_block(name, w)
-        for A in t.rows:
+        for A in t:
             want = {B: _rescaled_gamma(name, A, B, c)
                     for B, c in _plain_tilde_row(name, A).items()}
             row = _word1_divided(name, A)
             assert row == want, (name, A)
             assert ({B: canonical_string(v) for B, v in row.items()}
                     == {B: canonical_string(v) for B, v in want.items()})
-            for B in t.cols:
+            for B in tuples_with_weight(name, 2, w):
                 assert t.gamma(A, B) == want.get(B, ZERO), (name, A, B)
 
 
@@ -362,10 +362,9 @@ def test_gamma_walk_rows_match_the_cache_and_expire(name, height, layers):
     walk = transition_blocks(name, height)
     weights = []
     for w, tb in walk:
-        assert (tb.rows, tb.cols) == (tuples_with_weight(name, 1, w),
-                                      tuples_with_weight(name, 2, w))
-        for A in tb.rows:
-            assert tb._rows[A] == _word1_divided(name, A), (name, A)
+        assert tuple(tb) == tuples_with_weight(name, 1, w)
+        for A in tb:
+            assert tb[A] == _word1_divided(name, A), (name, A)
         h = sum(w)
         for A in walk.gi_frame.f_locals["live"]:
             own = sum(p.conserved1(A))
@@ -390,11 +389,11 @@ def test_gamma_entry_matches_sympy():
 
     # the smallest block whose plain-power row carries a denominator
     t = transition_block("C2", (2, 2))
-    rows = {A: _plain_tilde_row("C2", A) for A in t.rows}
+    rows = {A: _plain_tilde_row("C2", A) for A in t}
     assert any(not c.den.is_one() for row in rows.values()
                for c in row.values())
     for A, row in rows.items():
-        for B in t.cols:
+        for B in tuples_with_weight("C2", 2, (2, 2)):
             want = sympy.cancel(to_sympy(row.get(B, rf(0)))
                                 * to_sympy(_factorials("C2", 2, B))
                                 / to_sympy(_factorials("C2", 1, A)))

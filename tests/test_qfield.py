@@ -13,6 +13,7 @@ from qpbw.qfield import (
     apply_on_slots,
     canonical_string,
     d_norm,
+    exact_quotient,
     parse,
     parse_laurent,
     poly_divexact,
@@ -21,7 +22,6 @@ from qpbw.qfield import (
     q_factorial,
     qbracket,
     qint,
-    ratio,
     rf,
     slot_column,
     sum_products,
@@ -341,18 +341,16 @@ def test_rational_power_matches_sympy_and_inverts(r, n):
 
 @given(laurents(), laurents(allow_zero=False), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_ratio_matches_normalisation(a, b, divisible):
-    # exact division first, the gcd normalisation only when it fails
+def test_exact_quotient_divides_or_names_the_place(a, b, divisible):
     num = a * b if divisible else a
-    got = ratio(num, b)
-    want = RationalFunction(num, b)
-    assert got == want
-    assert canonical_string(got) == canonical_string(want)
-    if divisible:
-        assert poly_divexact(num, b) == a
-    elif not want.den.is_one():
-        with pytest.raises(ValueError):
-            poly_divexact(num, b)
+    if divisible or RationalFunction(num, b).den.is_one():
+        got = exact_quotient(num, b, "entry {}", 7)
+        assert got == RationalFunction(num, b)
+        assert got.den.is_one()
+    else:
+        with pytest.raises(ArithmeticError,
+                           match=r"^inexact division in entry 7$"):
+            exact_quotient(num, b, "entry {}", 7)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpbw import cli, intertwiner, pbw, verify
-from qpbw.presets import ONE, preset, qbinom, qpow, zero_tuple
+from qpbw.presets import ALGEBRAS, ONE, preset, qbinom, qpow, zero_tuple
 from qpbw import fock
 from qpbw.qfield import (
     LaurentPoly, RationalFunction, canonical_string, poch_run, sum_products,
@@ -464,14 +464,17 @@ def _mutate_column(monkeypatch, name, inp, out, change):
     monkeypatch.setattr(intertwiner.CheckedTable, "column", mutated)
 
 
+_LENGTH_ALGEBRA = {preset(name).length: name for name in ALGEBRAS}
+
+
 def _mutate_value(monkeypatch, cls, method, name, key, change):
-    """cls.method(self, a, b) of the named algebra, with the value at
-    (a, b) == key passed through `change`."""
+    """cls.method(self, a, b) of the named algebra, found by the length of
+    its tuples, with the value at (a, b) == key passed through `change`."""
     read = getattr(cls, method)
 
     def mutated(self, a, b):
         v = read(self, a, b)
-        if self.name == name and (tuple(a), tuple(b)) == key:
+        if _LENGTH_ALGEBRA[len(a)] == name and (tuple(a), tuple(b)) == key:
             v = change(v)
         return v
 
