@@ -169,8 +169,15 @@ class TransitionBlock(dict):
     """
 
     def gamma(self, A, B):
-        """gamma^A_B; ZERO off the block's support."""
-        return self.get(tuple(A), {}).get(tuple(B), ZERO)
+        """gamma^A_B; ZERO off the block's support, ValueError unless A
+        and B have the length of the block's tuples."""
+        A, B = tuple(A), tuple(B)
+        width = len(next(iter(self)))
+        for t in (A, B):
+            if len(t) != width:
+                raise ValueError(f"exponent tuples of this block have "
+                                 f"{width} entries, got {len(t)}")
+        return self.get(A, {}).get(B, ZERO)
 
 
 @lru_cache(maxsize=None)

@@ -31,10 +31,11 @@ Pochhammer run poch_run, with q_factorial and d_norm built on them.
 Sparse sums of products have two entry points that share one way of
 accumulating and one finalisation: sum_products over (key, x, y) triples,
 and apply_on_slots, which applies an operator acting on some slots of
-occupation tuples (the checked tables on kets) in one fused pass.  Laurent
-products are kept lazily, a key's lone product as its two factors until
-the end, so a factor ONE costs nothing and a monomial factor one shift;
-everything else takes the exact RationalFunction path.
+occupation tuples (the checked tables on kets) in one fused pass over the
+operator's own columns, testing each term's denominator by identity.
+Laurent products are kept lazily, a key's lone product as its two factors
+until the end, so a factor ONE costs nothing and a monomial factor one
+shift; everything else takes the exact RationalFunction path.
 
 String form (used by the CLI and the golden tables): terms in ascending
 exponent, coefficient 1 suppressed, "q^1" written "q", "q^0" omitted, terms
@@ -687,17 +688,6 @@ def vec_add(*vecs):
     return sum_products((k, v, ONE) for vec in vecs for k, v in vec.items())
 
 
-def slot_column(col):
-    """A column {out: value} as apply_on_slots reads it.
-
-    Returns (items, laurent): the (out, value) pairs, and whether every
-    value is a RationalFunction with denominator 1.
-    """
-    RF, one = RationalFunction, _LP_ONE
-    return (tuple(col.items()),
-            all(type(v) is RF and v.den is one for v in col.values()))
-
-
 def _tuple_getter(idx):
     """t -> (t[i] for i in idx) as a tuple, also for a single index."""
     if len(idx) == 1:
@@ -720,30 +710,37 @@ def apply_on_slots(vec, pos, column):
 
     pos holds distinct 0-based positions of the states; the operator maps
     the input tuple of a state at `pos` to outputs and keeps every other
-    slot.  column(inp) returns the cached slot_column of the operator's
-    column at the input tuple inp.  The result is sum_products over the
-    triples (state with `pos` set to out, value, coefficient), in one
-    pass: each output key is one itemgetter over ``state + out``, and the
-    Laurent test runs once per cached column and once per coefficient,
-    not once per term.  Products of a Laurent column and a Laurent
-    coefficient are accumulated lazily as in sum_products; every other
-    product takes the exact path.
+    slot; every state has the width of the first one, or ValueError.
+    column(inp) returns the operator's own column {out: value} at the
+    input tuple inp.  The result is sum_products over the triples
+    (state with `pos` set to out, value, coefficient), in one pass: each
+    output key is one itemgetter over ``state + out``.  A coefficient is
+    tested for denominator 1 once per state, and a value by the identity
+    of its denominator; products of two such are accumulated lazily as in
+    sum_products, every other product takes the exact path.
     """
     if not vec:
         return {}
-    key_of, inp_of = _slot_getters(len(next(iter(vec))), pos)
+    width = len(next(iter(vec)))
+    key_of, inp_of = _slot_getters(width, pos)
     RF, one = RationalFunction, _LP_ONE
     laurent, rest = {}, {}
     get = laurent.get
     for state, c in vec.items():
-        items, col_laurent = column(inp_of(state))
-        if col_laurent and type(c) is RF and c.den is one:
-            for out, v in items:
+        if len(state) != width:
+            raise ValueError(f"state {state} has {len(state)} slots, "
+                             f"the first state {width}")
+        col = column(inp_of(state))
+        if type(c) is RF and c.den is one:
+            for out, v in col.items():
                 key = key_of(state + out)
-                cur = get(key)
-                laurent[key] = (v, c) if cur is None else _grow(cur, v, c)
+                if v.den is one:
+                    cur = get(key)
+                    laurent[key] = (v, c) if cur is None else _grow(cur, v, c)
+                else:
+                    _add_exact(rest, key, v * c)
         else:
-            for out, v in items:
+            for out, v in col.items():
                 _add_exact(rest, key_of(state + out), v * c)
     return _finish(laurent, rest)
 

@@ -36,8 +36,7 @@ from .presets import (
 )
 from .qfield import (
     ONE, ZERO, apply_on_slots, canonical_string, is_integer_polynomial,
-    poch_run, qbinom, qpow, rf, slot_column, sum_products, vec_add,
-    vec_scale,
+    poch_run, qbinom, qpow, rf, sum_products, vec_add, vec_scale,
 )
 
 Check = namedtuple("Check", ["check_id", "passed", "witness"])
@@ -157,30 +156,30 @@ class KetOperator:
     table acting on the 1-based `slots` of every state, each other slot
     kept, in one pass of the slot kernel qfield.apply_on_slots.  Every
     column it reads comes through `column`, which returns the table's own
-    column; the kernel's view of it is cached here, one per input tuple,
+    column; the kernel reads that very dict, held here per input tuple,
     so an image may hold the very value objects of a column.
     """
 
     def __init__(self, name):
         self.table = shared_table(name)
         self.arity = preset(name).length
-        self._slot_columns = {}
+        self._columns = {}
 
     def column(self, inp):
         return self.table.column(inp)
 
-    def _slot_column(self, inp):
-        sc = self._slot_columns.get(inp)
-        if sc is None:
-            sc = self._slot_columns[inp] = slot_column(self.column(inp))
-        return sc
+    def _held_column(self, inp):
+        col = self._columns.get(inp)
+        if col is None:
+            col = self._columns[inp] = self.column(inp)
+        return col
 
     def apply(self, vec, slots):
         """Raises ValueError unless `slots` are `arity` distinct slots in
-        1..len(state)."""
+        1..len(state) and every state has the width of the first."""
         width = len(next(iter(vec))) if vec else None
         pos = _slot_positions(self.table.kind, self.arity, tuple(slots), width)
-        return apply_on_slots(vec, pos, self._slot_column)
+        return apply_on_slots(vec, pos, self._held_column)
 
 
 @lru_cache(maxsize=None)

@@ -7,10 +7,12 @@ they meet the engine.
 """
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpbw import pbw
 from qpbw.qfield import (
     LaurentPoly, canonical_string, is_integer_polynomial, q_factorial,
     sum_products,
@@ -30,6 +32,7 @@ from qpbw.pbw import (
 from qpbw.pbw import _rule_terms, _word1_divided
 
 from plain_rules import plain_rule
+from rule_mutants import _drop_second_term, _first_times_q
 
 
 def lp(d):
@@ -182,6 +185,44 @@ def test_fold_direction_independence():
             assert whole == left
 
 
+def _commutation_failures(name, bound):
+    """[(t, i, j)] where L_i(R_j(B^(t))) != R_j(L_i(B^(t))), over every
+    word-2 tuple t with entries <= bound and i, j in {1, 2}: L_i is the
+    left rule rho_column(name, 2, i, .) extended linearly, R_j the right
+    rule mul_letter(name, ., j)."""
+    bad = []
+    for t in product(range(bound + 1), repeat=preset(name).length):
+        v = {t: rf(1)}
+        for i, j in product((1, 2), repeat=2):
+            if (_left_mul(name, mul_letter(name, v, j), i)
+                    != mul_letter(name, _left_mul(name, v, i), j)):
+                bad.append((t, i, j))
+    return bad
+
+
+@pytest.mark.parametrize("name,bound", [("A2", 3), ("C2", 3), ("G2", 2)])
+def test_left_rules_commute_with_right_rules(name, bound):
+    """Left and right multiplication commute (associativity), and both
+    send the unit to the same generator."""
+    one = {zero_tuple(name): rf(1)}
+    for i in (1, 2):
+        assert _left_mul(name, one, i) == mul_letter(name, one, i)
+    assert _commutation_failures(name, bound) == []
+
+
+@pytest.mark.parametrize("change", [_drop_second_term, _first_times_q])
+@pytest.mark.parametrize("name", ["A2", "C2", "G2"])
+def test_commutation_catches_mutated_left_rules(monkeypatch, change, name):
+    rule_terms = pbw._rule_terms
+
+    def terms(alg, side, letter, t):
+        got = rule_terms(alg, side, letter, t)
+        return change(got) if side == "left" else got
+
+    monkeypatch.setattr(pbw, "_rule_terms", terms)
+    assert _commutation_failures(name, 1 if name == "G2" else 2)
+
+
 @st.composite
 def word1_tuple(draw):
     name = draw(st.sampled_from(ALGEBRAS))
@@ -278,6 +319,18 @@ def test_transition_block_a2_weight_11():
     assert z.gamma((0, 0, 0), (0, 0, 0)) == rf(1)
     with pytest.raises(ValueError):
         transition_block("A2", (-1, 0))
+
+
+@pytest.mark.parametrize("A,B", [((1, 0), (0, 1, 0)),
+                                 ((0, 1, 0), (1, 0, 1, 0))])
+def test_gamma_rejects_a_tuple_of_the_wrong_length(A, B):
+    """As PhiTable.phi does; a tuple of the right length off the block
+    still reads ZERO."""
+    t = transition_block("A2", (1, 1))
+    with pytest.raises(ValueError,
+                       match="tuples of this block have 3 entries, got"):
+        t.gamma(A, B)
+    assert t.gamma((2, 0, 0), (0, 1, 0)) == rf(0)
 
 
 def test_transition_block_golden_spots():

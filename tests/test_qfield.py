@@ -23,7 +23,6 @@ from qpbw.qfield import (
     qbracket,
     qint,
     rf,
-    slot_column,
     sum_products,
 )
 
@@ -456,7 +455,7 @@ def test_apply_on_slots_matches_get_add_pop(drawn):
             s[p] = a
         return tuple(s)
 
-    got = apply_on_slots(vec, pos, lambda inp: slot_column(column(inp)))
+    got = apply_on_slots(vec, pos, column)
     want = _get_add_pop([
         (key(state, out), v, c) for state, c in vec.items()
         for out, v in column(tuple(state[p] for p in pos)).items()])

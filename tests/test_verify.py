@@ -18,6 +18,8 @@ from qpbw.qfield import (
     LaurentPoly, RationalFunction, canonical_string, poch_run, sum_products,
 )
 
+from rule_mutants import _drop_second_term, _first_times_q
+
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -268,17 +270,6 @@ def test_symbolic_rule_terms_match_integer_ones(name, letter, side):
 # ---------------------------------------------------------------------------
 # key-prop fails on mutated rule terms (the mutation wraps the cache, so
 # the cached terms stay the true ones)
-
-
-def _drop_second_term(terms):
-    """A monomial change: every rule with two or more terms loses one."""
-    return terms[:1] + terms[2:]
-
-
-def _first_times_q(terms):
-    """A scalar change: every rule's first coefficient gains a factor q."""
-    (c, u), *rest = terms
-    return ((c * qpow(1), u), *rest)
 
 
 @pytest.mark.parametrize("change,witness", [
@@ -713,3 +704,22 @@ def test_ket_apply_rejects_bad_slots(slots):
     op = verify.KetOperator("A2")
     with pytest.raises(ValueError, match=re.escape(str(tuple(slots)))):
         op.apply({(1, 0, 2, 0, 1, 1): ONE}, slots)
+
+
+@pytest.mark.parametrize("vec,witness", [
+    ({(0, 1, 0): ONE, (1, 0, 0, 0): ONE},
+     "state (1, 0, 0, 0) has 4 slots, the first state 3"),
+    ({(1, 0, 0, 0): ONE, (0, 1, 0): ONE},
+     "state (0, 1, 0) has 3 slots, the first state 4"),
+], ids=["short-first", "long-first"])
+def test_ket_apply_rejects_mixed_widths(vec, witness):
+    with pytest.raises(ValueError, match=re.escape(witness)):
+        verify.KetOperator("A2").apply(vec, (1, 2, 3))
+
+
+def test_ket_operator_holds_the_tables_own_column():
+    """The kernel reads the table's column dict itself, not a copy."""
+    op = verify.KetOperator("A2")
+    op.apply({(1, 0, 2, 0, 1, 1): ONE, (0, 1, 1, 2, 0, 0): ONE}, (1, 2, 3))
+    for inp in ((1, 0, 2), (0, 1, 1)):
+        assert op._columns[inp] is op.table.column(inp)
