@@ -9,7 +9,7 @@ selftest  a fast pass over every suite.
 
 A compute sweep walks the blocks up the heights and keeps only a window
 of heights alive; a single --in input reads its block from the
-process-wide caches, which keep it.
+process-wide caches (intertwiner.shared_phi, pbw.transition_block).
 
 Output on stdout (or --out) is deterministic byte for byte; timings and
 other diagnostics go to stderr.  Exit status: 0 all checks pass, 1 a
@@ -26,9 +26,10 @@ import sys
 from collections import namedtuple
 
 from . import pbw, verify
-from .intertwiner import phi_blocks
+from .intertwiner import phi_blocks, shared_phi
 from .presets import (
-    ALGEBRAS, KIND_ALGEBRA, preset, reverse, tuples_with_weight,
+    ALGEBRAS, DEFAULT_HEIGHTS, KIND_ALGEBRA, preset, reverse,
+    tuples_with_weight,
 )
 from .qfield import canonical_string
 
@@ -102,9 +103,9 @@ def compute_records(algebra, kind, inp=None, max_height=None):
     """TableRecords for one input tuple, or every input up to max_height.
 
     One input reads its block from the process-wide caches
-    (pbw.transition_block, verify.shared_phi); a sweep walks the heights
-    (pbw.transition_blocks, intertwiner.phi_blocks), so it keeps only a
-    window of heights alive and leaves those caches as they were.
+    (pbw.transition_block, intertwiner.shared_phi); a sweep walks the
+    heights (pbw.transition_blocks, intertwiner.phi_blocks), so it keeps
+    only a window of heights alive and leaves those caches as they were.
     """
     if algebra not in ALGEBRAS:
         raise UsageError(f"unknown algebra {algebra!r}")
@@ -114,8 +115,7 @@ def compute_records(algebra, kind, inp=None, max_height=None):
     if want is not None and want != algebra:
         raise UsageError(f"kind {kind} belongs to {want}, not {algebra}")
     p = preset(algebra)
-    bound = verify.DEFAULT_HEIGHTS[algebra] if max_height is None \
-        else max_height
+    bound = DEFAULT_HEIGHTS[algebra] if max_height is None else max_height
     label = 1 if kind == "phi" else 2
     if inp is not None:
         if len(inp) != p.length:
@@ -127,7 +127,7 @@ def compute_records(algebra, kind, inp=None, max_height=None):
         inp = tuple(inp)
         weight = p.conserved1(inp) if label == 1 else p.conserved2(inp)
         block = pbw.transition_block(algebra, weight) if kind == "gamma" \
-            else verify.shared_phi(algebra).block(weight)
+            else shared_phi(algebra).block(weight)
         blocks = [(block, [inp])]
     else:
         walk = pbw.transition_blocks if kind == "gamma" else phi_blocks

@@ -17,12 +17,14 @@ genuine cross-check between independent pipelines.
 The checked table composes Phi with full reversal of the input slots;
 depending on the algebra it is the R, K or F family of coefficients.
 
-A PhiTable keeps every block it has built for as long as it lives, so
-random access to one block costs the blocks below it once.  A sweep over
-a height range (phi_blocks) owns its table and drops each block once the
-last block that reads it is built, so at most two heights of blocks, and
-about one height's worth, are alive.
+Phi is read only through its blocks.  A PhiTable keeps every block it
+builds, so random access to a block costs the blocks below it once;
+shared_phi keeps one table per algebra for the life of the process.  A
+sweep over a height range (phi_blocks) owns its table and drops each
+block after its last reader: at most two heights of blocks are alive.
 """
+
+from functools import lru_cache
 
 from .qfield import ONE, ZERO, exact_quotient, sum_products, vec_add, vec_scale
 from .presets import (
@@ -115,7 +117,7 @@ class PhiTable:
     order, which is tuples_with_weight's.  It is solved once per weight
     from the Laurent operators xi_i / lambda_i on bare kets
     (fock.xi_matrix) and shared by every later call, so callers must not
-    mutate it.
+    mutate it.  One entry of Phi is block(w)[B].get(C, ZERO).
     """
 
     def __init__(self, name):
@@ -162,12 +164,10 @@ class PhiTable:
                 f"{self.name} block {weight}: {exc}") from None
         return {B: dict(sorted(col.items())) for B, col in Y.items()}
 
-    def phi(self, C, B):
-        C, B = tuple(C), tuple(B)
-        weight = self.preset.conserved2(C)
-        if weight != self.preset.conserved1(B):
-            return ZERO
-        return self.block(weight)[B].get(C, ZERO)
+
+# shared_phi(name): the process-wide PhiTable of an algebra, shared by
+# every random-access reader, as pbw.transition_block shares gamma blocks
+shared_phi = lru_cache(maxsize=None)(PhiTable)
 
 
 def phi_blocks(name, max_height):
@@ -202,7 +202,12 @@ class CheckedTable:
         self.phi = phi
 
     def entry(self, out_t, in_t):
-        return self.phi.phi(tuple(out_t), reverse(tuple(in_t)))
+        """One entry, read from the block, not through column; ZERO off it."""
+        I, C = tuple(in_t), tuple(out_t)
+        col = self.phi.block(self.phi.preset.conserved2(I))[reverse(I)]
+        if C not in col:
+            self.phi.preset.conserved2(C)   # a malformed output raises
+        return col.get(C, ZERO)
 
     def block_outputs(self, in_t):
         """All output tuples sharing the conserved pair of the input."""

@@ -121,11 +121,11 @@ def _divided_row(name, A, row_below):
     prev = row_below(A[:r] + (A[r] - 1,) + A[r + 1:])
     wp, den = _root_vector(name, r)
     den = den * qint(A[r], p.d[p.word1[r]]).num
-    v = mul_word_expr(name, prev, wp)
+    weight = p.conserved1(A)
     return {B: exact_quotient(c.num, c.den * den,
                               "gamma of {} at weight {}, row {}, column {}",
-                              name, p.conserved1(A), A, B)
-            for B, c in v.items()}
+                              name, weight, A, B)
+            for B, c in mul_word_expr(name, prev, wp).items()}
 
 
 @lru_cache(maxsize=None)
@@ -170,13 +170,15 @@ class TransitionBlock(dict):
 
     def gamma(self, A, B):
         """gamma^A_B; ZERO off the block's support, ValueError unless A
-        and B have the length of the block's tuples."""
+        and B have the block's tuple length and no negative entry."""
         A, B = tuple(A), tuple(B)
         width = len(next(iter(self)))
         for t in (A, B):
             if len(t) != width:
                 raise ValueError(f"exponent tuples of this block have "
                                  f"{width} entries, got {len(t)}")
+            if min(t) < 0:
+                raise ValueError(f"exponent tuple {t} has a negative entry")
         return self.get(A, {}).get(B, ZERO)
 
 

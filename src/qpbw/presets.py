@@ -47,6 +47,7 @@ ALGEBRAS = ("A2", "C2", "G2")
 # Kind of each algebra's checked table: R (tetrahedron), K (3D reflection), F.
 KIND_ALGEBRA = {"R": "A2", "K": "C2", "F": "G2"}
 ALGEBRA_KIND = {a: k for k, a in KIND_ALGEBRA.items()}
+DEFAULT_HEIGHTS = {"A2": 8, "C2": 8, "G2": 5}  # when no height is given
 
 
 def reverse(t):
@@ -117,11 +118,13 @@ class AlgebraPreset:
         associated product of root vectors; both bases of the transition
         problem preserve the pair blockwise.  Every library entry point
         that takes an exponent tuple comes through here, so a tuple of
-        the wrong length raises ValueError here.
+        the wrong length, or with a negative entry, raises ValueError here.
         """
         if len(t) != self.length:
             raise ValueError(f"{self.name} exponent tuples have "
                              f"{self.length} entries, got {len(t)}")
+        if min(t) < 0:
+            raise ValueError(f"exponent tuple {t} has a negative entry")
         m1 = sum(x * r[0] for x, r in zip(t, self.word2_roots))
         m2 = sum(x * r[1] for x, r in zip(t, self.word2_roots))
         return (m2, m1)

@@ -17,9 +17,9 @@ rho(e_i) = pi(xi_i) at one ket whose entries are symbolic occupations.
 The theorem's block check walks Phi and gamma up the heights side by
 side (intertwiner.phi_blocks, pbw.transition_blocks), so a sweep keeps
 only a window of heights of each alive.  Every other check reads blocks
-by random access, from the process-wide shared_phi tables and pbw's
-caches, which keep every block for the life of the process and let the
-suites share them.
+by random access, from the process-wide caches intertwiner.shared_phi
+and pbw.transition_block, which keep every block for the life of the
+process and let the suites share them.
 """
 
 import time
@@ -29,10 +29,10 @@ from itertools import combinations_with_replacement, product
 from operator import add
 
 from . import fock, pbw
-from .intertwiner import CheckedTable, PhiTable, phi_blocks
+from .intertwiner import CheckedTable, phi_blocks, shared_phi
 from .presets import (
-    ALGEBRAS, KIND_ALGEBRA, preset, reverse, tuples_with_weight,
-    weights_up_to, zero_tuple,
+    ALGEBRAS, DEFAULT_HEIGHTS, KIND_ALGEBRA, preset, reverse,
+    tuples_with_weight, weights_up_to, zero_tuple,
 )
 from .qfield import (
     ONE, ZERO, apply_on_slots, canonical_string, is_integer_polynomial,
@@ -96,7 +96,6 @@ def _difference(where, lhs, rhs):
     return None
 
 
-DEFAULT_HEIGHTS = {"A2": 8, "C2": 8, "G2": 5}
 T_BOUNDS = {"A2": 4, "C2": 3, "G2": 2}
 
 # Reference columns in canonical form: input tuple -> {output: coefficient}.
@@ -130,16 +129,6 @@ GOLDEN_COLUMNS = {
         (2, 0, 0, 0, 0, 4): "q^4",
     }),
 }
-
-_PHI = {}
-
-
-def shared_phi(name):
-    """Process-wide PhiTable; blocks accumulate across suites."""
-    tab = _PHI.get(name)
-    if tab is None:
-        tab = _PHI[name] = PhiTable(name)
-    return tab
 
 
 def shared_table(name):

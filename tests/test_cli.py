@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qpbw import cli, pbw, verify
+from qpbw import cli, intertwiner, pbw, verify
 from qpbw.cli import (
     TableRecord, compute_records, main, record_to_json, records_to_csv,
 )
@@ -324,7 +324,7 @@ SWEEPS = [(name, kind, height)
 @pytest.mark.parametrize("name,kind,height", SWEEPS)
 def test_sweep_matches_one_input_at_a_time(name, kind, height):
     """A sweep walks the heights; each --in input reads its block from
-    the process-wide caches (shared_phi, transition_block)."""
+    the process-wide caches (intertwiner.shared_phi, transition_block)."""
     label = 1 if kind == "phi" else 2
     inputs = [t for w in weights_up_to(name, height)
               for t in tuples_with_weight(name, label, w)]
@@ -366,18 +366,19 @@ def test_gamma_records_match_entry_probes(name, height):
             == _gamma_records_by_probe(name, [A]), A
 
 
-def test_sweep_leaves_the_process_caches_alone(monkeypatch,
-                                               fresh_pbw_caches):
-    monkeypatch.setattr(verify, "_PHI", {})
-    verify.shared_phi("C2").block((1, 1))
+def test_sweep_leaves_the_process_caches_alone(fresh_pbw_caches):
+    shared_phi = intertwiner.shared_phi
+    shared_phi.cache_clear()
+    shared_phi("C2").block((1, 1))
     pbw.transition_block("C2", (1, 1))
-    before = {name: set(tab._blocks) for name, tab in verify._PHI.items()}
+    tables = shared_phi.cache_info().currsize
+    before = set(shared_phi("C2")._blocks)
     rows = pbw._word1_divided.cache_info().currsize
     blocks = pbw.transition_block.cache_info().currsize
     for name, kind, height in SWEEPS:
         compute_records(name, kind, max_height=height)
-    assert {name: set(tab._blocks)
-            for name, tab in verify._PHI.items()} == before
+    assert shared_phi.cache_info().currsize == tables
+    assert set(shared_phi("C2")._blocks) == before
     assert pbw._word1_divided.cache_info().currsize == rows
     assert pbw.transition_block.cache_info().currsize == blocks
 

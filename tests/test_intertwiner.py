@@ -1,5 +1,7 @@
 """Blockwise intertwiner recursion, checked tables, golden columns."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +51,11 @@ def _columns_to_scaled(name, columns):
 def _canonical(columns):
     return {B: {C: canonical_string(v) for C, v in col.items()}
             for B, col in columns.items()}
+
+
+def _entry(phi, C, B):
+    """Phi^C_B, read through the block of the input B."""
+    return phi.block(phi.preset.conserved1(B))[B].get(C, ZERO)
 
 
 def _factorials(name, label, t):
@@ -189,7 +196,8 @@ def test_transpose_of_pbw_tilde():
             tb = transition_block(name, w)
             for C in tuples_with_weight(name, 2, w):
                 for B in tuples_with_weight(name, 1, w):
-                    phi_tilde = _to_scaled(name, C, B, phi.phi(C, B))
+                    phi_tilde = _to_scaled(name, C, B,
+                                           phi.block(w)[B].get(C, ZERO))
                     tilde = (tb.gamma(B, C) * _factorials(name, 1, B)
                              / _factorials(name, 2, C))
                     assert phi_tilde == tilde, (name, w, C, B)
@@ -214,10 +222,10 @@ def test_divided_power_conversion():
 def test_phi_conservation_short_circuit():
     phi = PhiTable("A2")
     # (1,0,0) on word 1 reverses to (0,0,1): conserved pair (0,1) vs (1,0)
-    assert phi.phi((1, 0, 0), (1, 0, 0)) == ZERO
-    assert phi.phi((0, 1, 0), (0, 0, 0)) == ZERO
+    assert _entry(phi, (1, 0, 0), (1, 0, 0)) == ZERO
+    assert _entry(phi, (0, 1, 0), (0, 0, 0)) == ZERO
     # matching conservation across different slot patterns is a 1x1 block
-    assert phi.phi((1, 0, 0), (0, 0, 1)) == ONE
+    assert _entry(phi, (1, 0, 0), (0, 0, 1)) == ONE
 
 
 def test_main_theorem_low_blocks():
@@ -344,18 +352,36 @@ def test_checked_column_is_the_block_column():
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: PhiTable("A2").phi((0, 1, 0), (0, 1)), id="phi"),
     pytest.param(lambda: CheckedTable(PhiTable("A2")).column((1, 0)),
                  id="column"),
     pytest.param(lambda: CheckedTable(PhiTable("A2")).entry(
         (0, 1, 0), (1, 0, 0, 0)), id="entry"),
+    pytest.param(lambda: CheckedTable(PhiTable("A2")).entry(
+        (0, 1), (1, 0, 0)), id="entry-output"),
     pytest.param(lambda: CheckedTable(PhiTable("C2")).block_outputs(
         (1, 0, 1)), id="block_outputs"),
 ])
 def test_wrong_length_tuple_rejected(call):
-    # the 2-tuple once read as its truncation: phi gave 0, column a KeyError
+    # the 2-tuple was once read as its truncation: column gave a KeyError
     with pytest.raises(ValueError, match="tuples have"):
         call()
+
+
+@pytest.mark.parametrize("bad", [(1, -1, 1), (0, -1, 0)])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda t: CheckedTable(PhiTable("A2")).column(t),
+                 id="column"),
+    pytest.param(lambda t: CheckedTable(PhiTable("A2")).entry((0, 0, 0), t),
+                 id="entry"),
+    pytest.param(lambda t: CheckedTable(PhiTable("A2")).entry(t, (0, 0, 0)),
+                 id="entry-output"),
+])
+def test_negative_entry_rejected(call, bad):
+    # (1, -1, 1) has the valid weight (0, 0), so no weight check can
+    # catch it; (0, -1, 0) has a negative weight
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{bad} has a negative entry")):
+        call(bad)
 
 
 def test_checked_table_kinds_and_entry():
@@ -367,12 +393,15 @@ def test_checked_table_kinds_and_entry():
 
 def test_checked_is_phi_with_reversed_input():
     tab = CheckedTable(PhiTable("A2"))
-    assert tab.entry((1, 0, 1), (0, 1, 0)) == tab.phi.phi((1, 0, 1), (0, 1, 0))
-    assert tab.entry((1, 0, 1), (1, 0, 1)) == tab.phi.phi((1, 0, 1), (1, 0, 1))
+    assert tab.entry((1, 0, 1), (0, 1, 0)) == _entry(tab.phi, (1, 0, 1),
+                                                     (0, 1, 0))
+    assert tab.entry((1, 0, 1), (1, 0, 1)) == _entry(tab.phi, (1, 0, 1),
+                                                     (1, 0, 1))
     # asymmetric probe where reversal matters
     tabc = CheckedTable(PhiTable("C2"))
     I = (1, 0, 0, 2)
-    assert tabc.entry((1, 0, 0, 2), I) == tabc.phi.phi((1, 0, 0, 2), reverse(I))
+    assert tabc.entry((1, 0, 0, 2), I) == _entry(tabc.phi, (1, 0, 0, 2),
+                                                 reverse(I))
 
 
 # ---------------------------------------------------------------------------

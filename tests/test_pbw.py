@@ -7,6 +7,7 @@ they meet the engine.
 """
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -324,13 +325,24 @@ def test_transition_block_a2_weight_11():
 @pytest.mark.parametrize("A,B", [((1, 0), (0, 1, 0)),
                                  ((0, 1, 0), (1, 0, 1, 0))])
 def test_gamma_rejects_a_tuple_of_the_wrong_length(A, B):
-    """As PhiTable.phi does; a tuple of the right length off the block
-    still reads ZERO."""
+    """As CheckedTable.column does; a tuple of the right length off the
+    block still reads ZERO."""
     t = transition_block("A2", (1, 1))
     with pytest.raises(ValueError,
                        match="tuples of this block have 3 entries, got"):
         t.gamma(A, B)
     assert t.gamma((2, 0, 0), (0, 1, 0)) == rf(0)
+
+
+@pytest.mark.parametrize("A,B,bad", [((1, -1, 1), (0, 0, 0), (1, -1, 1)),
+                                     ((0, 0, 0), (2, -1, 0), (2, -1, 0))])
+def test_gamma_rejects_a_negative_entry(A, B, bad):
+    """As CheckedTable.column does: a negative entry is rejected, not
+    read as 0 off the block."""
+    t = transition_block("A2", (0, 0))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{bad} has a negative entry")):
+        t.gamma(A, B)
 
 
 def test_transition_block_golden_spots():

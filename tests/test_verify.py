@@ -717,6 +717,14 @@ def test_ket_apply_rejects_mixed_widths(vec, witness):
         verify.KetOperator("A2").apply(vec, (1, 2, 3))
 
 
+def test_ket_apply_rejects_a_negative_entry():
+    """A state whose acted-on slots read (1, -1, 1), a tuple of the valid
+    weight (0, 0), is rejected with the tuple named."""
+    with pytest.raises(ValueError, match=re.escape(
+            "exponent tuple (1, -1, 1) has a negative entry")):
+        verify.KetOperator("A2").apply({(1, -1, 1): ONE}, (1, 2, 3))
+
+
 def test_ket_operator_holds_the_tables_own_column():
     """The kernel reads the table's column dict itself, not a copy."""
     op = verify.KetOperator("A2")
