@@ -6,13 +6,15 @@ word 2).  Blocks are produced inductively: the intertwining relations with
 xi_1 and xi_2 turn each block into an exact overdetermined linear system
 in terms of the block one step below.  The system is set up on bare kets
 |m>, where it has Laurent coefficients, and its solution lies in Z[q], so
-every quotient of the solve is an exact division.  The system stays in
-one sparse layout throughout: its rows are the columns of xi_matrix and
-of xi applied to the block below, as they are built, and solve_exact
-returns the block in the layout it is stored in, one {output: entry}
-column per input, nonzero entries only.  Only Fock-side operators appear
-here, so agreement with the PBW-side transition matrices downstream is a
-genuine cross-check between independent pipelines.
+every quotient of the solve is an exact division.  The solve proves each
+equation once: a pivot row by the exact division that solves it, every
+other row by its residual.  The system stays in one sparse layout
+throughout: its rows are the columns of xi_matrix and of xi applied to
+the block below, as they are built, and solve_exact returns the block in
+the layout it is stored in, one {output: entry} column per input,
+nonzero entries only.  Only Fock-side operators appear here, so
+agreement with the PBW-side transition matrices downstream is a genuine
+cross-check between independent pipelines.
 
 The checked table composes Phi with full reversal of the input slots;
 depending on the algebra it is the R, K or F family of coefficients.
@@ -26,7 +28,7 @@ block after its last reader: at most two heights of blocks are alive.
 
 from functools import lru_cache
 
-from .qfield import ONE, ZERO, exact_quotient, sum_products, vec_add, vec_scale
+from .qfield import ONE, ZERO, exact_quotient, sum_products
 from .presets import (
     ALGEBRA_KIND, preset, reverse, tuples_with_weight, weights_up_to,
 )
@@ -39,14 +41,15 @@ def solve_exact(prows, qrows, unknowns):
     P is m x n with m >= n, n the number of unknowns, and Q is m x k.  Both
     are given as lists of sparse rows, {unknown: entry} for P and
     {column: entry} for Q, RationalFunction entries, nonzero ones only.  The
-    unknowns are found by substitution: while some row has exactly one
-    unknown u left, Y[u] = (Q[r] - sum of P[r][c] Y[c] over its known
-    unknowns c) / P[r][u], each entry an exact division of Laurent
-    polynomials.  When every unknown is reached this way, the rows used
-    form a triangular n x n subsystem with nonzero diagonal, so P has full
-    column rank.  The residual P Y - Q is then checked to vanish on every
-    row, so every equation holds and Y is the unique solution.  Returns Y
-    as {unknown: {column: entry}}, unknowns in the given order, nonzero
+    unknowns are found by substitution: while some row r has exactly one
+    unknown u left, r is a pivot, and Y[u] = (Q[r] - sum of P[r][c] Y[c]
+    over its known unknowns c) / P[r][u], each entry an exact division of
+    Laurent polynomials.  When every unknown is reached this way, the
+    pivots form a triangular n x n subsystem with nonzero diagonal, so P
+    has full column rank.  Each equation is proved once: a pivot row by its
+    exact division, every other row by its residual P[r] Y - Q[r], which
+    must vanish.  So Y is the unique solution.  Returns Y as
+    {unknown: {column: entry}}, unknowns in the given order, nonzero
     entries only.  Raises ArithmeticError when a row of P names a key that
     is not an unknown, when a division is inexact (the solution is not
     Laurent), when substitution stalls (no row has a single unknown left),
@@ -56,24 +59,6 @@ def solve_exact(prows, qrows, unknowns):
     if len(prows) < len(unknowns):
         raise ArithmeticError(f"underdetermined system ({len(prows)} rows, "
                               f"{len(unknowns)} unknowns)")
-    Y = _substitute(prows, qrows, unknowns)
-    if Y is None:
-        raise ArithmeticError("no row has a single unknown left")
-    for r, (prow, qrow) in enumerate(zip(prows, qrows)):
-        if _row_products(prow, Y) != qrow:
-            raise ArithmeticError(
-                f"inconsistent system: nonzero residual at row {r}")
-    return Y
-
-
-def _row_products(prow, Y):
-    """{j: sum over c of prow[c] * Y[c][j]} for one sparse row, zeros dropped."""
-    return sum_products((j, x, y) for c, x in prow.items()
-                        for j, y in Y[c].items())
-
-
-def _substitute(prows, qrows, unknowns):
-    """Y by substitution through rows with one unknown left, or None."""
     rows_of = {u: [] for u in unknowns}
     for r, prow in enumerate(prows):
         for c in prow:
@@ -82,26 +67,39 @@ def _substitute(prows, qrows, unknowns):
             rows_of[c].append(r)
     left = [len(prow) for prow in prows]
     ready = [r for r, u in enumerate(left) if u == 1]
-    Y = {}
+    Y, pivots = {}, set()
     while ready:
         r = ready.pop()
         if left[r] != 1:
             continue                    # its last unknown is already solved
         prow = prows[r]
         u = next(c for c in prow if c not in Y)
-        known = {c: x for c, x in prow.items() if c != u}
-        rest = vec_add(qrows[r], vec_scale(_row_products(known, Y), -1))
+        parts = [(ONE, qrows[r])]
+        parts += [(-x, Y[c]) for c, x in prow.items() if c != u]
+        rest = sum_products((j, x, y) for x, col in parts
+                            for j, y in col.items())
         piv = prow[u]
         Y[u] = {j: exact_quotient(a.num * piv.den, a.den * piv.num,
                                   "Y[{!r}][{!r}]", u, j)
                 for j, a in rest.items()}
+        pivots.add(r)
         for r2 in rows_of[u]:
             left[r2] -= 1
             if left[r2] == 1:
                 ready.append(r2)
     if len(Y) < len(unknowns):
-        return None
+        raise ArithmeticError("no row has a single unknown left")
+    for r, (prow, qrow) in enumerate(zip(prows, qrows)):
+        if r not in pivots and _row_products(prow, Y) != qrow:
+            raise ArithmeticError(
+                f"inconsistent system: nonzero residual at row {r}")
     return {u: Y[u] for u in unknowns}
+
+
+def _row_products(prow, Y):
+    """{j: sum over c of prow[c] * Y[c][j]} for one sparse row, zeros dropped."""
+    return sum_products((j, x, y) for c, x in prow.items()
+                        for j, y in Y[c].items())
 
 
 class PhiTable:

@@ -1,6 +1,8 @@
 """Blockwise intertwiner recursion, checked tables, golden columns."""
 
+import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +18,8 @@ from qpbw.presets import (
     zero_tuple,
 )
 from qpbw.qfield import (
-    LaurentPoly, RationalFunction, canonical_string, d_norm, q_factorial,
-    sum_products,
+    LaurentPoly, RationalFunction, canonical_string, d_norm, exact_quotient,
+    q_factorial, sum_products, vec_add, vec_scale,
 )
 
 Q = qpow(1)
@@ -615,7 +617,6 @@ def test_substitution_matches_bareiss(system):
     unknowns = tuple(range(len(P[0])))
     prows, qrows = _sparse(P), _sparse(Qm)
     want = dict(enumerate(_sparse(Y)))
-    assert intertwiner._substitute(prows, qrows, unknowns) == want
     got = solve_exact(prows, qrows, unknowns)
     assert got == want
     assert list(got) == list(unknowns)
@@ -659,12 +660,148 @@ def test_dense_system_raises(monkeypatch):
                        match="^no row has a single unknown left$"):
         solve_exact([{0: ONE, 1: Q}, {0: Q, 1: ONE}], [{0: ONE}, {1: ONE}],
                     (0, 1))
-    # a Phi block that stalls names its algebra and weight
+    # a Phi block that stalls names its algebra and weight: block (1, 1)
+    # goes to the solver with every row naming every unknown
     phi = _filled("A2", 1)
-    monkeypatch.setattr(intertwiner, "_substitute", lambda *args: None)
+    solve = intertwiner.solve_exact
+    cols = list(tuples_with_weight("A2", 1, (1, 1)))
+
+    def dense(prows, qrows, unknowns):
+        if list(unknowns) == cols:
+            prows = [{c: prow.get(c, ONE) for c in cols} for prow in prows]
+        return solve(prows, qrows, unknowns)
+
+    monkeypatch.setattr(intertwiner, "solve_exact", dense)
     with pytest.raises(ArithmeticError, match=r"^A2 block \(1, 1\): no row "
                        "has a single unknown left$"):
         phi.block((1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass solve against the two-pass solve it replaced
+
+
+def _times_y(prow, Y):
+    """P[r] Y for one sparse row: {column: entry}, zeros dropped."""
+    return sum_products((j, x, y) for c, x in prow.items()
+                        for j, y in Y[c].items())
+
+
+def _two_pass_solve(prows, qrows, unknowns):
+    """The reference for solve_exact: the same substitution, with each
+    pivot row's remainder formed as Q[r] plus -1 times its known
+    products, and then the residual checked on every row, pivot rows
+    included."""
+    if len(prows) < len(unknowns):
+        raise ArithmeticError(f"underdetermined system ({len(prows)} rows, "
+                              f"{len(unknowns)} unknowns)")
+    rows_of = {u: [] for u in unknowns}
+    for r, prow in enumerate(prows):
+        for c in prow:
+            if c not in rows_of:
+                raise ArithmeticError(f"row {r} names {c!r}, not an unknown")
+            rows_of[c].append(r)
+    left = [len(prow) for prow in prows]
+    ready = [r for r, u in enumerate(left) if u == 1]
+    Y = {}
+    while ready:
+        r = ready.pop()
+        if left[r] != 1:
+            continue
+        prow = prows[r]
+        u = next(c for c in prow if c not in Y)
+        known = {c: x for c, x in prow.items() if c != u}
+        rest = vec_add(qrows[r], vec_scale(_times_y(known, Y), -1))
+        piv = prow[u]
+        Y[u] = {j: exact_quotient(a.num * piv.den, a.den * piv.num,
+                                  "Y[{!r}][{!r}]", u, j)
+                for j, a in rest.items()}
+        for r2 in rows_of[u]:
+            left[r2] -= 1
+            if left[r2] == 1:
+                ready.append(r2)
+    if len(Y) < len(unknowns):
+        raise ArithmeticError("no row has a single unknown left")
+    Y = {u: Y[u] for u in unknowns}
+    for r, (prow, qrow) in enumerate(zip(prows, qrows)):
+        if _times_y(prow, Y) != qrow:
+            raise ArithmeticError(
+                f"inconsistent system: nonzero residual at row {r}")
+    return Y
+
+
+def _outcome(solve, prows, qrows, unknowns):
+    """("solved", [(unknown, column), ...]) in Y's order, or ("raises",
+    the ArithmeticError's text)."""
+    try:
+        Y = solve(prows, qrows, unknowns)
+    except ArithmeticError as exc:
+        return "raises", str(exc)
+    return "solved", list(Y.items())
+
+
+@pytest.mark.parametrize("name,hmax", (("A2", 8), ("C2", 6), ("G2", 5)))
+def test_one_pass_solve_matches_two_pass_on_phi_blocks(monkeypatch, name,
+                                                       hmax):
+    systems = []
+    solve = intertwiner.solve_exact
+
+    def capture(prows, qrows, unknowns):
+        systems.append((prows, qrows, unknowns))
+        return solve(prows, qrows, unknowns)
+
+    monkeypatch.setattr(intertwiner, "solve_exact", capture)
+    _filled(name, hmax)
+    assert len(systems) == len(weights_up_to(name, hmax)) - 1
+    for prows, qrows, unknowns in systems:
+        got = _outcome(solve, prows, qrows, unknowns)
+        assert got[0] == "solved"
+        assert got == _outcome(_two_pass_solve, prows, qrows, unknowns)
+        # every row holds, the pivot rows proved by division included
+        Y = dict(got[1])
+        assert [_times_y(prow, Y) for prow in prows] == qrows
+
+
+def _laurent(rng):
+    """A nonzero Laurent polynomial of one or two terms."""
+    return RationalFunction.from_laurent(LaurentPoly(
+        {rng.randint(-1, 2): rng.choice((-2, -1, 1, 2))
+         for _ in range(rng.randint(1, 2))}))
+
+
+def _random_system(rng):
+    """(P, Q, unknowns): up to four unknowns in shuffled order, up to three
+    rows more than unknowns, each entry of P nonzero with probability one
+    half.  Q is random in a quarter of the systems; otherwise it is P Y
+    for a random Laurent Y, with one entry changed in about a third."""
+    n = rng.randint(1, 4)
+    unknowns = rng.sample(range(n), n)
+    prows = [{c: _laurent(rng) for c in range(n) if rng.random() < 0.5}
+             for _ in range(n + rng.randint(0, 3))]
+    k = rng.randint(1, 2)
+    if rng.random() < 0.25:
+        return prows, [{j: _laurent(rng) for j in range(k)
+                        if rng.random() < 0.7} for _ in prows], unknowns
+    Y = {c: {j: _laurent(rng) for j in range(k) if rng.random() < 0.8}
+         for c in range(n)}
+    qrows = [_times_y(prow, Y) for prow in prows]
+    if rng.random() < 0.3:
+        r = rng.randrange(len(qrows))
+        qrows[r] = vec_add(qrows[r], {rng.randrange(k): _laurent(rng)})
+    return prows, qrows, unknowns
+
+
+def test_one_pass_solve_matches_two_pass_on_random_systems():
+    rng = random.Random(0)
+    outcomes = Counter()
+    for _ in range(2000):
+        system = _random_system(rng)
+        got = _outcome(solve_exact, *system)
+        assert got == _outcome(_two_pass_solve, *system), system
+        outcomes[got[0] if got[0] == "solved" else re.match(
+            "inexact division|no row|inconsistent", got[1]).group()] += 1
+    assert set(outcomes) == {"solved", "inexact division", "no row",
+                             "inconsistent"}, outcomes
 
 
 @pytest.mark.parametrize("name,hmax", (("A2", 8), ("C2", 6), ("G2", 4)))
