@@ -231,7 +231,6 @@ def _t_polynomial_op(name, word, tpoly):
     return out
 
 
-@lru_cache(maxsize=None)
 def _sigma_data(name, word, tag):
     """(operator, diagonal k-powers or None) for sigma / sigma_e."""
     p = preset(name)

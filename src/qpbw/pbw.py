@@ -11,10 +11,10 @@ The divided monomials of either word span Lusztig's Z[q, q^-1]-form, so
 every rule coefficient is a Laurent polynomial, and so is every
 coefficient of a divided word-1 monomial E_1^(A) over the divided word-2
 basis: these coefficients are the entries gamma^A_B.  E_1^(A) is built one
-root vector at a time, each step one exact division by [a_r] times that
-root vector's [2]/[3] denominator, so normal ordering multiplies Laurent
-polynomials only and runs no gcd.  An inexact division raises
-ArithmeticError.
+root vector at a time, each step one exact division by [a_r] times the
+divisor the presets state with that root vector, so normal ordering
+multiplies Laurent polynomials only and runs no gcd.  An inexact division
+raises ArithmeticError.
 
 gamma is held by weight block, as a TransitionBlock: the dict
 {A: {B: gamma^A_B}} of the block's word-1 rows, nonzero entries only,
@@ -30,7 +30,7 @@ from collections import defaultdict
 from functools import lru_cache
 from itertools import groupby
 
-from .qfield import LaurentPoly, exact_quotient, qint, sum_products
+from .qfield import exact_quotient, qint, sum_products
 from .presets import (
     preset, ONE, ZERO, reverse, serre_relations, tuples_with_weight,
     weights_up_to, zero_tuple,
@@ -89,20 +89,6 @@ def normal_order(name, wp):
 # divided word-1 monomials
 
 
-@lru_cache(maxsize=None)
-def _root_vector(name, r):
-    """The r-th word-1 root vector as (Laurent word expression, denominator).
-
-    The denominator is the coefficients' largest [2]/[3] denominator,
-    which every other one divides.
-    """
-    wp = preset(name).root_vectors1[r]
-    den = max((c.den for c in wp.values()), key=LaurentPoly.degree)
-    return {w: exact_quotient(c.num * den, c.den, "root vector {} of {}",
-                              r, name)
-            for w, c in wp.items()}, den
-
-
 def _last_slot(A):
     """The last nonzero slot of A, -1 for the zero tuple."""
     return max((k for k, a in enumerate(A) if a), default=-1)
@@ -119,8 +105,8 @@ def _divided_row(name, A, row_below):
     if r < 0:
         return {zero_tuple(name): ONE}
     prev = row_below(A[:r] + (A[r] - 1,) + A[r + 1:])
-    wp, den = _root_vector(name, r)
-    den = den * qint(A[r], p.d[p.word1[r]]).num
+    wp, den = p.root_vectors1[r]
+    den = den.num * qint(A[r], p.d[p.word1[r]]).num
     weight = p.conserved1(A)
     return {B: exact_quotient(c.num, c.den * den,
                               "gamma of {} at weight {}, row {}, column {}",

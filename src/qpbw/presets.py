@@ -2,14 +2,14 @@
 
 Each algebra comes with the two reduced words of the longest Weyl element,
 written word 1 and word 2 (word 1 starts with node 1).  All low-level data
-is attached to word 2: the positive-root sequence, the flat expansions of
-the root vectors b_1..b_l in the letters e_1, e_2, and the one-letter
-multiplication rules for the divided monomials B^(A) = B[A] / F2(A), where
-B[A] = b_1^{a_1} ... b_l^{a_l} and F2(A) = prod_k [a_k]! in the base of
-the word's k-th letter.  The word-1 root vectors are the images under the
-coefficient-fixing anti-involution chi (chi(e_i) = e_i), which reverses
-every word; downstream code obtains all word-1 statements from word-2 ones
-by tuple reversal.
+is attached to word 2: the positive-root sequence, the root vectors
+b_1..b_l as flat expansions in the letters e_1, e_2 over a divisor, and
+the one-letter multiplication rules for the divided monomials
+B^(A) = B[A] / F2(A), where B[A] = b_1^{a_1} ... b_l^{a_l} and F2(A) =
+prod_k [a_k]! in the base of the word's k-th letter.  The word-1 root
+vectors are the images under the coefficient-fixing anti-involution chi
+(chi(e_i) = e_i), which reverses every word; downstream code obtains all
+word-1 statements from word-2 ones by tuple reversal.
 
 The function-algebra side is driven by the generator matrices pi_i(T)
 (one q_i-oscillator per Dynkin node, parameters set to 1) together with
@@ -21,6 +21,11 @@ home of the q-numbers; this module defines none of its own.
 Conventions:
   * a "word expression" is a dict {letters tuple -> RationalFunction},
     e.g. b_2 for A2 is {(1, 2): 1, (2, 1): -q};
+  * a root vector is a pair (word expression, divisor), the expression
+    over the divisor, both Laurent (RationalFunctions with denominator 1),
+    e.g. b_3 for C2 is ({(1, 1, 2): 1, (1, 2, 1): -1 - q^2,
+    (2, 1, 1): q^2}, [2]); the divisor is ONE for A2 and for the simple
+    roots;
   * a "mode-op sum" is a tuple of (coeff, atoms) pairs where atoms is a
     tuple over {"a+", "a-", "k"} read left to right as an operator product;
   * multiplication rules map an exponent tuple to a list of
@@ -89,10 +94,12 @@ class AlgebraPreset:
         self.cartan = cartan
         self.word2_roots = word2_roots          # (alpha1-coeff, alpha2-coeff) pairs
         self.word1_roots = reverse(word2_roots)
-        self.root_vectors2 = root_vectors2      # flat word expressions for b_1..b_l
+        self.root_vectors2 = root_vectors2      # (wp, divisor) for b_1..b_l
         # chi sends the word-2 basis monomial for A to the word-1 monomial
-        # for reversed A, so the r-th word-1 root vector is chi(b_{l+1-r})
-        self.root_vectors1 = tuple(wp_chi(w) for w in reverse(root_vectors2))
+        # for reversed A, so the r-th word-1 root vector is chi(b_{l+1-r}),
+        # with b_{l+1-r}'s divisor
+        self.root_vectors1 = tuple((wp_chi(w), den)
+                                   for w, den in reverse(root_vectors2))
         self.right_rules = right_rules          # {letter: rule}, B^(A).e_i, word 2
         self.left_rules = left_rules            # {letter: rule}, e_i.B^(A)
         self.sigma_polys = sigma_polys          # {(node, tag): t-polynomial}
@@ -275,7 +282,7 @@ def _g2_left_2(t):
 
 
 # ---------------------------------------------------------------------------
-# root vectors (flat word expressions, word-2 ordering)
+# root vectors ((word expression, divisor) pairs, word-2 ordering)
 
 
 def _qcomm(x, y, c):
@@ -287,28 +294,27 @@ def _roots_a2():
     b1 = _letter(2)
     b3 = _letter(1)
     b2 = _qcomm(b3, b1, qpow(1))
-    return (b1, b2, b3)
+    return ((b1, ONE), (b2, ONE), (b3, ONE))
 
 
 def _roots_c2():
     e1, e2 = _letter(1), _letter(2)
-    b1 = e2
-    b4 = e1
     b2 = _qcomm(e1, e2, qpow(2))
-    b3 = vec_scale(_qcomm(e1, b2, 1), ONE / qint(2))
-    return (b1, b2, b3, b4)
+    b3 = _qcomm(e1, b2, 1)
+    return ((e2, ONE), (b2, ONE), (b3, qint(2)), (e1, ONE))
 
 
 def _roots_g2():
     e1, e2 = _letter(1), _letter(2)
-    b1 = e2
-    b6 = e1
     b2 = _qcomm(e1, e2, qpow(3))
-    b4 = vec_scale(_qcomm(e1, b2, qpow(1)), ONE / qint(2))
+    x4 = _qcomm(e1, b2, qpow(1))            # b_4 = x4 / [2]
+    # b_5 and b_3 are q-commutators with b_4 over [3], so over [2][3];
     # normalization pinned by b_6 b_4 = [3] b_5 + q^-1 b_4 b_6
-    b5 = vec_scale(_qcomm(e1, b4, qpow(-1)), ONE / qint(3))
-    b3 = vec_scale(_qcomm(b4, b2, qpow(-1)), ONE / qint(3))
-    return (b1, b2, b3, b4, b5, b6)
+    x5 = _qcomm(e1, x4, qpow(-1))
+    x3 = _qcomm(x4, b2, qpow(-1))
+    den = qint(2) * qint(3)
+    return ((e2, ONE), (b2, ONE), (x3, den), (x4, qint(2)), (x5, den),
+            (e1, ONE))
 
 
 # ---------------------------------------------------------------------------

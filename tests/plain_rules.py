@@ -6,15 +6,28 @@ C2 and G2 rules carry 1/[2] and 1/[3].  The presets state the same rules
 over the divided monomials B^(A) = B[A] / F2(A), so each divided term is
 the plain term times F2(u) / F2(t).  Terms with vanishing q-int factors
 are dropped before the exponent shift, so no tuple ever goes negative.
+A coefficient may be a RationalFunction or, at verify's symbolic ket, a
+polynomial in the q^(t_s); either is false exactly when it is zero.
+
+root_vector reads a presets root vector, a (word expression, divisor)
+pair, as the plain word expression it stands for, 1/[2] and 1/[3] in
+its coefficients.
 """
 
+from qpbw.qfield import vec_scale
 from qpbw.presets import ONE, qbracket, qint, qpow
+
+
+def root_vector(pair):
+    """The word expression over its divisor, divided out."""
+    wp, den = pair
+    return vec_scale(wp, ONE / den)
 
 
 def _emit(terms):
     out = []
     for coeff, tup in terms:
-        if coeff.num.is_zero():
+        if not coeff:
             continue
         assert min(tup) >= 0, f"negative exponent with nonzero coefficient: {tup}"
         out.append((coeff, tup))

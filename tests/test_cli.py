@@ -280,12 +280,9 @@ _ONE_PLUS_Q = RationalFunction(LaurentPoly({0: 1, 1: 1}))
 
 
 def _off_root_vector(monkeypatch):
-    root_vector = pbw._root_vector
-
-    def broken(name, r):
-        wp, den = root_vector(name, r)
-        return wp, den * _ONE_PLUS_Q.num
-    monkeypatch.setattr(pbw, "_root_vector", broken)
+    p = preset("C2")
+    monkeypatch.setattr(p, "root_vectors1", tuple(
+        (wp, den * _ONE_PLUS_Q) for wp, den in p.root_vectors1))
 
 
 @pytest.mark.parametrize("patch,message", [

@@ -32,7 +32,7 @@ from qpbw.pbw import (
 )
 from qpbw.pbw import _rule_terms, _word1_divided
 
-from plain_rules import plain_rule
+from plain_rules import plain_rule, root_vector
 from rule_mutants import _drop_second_term, _first_times_q
 
 
@@ -127,7 +127,8 @@ def test_root_vector_commutation(name, table):
     p = preset(name)
     for (r, s), rhs in table.items():
         lhs = normal_order(
-            name, wp_mul(p.root_vectors2[r - 1], p.root_vectors2[s - 1]))
+            name, wp_mul(root_vector(p.root_vectors2[r - 1]),
+                         root_vector(p.root_vectors2[s - 1])))
         assert lhs == _divided(name, rhs), (name, r, s)
 
 
@@ -135,9 +136,10 @@ def test_rules_reproduce_root_vectors():
     """Normal-ordering the flat expansion of b_r must give the unit B[e_r]."""
     for name in ALGEBRAS:
         p = preset(name)
-        for r, wp in enumerate(p.root_vectors2):
+        for r, pair in enumerate(p.root_vectors2):
             unit = tuple(1 if k == r else 0 for k in range(p.length))
-            assert normal_order(name, wp) == {unit: rf(1)}, (name, r)
+            assert (normal_order(name, root_vector(pair))
+                    == {unit: rf(1)}), (name, r)
 
 
 def test_serre_sums_vanish():
@@ -391,7 +393,7 @@ def _plain_tilde_row(name, A):
             row = {zero_tuple(name): rf(1)}
         else:
             prev = _plain_tilde_row(name, A[:r] + (A[r] - 1,) + A[r + 1:])
-            row = _plain_mul(name, prev, p.root_vectors1[r])
+            row = _plain_mul(name, prev, root_vector(p.root_vectors1[r]))
         _plain_rows[key] = row
     return _plain_rows[key]
 

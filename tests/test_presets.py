@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpbw import verify
 from qpbw.qfield import LaurentPoly, q_factorial, vec_add, vec_scale
 from qpbw.presets import (
     ALGEBRAS,
@@ -20,7 +21,7 @@ from qpbw.presets import (
     reverse,
 )
 
-from plain_rules import plain_rule
+from plain_rules import plain_rule, root_vector
 
 
 def lp(d):
@@ -62,11 +63,11 @@ def test_root_vector_homogeneity():
     """Every word in b_r's expansion has letter content = the r-th root."""
     for name in ALGEBRAS:
         p = preset(name)
-        for r, wp in enumerate(p.root_vectors2):
+        for r, (wp, _) in enumerate(p.root_vectors2):
             n1, n2 = p.word2_roots[r]
             for w in wp:
                 assert w.count(1) == n1 and w.count(2) == n2, (name, r, w)
-        for r, wp in enumerate(p.root_vectors1):
+        for r, (wp, _) in enumerate(p.root_vectors1):
             n1, n2 = p.word1_roots[r]
             for w in wp:
                 assert w.count(1) == n1 and w.count(2) == n2, (name, r, w)
@@ -74,20 +75,20 @@ def test_root_vector_homogeneity():
 
 def test_root_vector_values_a2():
     p = preset("A2")
-    assert p.root_vectors2[0] == {(2,): rf(1)}
-    assert p.root_vectors2[2] == {(1,): rf(1)}
-    assert p.root_vectors2[1] == {(1, 2): rf(1), (2, 1): -qpow(1)}
+    assert root_vector(p.root_vectors2[0]) == {(2,): rf(1)}
+    assert root_vector(p.root_vectors2[2]) == {(1,): rf(1)}
+    assert root_vector(p.root_vectors2[1]) == {(1, 2): rf(1), (2, 1): -qpow(1)}
     # chi reverses: first word-1 root vector is e_1, middle is e_2 e_1 - q e_1 e_2
-    assert p.root_vectors1[0] == {(1,): rf(1)}
-    assert p.root_vectors1[1] == {(2, 1): rf(1), (1, 2): -qpow(1)}
-    assert p.root_vectors1[2] == {(2,): rf(1)}
+    assert root_vector(p.root_vectors1[0]) == {(1,): rf(1)}
+    assert root_vector(p.root_vectors1[1]) == {(2, 1): rf(1), (1, 2): -qpow(1)}
+    assert root_vector(p.root_vectors1[2]) == {(2,): rf(1)}
 
 
 def test_root_vector_values_c2():
     p = preset("C2")
     inv2 = rf(1) / qint(2)
-    assert p.root_vectors2[1] == {(1, 2): rf(1), (2, 1): -qpow(2)}
-    assert p.root_vectors2[2] == {
+    assert root_vector(p.root_vectors2[1]) == {(1, 2): rf(1), (2, 1): -qpow(2)}
+    assert root_vector(p.root_vectors2[2]) == {
         (1, 1, 2): inv2,
         (1, 2, 1): -qpow(1),
         (2, 1, 1): qpow(2) * inv2,
@@ -98,19 +99,19 @@ def test_root_vector_values_g2():
     p = preset("G2")
     inv2 = rf(1) / qint(2)
     inv3 = rf(1) / qint(3)
-    assert p.root_vectors2[1] == {(1, 2): rf(1), (2, 1): -qpow(3)}
-    assert p.root_vectors2[3] == {
+    assert root_vector(p.root_vectors2[1]) == {(1, 2): rf(1), (2, 1): -qpow(3)}
+    assert root_vector(p.root_vectors2[3]) == {
         (1, 1, 2): inv2,
         (1, 2, 1): -qpow(2),
         (2, 1, 1): qpow(4) * inv2,
     }
-    assert p.root_vectors2[4] == {
+    assert root_vector(p.root_vectors2[4]) == {
         (1, 1, 1, 2): inv2 * inv3,
         (1, 1, 2, 1): -qpow(1) * inv2,
         (1, 2, 1, 1): qpow(2) * inv2,
         (2, 1, 1, 1): -qpow(3) * inv2 * inv3,
     }
-    assert p.root_vectors2[2] == {
+    assert root_vector(p.root_vectors2[2]) == {
         (1, 1, 2, 1, 2): inv2 * inv3,
         (1, 1, 2, 2, 1): -qpow(3) * inv2 * inv3,
         (1, 2, 1, 1, 2): -qpow(1) * inv2,
@@ -125,7 +126,7 @@ def test_root_vector_values_g2():
 def test_chi_is_an_involution():
     for name in ALGEBRAS:
         p = preset(name)
-        for wp in p.root_vectors2:
+        for wp, _ in p.root_vectors2:
             assert wp_chi(wp_chi(wp)) == wp
 
 
@@ -199,6 +200,40 @@ def test_divided_rule_matches_plain_reference(name, side, letter):
                 elif x > y:
                     down = down * _run(y, x, d)
             assert down == up, (t, u)
+
+
+@pytest.mark.parametrize("letter", [1, 2])
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_divided_rule_matches_plain_reference_symbolically(name, side,
+                                                           letter):
+    """The identity of test_divided_rule_matches_plain_reference at the
+    symbolic ket of verify._symbolic_ket, so for every occupation: the
+    same shifts in the same order, and c * (runs down) = c0 * (runs up)
+    term by term, the runs symbolic q-integers [x + j] in the slot's base.
+
+    At the symbolic ket both files keep every term.  At a tuple, the
+    presets drop a term whose shifted tuple goes negative, where a run
+    down holds [0], so that c0 = 0 there and the plain rules drop it too.
+    The sweep above also sees a kept term whose coefficient vanishes at a
+    tuple, which this identity does not.
+    """
+    p = preset(name)
+    rule = (p.right_rules if side == "right" else p.left_rules)[letter]
+    plain = plain_rule(name, side, letter)
+    bases = [p.d[node] for node in p.word2]
+    t = verify._symbolic_ket(p.length)
+    got, want = rule(t), plain(t)
+    assert [u for _, u in got] == [u for _, u in want]
+    for (c, u), (c0, _) in zip(got, want):
+        up, down = verify._KPoly.of(c0), verify._KPoly.of(c)
+        for x, y, d in zip(t, u, bases):
+            assert y.c == x.c, u
+            for j in range(1, y.k + 1):
+                up = up * qint(x + j, d)
+            for j in range(1, 1 - y.k):
+                down = down * qint(y + j, d)
+        assert down == up, u
 
 
 def test_rules_on_trivial_monomials():
