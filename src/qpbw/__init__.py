@@ -11,9 +11,11 @@ The package computes, over the exact field Q(q):
   * the identification of both matrices (they agree entry by entry), and the
     resulting solutions of the tetrahedron and 3D reflection equations.
 
-Everything is exact: coefficients live in Q(q) (Laurent numerators over
-polynomial denominators, both with arbitrary-precision integer
-coefficients).
+Everything is exact: coefficients live in Q(q), each in one normal form
+with arbitrary-precision integer coefficients.  An element of
+Z[q, q^-1], which every table entry is, is a LaurentPoly; any other is a
+RationalFunction, a reduced Laurent numerator over a polynomial
+denominator other than 1.
 """
 
 from .qfield import (

@@ -40,21 +40,22 @@ def solve_exact(prows, qrows, unknowns):
 
     P is m x n with m >= n, n the number of unknowns, and Q is m x k.  Both
     are given as lists of sparse rows, {unknown: entry} for P and
-    {column: entry} for Q, RationalFunction entries, nonzero ones only.  The
+    {column: entry} for Q, entries in Q(q), nonzero ones only.  The
     unknowns are found by substitution: while some row r has exactly one
     unknown u left, r is a pivot, and Y[u] = (Q[r] - sum of P[r][c] Y[c]
-    over its known unknowns c) / P[r][u], each entry an exact division of
-    Laurent polynomials.  When every unknown is reached this way, the
-    pivots form a triangular n x n subsystem with nonzero diagonal, so P
-    has full column rank.  Each equation is proved once: a pivot row by its
-    exact division, every other row by its residual P[r] Y - Q[r], which
-    must vanish.  So Y is the unique solution.  Returns Y as
-    {unknown: {column: entry}}, unknowns in the given order, nonzero
-    entries only.  Raises ArithmeticError when a row of P names a key that
-    is not an unknown, when a division is inexact (the solution is not
-    Laurent), when substitution stalls (no row has a single unknown left),
-    which every rank-deficient system does and so does an unknown that no
-    row names, or when the system is inconsistent.  No Phi block stalls.
+    over its known unknowns c) / P[r][u], each entry one
+    qfield.exact_quotient, an exact division of Laurent polynomials.  When
+    every unknown is reached this way, the pivots form a triangular n x n
+    subsystem with nonzero diagonal, so P has full column rank.  Each
+    equation is proved once: a pivot row by its exact division, every
+    other row by its residual P[r] Y - Q[r], which must vanish.  So Y is
+    the unique solution.  Returns Y as {unknown: {column: entry}},
+    unknowns in the given order, nonzero LaurentPoly entries only.  Raises
+    ArithmeticError when a row of P names a key that is not an unknown,
+    when a division is inexact (the solution is not Laurent), when
+    substitution stalls (no row has a single unknown left), which every
+    rank-deficient system does and so does an unknown that no row names,
+    or when the system is inconsistent.  No Phi block stalls.
     """
     if len(prows) < len(unknowns):
         raise ArithmeticError(f"underdetermined system ({len(prows)} rows, "
@@ -79,8 +80,7 @@ def solve_exact(prows, qrows, unknowns):
         rest = sum_products((j, x, y) for x, col in parts
                             for j, y in col.items())
         piv = prow[u]
-        Y[u] = {j: exact_quotient(a.num * piv.den, a.den * piv.num,
-                                  "Y[{!r}][{!r}]", u, j)
+        Y[u] = {j: exact_quotient(a, piv, "Y[{!r}][{!r}]", u, j)
                 for j, a in rest.items()}
         pivots.add(r)
         for r2 in rows_of[u]:

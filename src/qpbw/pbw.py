@@ -1,16 +1,16 @@
 """Normal-form arithmetic in the positive half of the quantized algebra.
 
 Elements are kept in the divided word-2 monomial basis: a PBW vector is a
-dict {exponent tuple -> RationalFunction} representing sum c_A B^(A), with
+dict {exponent tuple -> coefficient} representing sum c_A B^(A), with
 B^(A) = B[A] / F2(A), B[A] = b_1^{a_1} ... b_l^{a_l} and F2(A) = prod_k
 [a_k]! in the base of the word's k-th letter.  This is the only basis the
 module works in, and the one the preset rules are written in: multiplying
 by a generator on either side reads the rule's terms as they stand.
 
 The divided monomials of either word span Lusztig's Z[q, q^-1]-form, so
-every rule coefficient is a Laurent polynomial, and so is every
-coefficient of a divided word-1 monomial E_1^(A) over the divided word-2
-basis: these coefficients are the entries gamma^A_B.  E_1^(A) is built one
+every rule coefficient is a LaurentPoly, and so is every coefficient of
+a divided word-1 monomial E_1^(A) over the divided word-2 basis: these
+coefficients are the entries gamma^A_B.  E_1^(A) is built one
 root vector at a time, each step one exact division by [a_r] times the
 divisor the presets state with that root vector, so normal ordering
 multiplies Laurent polynomials only and runs no gcd.  An inexact division
@@ -106,9 +106,9 @@ def _divided_row(name, A, row_below):
         return {zero_tuple(name): ONE}
     prev = row_below(A[:r] + (A[r] - 1,) + A[r + 1:])
     wp, den = p.root_vectors1[r]
-    den = den.num * qint(A[r], p.d[p.word1[r]]).num
+    den = den * qint(A[r], p.d[p.word1[r]])
     weight = p.conserved1(A)
-    return {B: exact_quotient(c.num, c.den * den,
+    return {B: exact_quotient(c, den,
                               "gamma of {} at weight {}, row {}, column {}",
                               name, weight, A, B)
             for B, c in mul_word_expr(name, prev, wp).items()}

@@ -19,18 +19,17 @@ Every q-number here (qpow, qint, qbracket, qbinom) is qfield's, the one
 home of the q-numbers; this module defines none of its own.
 
 Conventions:
-  * a "word expression" is a dict {letters tuple -> RationalFunction},
+  * every coefficient is a LaurentPoly, qfield's type for Z[q, q^-1];
+  * a "word expression" is a dict {letters tuple -> coefficient},
     e.g. b_2 for A2 is {(1, 2): 1, (2, 1): -q};
   * a root vector is a pair (word expression, divisor), the expression
-    over the divisor, both Laurent (RationalFunctions with denominator 1),
-    e.g. b_3 for C2 is ({(1, 1, 2): 1, (1, 2, 1): -1 - q^2,
-    (2, 1, 1): q^2}, [2]); the divisor is ONE for A2 and for the simple
-    roots;
+    over the divisor, both Laurent, e.g. b_3 for C2 is ({(1, 1, 2): 1,
+    (1, 2, 1): -1 - q^2, (2, 1, 1): q^2}, [2]); the divisor is ONE for A2
+    and for the simple roots;
   * a "mode-op sum" is a tuple of (coeff, atoms) pairs where atoms is a
     tuple over {"a+", "a-", "k"} read left to right as an operator product;
   * multiplication rules map an exponent tuple to a list of
-    (coeff, exponent tuple) pairs, every coeff a Laurent polynomial (as a
-    RationalFunction with denominator 1).
+    (coeff, exponent tuple) pairs.
 """
 
 from functools import lru_cache

@@ -2,45 +2,55 @@
 
 Representation choices
 ----------------------
-LaurentPoly stores a sparse map {exponent: coefficient} with int
-coefficients: an element of Z[q, q^-1].
+Every element of Q(q) has one normal form, in the smallest of two types:
 
-RationalFunction is a reduced pair num/den with the normalization
+  * an element of Z[q, q^-1] is a LaurentPoly, a sparse map
+    {exponent: coefficient} with int coefficients;
+  * any other element is a RationalFunction, a reduced num/den pair whose
+    den is never 1.
+
+A RationalFunction is normalized so that
 
   * num lies in Z[q, q^-1] and den in Z[q] with valuation 0, i.e. every
     q-shift is pushed into num;
   * gcd(num, den) = 1 as polynomials;
   * the coefficients of num and den together have content 1, and den has
-    positive constant term (den is 1 when it is the constant 1).
+    positive constant term.
 
 Under these rules the representation of a given element of Q(q) is unique,
-so equality is structural, and no rational coefficient is ever needed: a
-scalar denominator stays in den.  Polynomial gcds are computed by the
-primitive pseudo-remainder sequence over Z, which keeps every intermediate
-exact, and exact division (poly_divexact) succeeds only when the quotient
-has integer coefficients.
+so equality is structural and equal values hash equal, and no rational
+coefficient is ever needed: a scalar denominator stays in den.  Building a
+RationalFunction, by its constructor or by any operation that can leave
+Z[q, q^-1], is the one normalising step, and it gives the LaurentPoly
+whenever the reduced denominator is 1.  A LaurentPoly has the views num
+(itself) and den (ONE), as an int has numerator and denominator, so code
+that reads num and den takes either type.  Polynomial gcds are computed by
+the primitive pseudo-remainder sequence over Z, which keeps every
+intermediate exact, and exact division (poly_divexact) succeeds only when
+the quotient has integer coefficients.
 
 Each primitive has one copy, here: the product of Laurent coefficient
 dicts (_product) that LaurentPoly.__mul__ and the sparse accumulators
 share, the square-and-multiply loop (_power) of both ** operators, the
 coercion rf with the constants ONE and ZERO (and _lp, its LaurentPoly
 twin), vec_add / vec_scale, and the q-numbers of Lusztig's integral form:
-the cached, RationalFunction-valued qpow, qint, qbracket, qbinom and the
+the cached, LaurentPoly-valued qpow, qint, qbracket, qbinom and the
 Pochhammer run poch_run, with q_factorial and d_norm built on them.
 
 Sparse sums of products have two entry points that share one way of
 accumulating and one finalisation: sum_products over (key, x, y) triples,
 and apply_on_slots, which applies an operator acting on some slots of
 occupation tuples (the checked tables on kets) in one fused pass over the
-operator's own columns, testing each term's denominator by identity.
-Laurent products are kept lazily, a key's lone product as its two factors
-until the end, so a factor ONE costs nothing and a monomial factor one
-shift; everything else takes the exact RationalFunction path.
+operator's own columns.  Both choose a term's path by the type of its
+factors: products of two LaurentPolys are kept lazily, a key's lone
+product as its two factors until the end, so a factor ONE costs nothing
+and a monomial factor one shift; everything else takes the exact
+RationalFunction path.
 
 String form (used by the CLI and the golden tables): terms in ascending
 exponent, coefficient 1 suppressed, "q^1" written "q", "q^0" omitted, terms
 joined by " + " / " - ", e.g. "-q^2 + q^6 + q^8 - q^10".  A rational
-function with nontrivial denominator renders "(<num>)/(<den>)".
+function renders "(<num>)/(<den>)".
 """
 
 from __future__ import annotations
@@ -67,10 +77,20 @@ class LaurentPoly:
     @staticmethod
     def const(v):
         if not v:
-            return _LP_ZERO
+            return ZERO
         return LaurentPoly({0: v})
 
     # -- predicates / views -------------------------------------------
+
+    @property
+    def num(self):
+        """Numerator view: the polynomial itself."""
+        return self
+
+    @property
+    def den(self):
+        """Denominator view: ONE."""
+        return ONE
 
     def is_zero(self):
         return not self.c
@@ -135,10 +155,23 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """self / other in Q(q): the LaurentPoly when other divides self."""
+        other = rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division by zero in Q(q)")
+        return RationalFunction(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        other = rf(other)
+        return NotImplemented if other is NotImplemented else other / self
+
     def __pow__(self, n):
         if n < 0:
-            raise ValueError("negative power of a LaurentPoly; use RationalFunction")
-        return _power(self, n, _LP_ONE)
+            return ONE / self ** -n
+        return _power(self, n, ONE)
 
     def shift(self, k):
         """Multiply by q^k."""
@@ -174,8 +207,8 @@ class LaurentPoly:
         return f"LaurentPoly({lp_to_str(self)})"
 
 
-_LP_ZERO = LaurentPoly()
-_LP_ONE = LaurentPoly({0: 1})
+ZERO = LaurentPoly()
+ONE = LaurentPoly({0: 1})
 
 
 def _lp(x):
@@ -234,7 +267,7 @@ def parse_laurent(text):
     """Inverse of lp_to_str.  Accepts exactly the canonical grammar."""
     text = text.strip()
     if text == "0":
-        return _LP_ZERO
+        return ZERO
     # split into signed terms on " + " / " - ", with an optional leading "-"
     sign = 1
     if text.startswith("-"):
@@ -361,7 +394,7 @@ def poly_divexact(a, b):
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
-        return _LP_ZERO
+        return ZERO
     if b.is_monomial():
         (eb, vb), = b.c.items()
         return LaurentPoly({e - eb: _exact_scalar_div(v, vb) for e, v in a.c.items()})
@@ -391,8 +424,18 @@ def poly_divexact(a, b):
 # RationalFunction
 # ---------------------------------------------------------------------------
 
-class RationalFunction:
-    """Element of Q(q), stored as a reduced, normalized num/den pair."""
+class _Normal(type):
+    """Calling RationalFunction normalises (its __init__) and then returns
+    the LaurentPoly num when the reduced denominator is 1."""
+
+    def __call__(cls, num, den=None):
+        r = super().__call__(num, den)
+        return r.num if r.den.is_one() else r
+
+
+class RationalFunction(metaclass=_Normal):
+    """Element of Q(q) outside Z[q, q^-1], stored as a reduced, normalized
+    num/den pair; the constructor returns a LaurentPoly for any other."""
 
     __slots__ = ("num", "den")
 
@@ -400,18 +443,13 @@ class RationalFunction:
         if isinstance(num, int):
             num = LaurentPoly.const(num)
         if den is None:
-            den = _LP_ONE
+            den = ONE
         elif isinstance(den, int):
             den = LaurentPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            self.num = _LP_ZERO
-            self.den = _LP_ONE
-            return
-        if den.is_one():
-            self.num = num
-            self.den = _LP_ONE
+            self.num, self.den = ZERO, ONE
             return
         # push the denominator's q-shift into num
         v = den.valuation()
@@ -435,33 +473,18 @@ class RationalFunction:
             num = LaurentPoly({e: c // g for e, c in num.c.items()})
             den = LaurentPoly({e: c // g for e, c in den.c.items()})
         self.num = num
-        self.den = _LP_ONE if den.is_one() else den
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def from_laurent(p):
-        r = RationalFunction.__new__(RationalFunction)
-        r.num = p
-        r.den = _LP_ONE
-        return r
-
-    # -- predicates -------------------------------------------------------
+        self.den = den
 
     def is_zero(self):
-        return self.num.is_zero()
+        """Never: zero is the LaurentPoly ZERO."""
+        return False
 
-    def is_one(self):
-        return self.num.is_one() and self.den.is_one()
-
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: an operand may be an int or a LaurentPoly --------------
 
     def __add__(self, other):
         other = rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction.from_laurent(self.num + other.num)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
@@ -489,37 +512,12 @@ class RationalFunction:
         other = rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction.from_laurent(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return rf(other) / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return ONE / self ** (-n)
-        return _power(self, n, ONE)
-
-    def specialize_q0(self):
-        """Constant term at q = 0, defined only for genuine polynomials.
-
-        Requires den == 1 and no negative exponents in num; anything else
-        raises (q -> 0 is a limit we refuse to take implicitly).
-        """
-        if not self.den.is_one():
-            raise ZeroDivisionError("specialize_q0 on a non-polynomial (denominator != 1)")
-        return self.num.constant_term()
+    __truediv__ = LaurentPoly.__truediv__
+    __rtruediv__ = LaurentPoly.__rtruediv__
+    __pow__ = LaurentPoly.__pow__
 
     # -- comparison / hashing ---------------------------------------------------
 
@@ -532,32 +530,24 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __bool__(self):
-        return not self.num.is_zero()
-
     def __str__(self):
-        return rf_to_str(self)
+        return f"({self.num})/({self.den})"
 
     def __repr__(self):
-        return f"RationalFunction({rf_to_str(self)})"
+        return f"RationalFunction({self})"
 
 
 def rf(x):
-    """x as a RationalFunction: an int or a LaurentPoly is coerced, and any
-    other type gives NotImplemented, so that a binary operator can leave
-    the operation to its other operand."""
+    """x as an element of Q(q): an int is coerced to a LaurentPoly, a
+    LaurentPoly or RationalFunction is returned as it is, and any other
+    type gives NotImplemented, so that a binary operator can leave the
+    operation to its other operand."""
     t = type(x)
-    if t is RationalFunction:
+    if t is LaurentPoly or t is RationalFunction:
         return x
-    if t is LaurentPoly:
-        return RationalFunction.from_laurent(x)
     if isinstance(x, int):
-        return RationalFunction.from_laurent(LaurentPoly.const(x))
+        return LaurentPoly.const(x)
     return NotImplemented
-
-
-ZERO = RationalFunction.from_laurent(_LP_ZERO)
-ONE = RationalFunction.from_laurent(_LP_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +587,8 @@ def _grow(cur, x, y):
     """A key's lone pair or exponent dict, plus the Laurent product x * y."""
     if type(cur) is tuple:
         a, b = cur
-        cur = _product(a.num.c, b.num.c)
-    return _add_product(cur, x.num.c, y.num.c)
+        cur = _product(a.c, b.c)
+    return _add_product(cur, x.c, y.c)
 
 
 def _add_exact(rest, key, p):
@@ -614,11 +604,11 @@ def _finish(laurent, rest):
     the Laurent ones first.
     """
     out = {}
-    lp_new, rf_new, one = LaurentPoly.__new__, RationalFunction.__new__, _LP_ONE
+    lp_new = LaurentPoly.__new__
     for key, cur in laurent.items():
         if type(cur) is tuple:
             x, y = cur
-            xc, yc = x.num.c, y.num.c
+            xc, yc = x.c, y.c
             if len(xc) == 1 and xc.get(0) == 1:
                 if yc:
                     out[key] = y
@@ -633,9 +623,7 @@ def _finish(laurent, rest):
         if c:
             p = lp_new(LaurentPoly)
             p.c = c
-            r = rf_new(RationalFunction)
-            r.num, r.den = p, one
-            out[key] = r
+            out[key] = p
     for key, total in rest.items():
         p = out.get(key)
         if p is not None:
@@ -652,22 +640,19 @@ def sum_products(terms):
 
     ``out[key] += x * y`` with zero sums dropped, the accumulate loop of
     the package (apply_on_slots is the same loop fused with building the
-    keys).  When x and y are RationalFunctions with denominator 1, a key's
-    first product is kept as its two factors and only later ones are added
-    term by term into a plain {exponent: coefficient} dict, so no
-    LaurentPoly or RationalFunction is built per term.  Every other
-    product and sum goes through the exact RationalFunction arithmetic of
-    its operands.  Each key is converted once at the end; a key whose lone
-    product has a factor ONE gets the other factor itself.  Keys come out
-    in order of first appearance, the Laurent ones first.
+    keys).  When x and y are LaurentPolys, a key's first product is kept
+    as its two factors and only later ones are added term by term into a
+    plain {exponent: coefficient} dict, so no LaurentPoly is built per
+    term.  Every other product and sum goes through the exact arithmetic
+    of its operands.  Each key is converted once at the end; a key whose
+    lone product has a factor ONE gets the other factor itself.  Keys come
+    out in order of first appearance, the Laurent ones first.
     """
     laurent, rest = {}, {}
     get = laurent.get
-    # every denominator-1 value built here shares _LP_ONE; another one
-    # would only take the slower exact path
-    RF, one = RationalFunction, _LP_ONE
+    LP = LaurentPoly
     for key, x, y in terms:
-        if type(x) is RF and type(y) is RF and x.den is one and y.den is one:
+        if type(x) is LP and type(y) is LP:
             cur = get(key)
             laurent[key] = (x, y) if cur is None else _grow(cur, x, y)
         else:
@@ -678,7 +663,7 @@ def sum_products(terms):
 def vec_scale(vec, c):
     """c times a sparse vector {key: value}; {} when c is zero."""
     c = rf(c)
-    if c.num.is_zero():
+    if not c:
         return {}
     return {k: v * c for k, v in vec.items()}
 
@@ -714,16 +699,16 @@ def apply_on_slots(vec, pos, column):
     column(inp) returns the operator's own column {out: value} at the
     input tuple inp.  The result is sum_products over the triples
     (state with `pos` set to out, value, coefficient), in one pass: each
-    output key is one itemgetter over ``state + out``.  A coefficient is
-    tested for denominator 1 once per state, and a value by the identity
-    of its denominator; products of two such are accumulated lazily as in
-    sum_products, every other product takes the exact path.
+    output key is one itemgetter over ``state + out``.  A coefficient's
+    type is tested once per state, and a value's per term; products of two
+    LaurentPolys are accumulated lazily as in sum_products, every other
+    product takes the exact path.
     """
     if not vec:
         return {}
     width = len(next(iter(vec)))
     key_of, inp_of = _slot_getters(width, pos)
-    RF, one = RationalFunction, _LP_ONE
+    LP = LaurentPoly
     laurent, rest = {}, {}
     get = laurent.get
     for state, c in vec.items():
@@ -731,10 +716,10 @@ def apply_on_slots(vec, pos, column):
             raise ValueError(f"state {state} has {len(state)} slots, "
                              f"the first state {width}")
         col = column(inp_of(state))
-        if type(c) is RF and c.den is one:
+        if type(c) is LP:
             for out, v in col.items():
                 key = key_of(state + out)
-                if v.den is one:
+                if type(v) is LP:
                     cur = get(key)
                     laurent[key] = (v, c) if cur is None else _grow(cur, v, c)
                 else:
@@ -746,53 +731,51 @@ def apply_on_slots(vec, pos, column):
 
 
 def exact_quotient(num, den, where, *args):
-    """num / den for LaurentPolys, as a RationalFunction; ArithmeticError
-    unless den divides num in Z[q, q^-1].
+    """num / den for elements of Q(q), as a LaurentPoly; ArithmeticError
+    unless the quotient lies in Z[q, q^-1].
 
-    The error names the place, where.format(*args), formatted only then.
+    The quotient is one exact division of Laurent polynomials, through the
+    num and den views, so no gcd runs.  The error names the place,
+    where.format(*args), formatted only then.
     """
     try:
-        return RationalFunction.from_laurent(poly_divexact(num, den))
+        return poly_divexact(num.num * den.den, num.den * den.num)
     except ValueError:
         raise ArithmeticError(
             "inexact division in " + where.format(*args)) from None
 
 
-def rf_to_str(r):
-    if r.den.is_one():
-        return lp_to_str(r.num)
-    return f"({lp_to_str(r.num)})/({lp_to_str(r.den)})"
-
-
 def canonical_string(x):
-    """Canonical text form of a LaurentPoly or RationalFunction."""
-    if isinstance(x, LaurentPoly):
-        return lp_to_str(x)
-    return rf_to_str(rf(x))
+    """Canonical text form of an element of Q(q) or an int; TypeError for
+    any other value."""
+    v = rf(x)
+    if v is NotImplemented:
+        raise TypeError(f"not an element of Q(q): {x!r}")
+    return str(v)
 
 
 def parse(text):
-    """Parse a canonical string back to a RationalFunction."""
+    """Parse a canonical string back to its element of Q(q)."""
     text = text.strip()
     m = re.fullmatch(r"\((?P<num>[^()]*)\)/\((?P<den>[^()]*)\)", text)
     if m:
         return RationalFunction(parse_laurent(m.group("num")), parse_laurent(m.group("den")))
-    return RationalFunction.from_laurent(parse_laurent(text))
+    return parse_laurent(text)
 
 
 # ---------------------------------------------------------------------------
-# q-numbers, cached RationalFunctions.  `d` is the length exponent: the
-# base is q_i = q^d.  A symbolic exponent or occupation (verify's key-prop
-# check) reaches q through its own power_of_q().
+# q-numbers, cached LaurentPolys.  `d` is the length exponent: the base is
+# q_i = q^d.  A symbolic exponent or occupation (verify's key-prop check)
+# reaches q through its own power_of_q(), and its q-numbers are built from
+# that value.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def qpow(n):
-    """q^n as a RationalFunction; n.power_of_q() for a symbolic (non-int)
-    n."""
+    """q^n as a LaurentPoly; n.power_of_q() for a symbolic (non-int) n."""
     if not isinstance(n, int):
         return n.power_of_q()
-    return rf(LaurentPoly({n: 1}))
+    return LaurentPoly({n: 1})
 
 
 @lru_cache(maxsize=None)
@@ -803,7 +786,7 @@ def qint(m, d=1):
         return (qpow(d * m) - qpow(-d * m)) * (ONE / qbracket(d))
     if m < 0:
         return -qint(-m, d)
-    return rf(LaurentPoly({d * (m - 1 - 2 * t): 1 for t in range(m)}))
+    return LaurentPoly({d * (m - 1 - 2 * t): 1 for t in range(m)})
 
 
 @lru_cache(maxsize=None)
@@ -821,8 +804,8 @@ def qbinom(n, r, d=1):
                 if r else ONE)
     if r < 0 or r > n:
         return ZERO
-    return rf(poly_divexact(q_factorial(n, d),
-                            q_factorial(r, d) * q_factorial(n - r, d)))
+    return poly_divexact(q_factorial(n, d),
+                         q_factorial(r, d) * q_factorial(n - r, d))
 
 
 @lru_cache(maxsize=None)
@@ -837,9 +820,9 @@ def poch_run(x, m, d):
 
 def q_factorial(m, d=1):
     """[m]! in base q^d, as a LaurentPoly."""
-    out = _LP_ONE
+    out = ONE
     for t in range(2, m + 1):
-        out = out * qint(t, d).num
+        out = out * qint(t, d)
     return out
 
 
@@ -848,15 +831,10 @@ def d_norm(m, d=1):
 
     Satisfies (p^2; p^2)_m * d_norm(m) = [m]!  in base p.
     """
-    num = qpow(-d * (m * (m - 1) // 2)).num
     den = LaurentPoly({0: 1, 2 * d: -1}) ** m
-    return RationalFunction(num, den)
+    return RationalFunction(qpow(-d * (m * (m - 1) // 2)), den)
 
 
 def is_integer_polynomial(x):
     """True when x lies in Z[q] (no denominator, no negative powers)."""
-    if isinstance(x, RationalFunction):
-        if not x.den.is_one():
-            return False
-        x = x.num
-    return x.valuation() >= 0
+    return type(x) is LaurentPoly and x.valuation() >= 0

@@ -431,7 +431,7 @@ def _q0_cases(name, tab, wset):
     for wgt in wset:
         block = tuples_with_weight(name, 2, wgt)
         for out, inp in product(block, block):
-            v = tab.entry(out, inp).specialize_q0()
+            v = tab.entry(out, inp).constant_term()
             want = int(inp == _Q0_INPUT[name](out))
             yield None if v == want \
                 else f"weight {wgt} [{out},{inp}] -> {v}, expected {want}"
@@ -472,8 +472,8 @@ def _vsum(a, b):
 
 class _KPoly(dict):
     """A Laurent polynomial in the X_s = q^(t_s) over Q(q): {exponent
-    vector, () for the zero vector: nonzero RationalFunction}.  An int or
-    a RationalFunction operand stands for a constant."""
+    vector, () for the zero vector: nonzero element of Q(q)}.  An int or
+    an element of Q(q) as an operand stands for a constant."""
 
     @staticmethod
     def of(x):

@@ -6,7 +6,7 @@ C2 and G2 rules carry 1/[2] and 1/[3].  The presets state the same rules
 over the divided monomials B^(A) = B[A] / F2(A), so each divided term is
 the plain term times F2(u) / F2(t).  Terms with vanishing q-int factors
 are dropped before the exponent shift, so no tuple ever goes negative.
-A coefficient may be a RationalFunction or, at verify's symbolic ket, a
+A coefficient may be an element of Q(q) or, at verify's symbolic ket, a
 polynomial in the q^(t_s); either is false exactly when it is zero.
 
 root_vector reads a presets root vector, a (word expression, divisor)

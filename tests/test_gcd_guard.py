@@ -6,8 +6,11 @@ divided basis, with rules whose coefficients are Laurent polynomials, so
 every quotient from building the presets through both paths is an exact
 division of Laurent polynomials.  The count starts before preset() first
 runs and covers both: poly_gcd calls, and RationalFunctions built with a
-denominator other than 1.  It is taken in a fresh interpreter, so no
-cache of this test session hides a call.
+denominator other than 1.  It also records the type of every entry of
+every block the sweeps emit and of one KetOperator image: each is a
+LaurentPoly, the one normal form of an element of Z[q, q^-1].  It is
+taken in a fresh interpreter, so no cache of this test session hides a
+call.
 """
 
 import json
@@ -41,13 +44,27 @@ for mod in (qfield, presets, pbw, fock, intertwiner, verify, cli):
     if mod.__dict__.get("poly_gcd") is gcd:
         mod.poly_gcd = counted
 qfield.RationalFunction.__init__ = counted_init
+records, entry_types = cli._records, {}
+
+def typed_records(name, kind, block, inputs):
+    for col in block.values():
+        for v in col.values():
+            entry_types.setdefault(kind, set()).add(type(v).__name__)
+    return records(name, kind, block, inputs)
+
+cli._records = typed_records
 #RESTORE
 for alg in presets.ALGEBRAS:
     presets.preset(alg)
 for alg, kind, height in (("A2", "R", 8), ("C2", "K", 6), ("G2", "F", 5)):
     cli.compute_records(alg, kind, max_height=height)
     cli.compute_records(alg, "gamma", max_height=height)
+image = verify.KetOperator("A2").apply(
+    {(1, 2, 0, 1): qfield.qint(2), (0, 1, 1, 2): -qfield.ONE}, (2, 3, 4))
+entry_types["image"] = {type(v).__name__ for v in image.values()}
 print(json.dumps({"gcd_calls": calls[0], "fractions": fractions[0],
+                  "entry_types": {k: sorted(v)
+                                  for k, v in entry_types.items()},
                   "src": qpbw.__file__}))
 """
 
@@ -80,6 +97,8 @@ def test_table_path_gcd_calls_bounded():
     got = _count()
     assert got["gcd_calls"] == 0, got
     assert got["fractions"] == 0, got
+    assert got["entry_types"] == {kind: ["LaurentPoly"] for kind in
+                                  ("R", "K", "F", "gamma", "image")}, got
 
 
 def test_guard_counts_a_divided_root_vector():

@@ -474,7 +474,7 @@ def _solve_over_q(prows, qrows, unknowns):
     of its exact one: the scaled-ket systems have non-Laurent solutions."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(intertwiner, "exact_quotient",
-                   lambda num, den, *where: RationalFunction(num, den))
+                   lambda num, den, *where: num / den)
         return solve_exact(prows, qrows, unknowns)
 
 
@@ -764,9 +764,8 @@ def test_one_pass_solve_matches_two_pass_on_phi_blocks(monkeypatch, name,
 
 def _laurent(rng):
     """A nonzero Laurent polynomial of one or two terms."""
-    return RationalFunction.from_laurent(LaurentPoly(
-        {rng.randint(-1, 2): rng.choice((-2, -1, 1, 2))
-         for _ in range(rng.randint(1, 2))}))
+    return LaurentPoly({rng.randint(-1, 2): rng.choice((-2, -1, 1, 2))
+                        for _ in range(rng.randint(1, 2))})
 
 
 def _random_system(rng):

@@ -45,6 +45,16 @@ def test_string_unit_coeff_and_exponent_one():
     assert canonical_string(LaurentPoly()) == "0"
 
 
+@pytest.mark.parametrize("x,text", [(0, "0"), (-3, "-3"), (1.5, None),
+                                    ("q", None), (None, None)])
+def test_canonical_string_takes_ints_and_rejects_other_values(x, text):
+    if text is None:
+        with pytest.raises(TypeError, match="^not an element of Q"):
+            canonical_string(x)
+    else:
+        assert canonical_string(x) == text
+
+
 def test_string_rational_function():
     r = RationalFunction(LaurentPoly({0: 1}), LaurentPoly({0: 1, 2: -1}))
     assert canonical_string(r) == "(1)/(1 - q^2)"
@@ -93,7 +103,8 @@ def test_pochhammer_times_dnorm_is_factorial():
     for d in (1, 2, 3):
         for m in range(9):
             lhs = poch_run(0, m, d) * d_norm(m, d)
-            assert lhs == RationalFunction.from_laurent(q_factorial(m, d))
+            assert type(lhs) is LaurentPoly
+            assert lhs == q_factorial(m, d)
 
 
 def test_pochhammer_ratio_divides_exactly():
@@ -139,13 +150,14 @@ def test_rf_zero_denominator_raises():
 
 
 def test_specialize_q0():
-    r = RationalFunction.from_laurent(LaurentPoly({0: 3, 4: 5, 2: -1}))
-    assert r.specialize_q0() == 3
-    # only honest polynomials may be specialized at q = 0
+    # the value at q = 0 is LaurentPoly.constant_term
+    assert LaurentPoly({0: 3, 4: 5, 2: -1}).constant_term() == 3
+    # only honest polynomials may be specialized at q = 0: a value with a
+    # denominator has no constant_term, and a pole raises
+    r = RationalFunction(LaurentPoly({0: 3, 1: 5}), LaurentPoly({0: 2, 2: -1}))
+    assert not hasattr(r, "constant_term")
     with pytest.raises(ZeroDivisionError):
-        RationalFunction(LaurentPoly({0: 3, 1: 5}), LaurentPoly({0: 2, 2: -1})).specialize_q0()
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction.from_laurent(LaurentPoly({-1: 1})).specialize_q0()
+        LaurentPoly({-1: 1}).constant_term()
 
 
 def test_poly_gcd_small():
@@ -267,6 +279,76 @@ def test_single_normalisation_of_rescale(v, r, c):
 
 
 # ---------------------------------------------------------------------------
+# one normal form per element of Q(q), in its smallest type
+# ---------------------------------------------------------------------------
+
+@st.composite
+def elements(draw):
+    """A LaurentPoly, or a RationalFunction as its constructor returns it
+    (a LaurentPoly whenever the denominator divides)."""
+    if draw(st.booleans()):
+        return draw(laurents())
+    return draw(rationals())
+
+
+# each operation, and the same value built by another route
+_ROUTES = {
+    "add": (lambda a, b: a + b, lambda a, b: b + a),
+    "sub": (lambda a, b: a - b, lambda a, b: -(b - a)),
+    "mul": (lambda a, b: a * b, lambda a, b: b * a),
+    "div": (lambda a, b: a / b, lambda a, b: a * (ONE / b)),
+}
+
+
+def _sympy_value(x):
+    return _to_sympy(x.num) / _to_sympy(x.den)
+
+
+def test_equal_values_of_both_types_are_one_element():
+    ones = {ONE, LaurentPoly({0: 1}), RationalFunction(1), parse("1"),
+            qint(1), RationalFunction(LaurentPoly({1: 2}),
+                                      LaurentPoly({1: 2}))}
+    assert len(ones) == 1
+    assert all(type(x) is LaurentPoly for x in ones)
+    assert len({ZERO, LaurentPoly(), RationalFunction(0, 5), ONE - ONE}) == 1
+
+
+@given(elements(), elements(), st.sampled_from(sorted(_ROUTES)))
+@settings(max_examples=200, deadline=None)
+def test_every_operation_returns_the_normal_form(a, b, op):
+    """The result is a LaurentPoly exactly when sympy's cancelled
+    denominator over Z is +-q^k, has sympy's value, and equals, hashes as
+    and has the type of the same value built another way."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    if op == "div" and not b:
+        return
+    first, second = _ROUTES[op]
+    got = first(a, b)
+    want = sympy.cancel(first(_sympy_value(a), _sympy_value(b)))
+    # sympy writes an integer denominator into rational coefficients: the
+    # denominator over Z is +-q^k exactly when some q^K times the value is
+    # a polynomial with integer coefficients (|exponents| stay below 64)
+    shifted = sympy.cancel(want * q ** 64)
+    laurent = bool(shifted.is_polynomial(q)) and all(
+        c.is_integer for c in sympy.Poly(shifted, q).coeffs())
+    assert (type(got) is LaurentPoly) == laurent, (got, want)
+    assert type(got) in (LaurentPoly, RationalFunction)
+    assert sympy.cancel(_sympy_value(got) - want) == 0
+    if laurent:
+        assert got.num is got
+        assert got.den == ONE
+    else:
+        _assert_reduced_like_sympy(got, got.num, got.den)
+        assert not got.den.is_one()
+    for twin in (second(a, b), parse(canonical_string(got)),
+                 RationalFunction(got.num * 3, got.den * 3)):
+        assert type(twin) is type(got)
+        assert twin == got and hash(twin) == hash(got)
+        assert len({twin, got}) == 1
+
+
+# ---------------------------------------------------------------------------
 # the Laurent product and the square-and-multiply power against sympy
 # ---------------------------------------------------------------------------
 
@@ -285,17 +367,20 @@ def test_laurent_product_drops_zero_coefficients():
     one_plus, one_minus = LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 1: -1})
     assert (one_plus * one_minus).c == {0: 1, 2: -1}
     assert (one_plus * 0).c == {}
-    with pytest.raises(ValueError):
-        one_plus ** -1
+    # a negative power lies in Q(q)
+    inverse = one_plus ** -1
+    assert type(inverse) is RationalFunction
+    assert inverse == RationalFunction(ONE, one_plus)
 
 
-@pytest.mark.parametrize("n,d", [
-    (LaurentPoly({0: 1}), LaurentPoly({0: 1})),
-    (LaurentPoly({0: 1}), LaurentPoly({0: 1, 1: 1})),
+@pytest.mark.parametrize("n,d,kind", [
+    (LaurentPoly({0: 1}), LaurentPoly({0: 1}), LaurentPoly),
+    (LaurentPoly({0: 1}), LaurentPoly({0: 1, 1: 1}), RationalFunction),
 ], ids=["ONE", "one-over-1+q"])
-def test_laurent_poly_leaves_a_rational_operand_to_it(n, d):
-    """p op r, in both orders, is the RationalFunction of the two
-    fractions, whether r is ONE or has a denominator."""
+def test_laurent_poly_leaves_a_rational_operand_to_it(n, d, kind):
+    """p op r, in both orders, is the normal form of the two fractions:
+    a LaurentPoly when r is ONE, a RationalFunction when r has a
+    denominator."""
     p, r = LaurentPoly({0: 1, 2: 3}), RationalFunction(n, d)
     for got, want in ((p + r, RationalFunction(p * d + n, d)),
                       (r + p, RationalFunction(p * d + n, d)),
@@ -303,7 +388,7 @@ def test_laurent_poly_leaves_a_rational_operand_to_it(n, d):
                       (r - p, RationalFunction(n - p * d, d)),
                       (p * r, RationalFunction(p * n, d)),
                       (r * p, RationalFunction(p * n, d))):
-        assert type(got) is RationalFunction
+        assert type(got) is kind
         assert got == want
 
 
