@@ -10,15 +10,17 @@ These bare kets are the only normalisation the module works in.
 
 Operators on a tensor product of modes are kept in a canonical form: each
 term assigns every slot a monomial (a+)^x k^t (a-)^y (t may be negative; k
-is invertible on kets) and carries one rational-function prefactor.  All
-products reduce mechanically to this form, so cancellations are exact.
+is invertible on kets) and carries one prefactor in Q(q).  All products
+reduce mechanically to this form, so cancellations are exact.
 
-The representation pi_word of the function algebra is the slotwise tensor
-product of the fundamental pi_i composed along coproduct paths.  sigma_i
-and sigma_i e_i come from their t-polynomials; sigma_i must land on a
-single diagonal +-q^power monomial (anything else means a transcription
-slipped, and we raise).  xi_i = lambda_i (sigma_i e_i) sigma_i^{-1} is then
-an honest operator with finite-support columns.
+A word is named by its label, 1 or 2, as AlgebraPreset.word reads it;
+any other value raises ValueError.  The representation pi_word of the
+function algebra is the slotwise tensor product of the fundamental pi_i
+composed along coproduct paths.  sigma_i and sigma_i e_i come from their
+t-polynomials; sigma_i must land on a single diagonal +-q^power monomial
+(anything else means a transcription slipped, and we raise).
+xi_i = lambda_i (sigma_i e_i) sigma_i^{-1} is then an honest operator
+with finite-support columns.
 
 xi_i is kept without its scalar lambda_i = 1/(1 - q_i^2): the operator
 xi_bar_op = (sigma_i e_i) sigma_i^{-1} = xi_i / lambda_i has Laurent
@@ -30,34 +32,10 @@ relations; the property checks carry lambda_i as the scalar it is.
 
 from functools import lru_cache
 
-from .qfield import ONE, poch_run, qpow, sum_products, vec_add, vec_scale
+from .qfield import (
+    ONE, LaurentPoly, poch_run, qpow, sum_products, vec_add, vec_scale,
+)
 from .presets import preset, tuples_with_weight
-
-
-def letters_arg(name, word):
-    """Accept a label or any nonempty tuple over the letters 1, 2.
-
-    Tensor products of the fundamental representations make sense for any
-    letter sequence; only sigma / xi insist on an actual longest word.
-    """
-    if word in (1, 2):
-        return preset(name).word(word)
-    try:
-        w = tuple(word)
-    except TypeError:
-        raise ValueError(f"bad word argument {word!r}") from None
-    if not w or any(c not in (1, 2) for c in w):
-        raise ValueError(f"not a word in the letters 1, 2: {word!r}")
-    return w
-
-
-def word_arg(name, word):
-    """Accept a word label (1 or 2) or an explicit longest word."""
-    w = letters_arg(name, word)
-    p = preset(name)
-    if w not in (p.word1, p.word2):
-        raise ValueError(f"{w} is not a longest word of {name}")
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +121,9 @@ def op_identity(length):
     return {((0, 0, 0),) * length: ONE}
 
 
-def op_mul(name, word, xop, yop):
+def op_mul(name, label, xop, yop):
     """Operator product x . y (y acts first)."""
-    profile = preset(name).bases(letters_arg(name, word))
+    profile = preset(name).bases(label)
 
     def terms():
         for mx, cx in xop.items():
@@ -158,10 +136,10 @@ def op_mul(name, word, xop, yop):
     return sum_products(terms())
 
 
-def apply_op(name, word, op, vec):
+def apply_op(name, label, op, vec):
     """Apply an operator to a Fock vector {occupation tuple: coeff} of bare
     kets |A>."""
-    profile = preset(name).bases(letters_arg(name, word))
+    profile = preset(name).bases(label)
 
     def terms():
         for A, cA in vec.items():
@@ -195,13 +173,13 @@ def _entry_terms(name, node, j, k):
         for mono, c in _mono_mul_word((0, 0, 0), atoms, d).items()).items())
 
 
-def pi_generator(name, word, j, k):
+def pi_generator(name, label, j, k):
     """The operator pi_word(t_jk) via the coproduct path sum."""
     p = preset(name)
     n = p.n_gen
     if not (1 <= j <= n and 1 <= k <= n):
         raise ValueError(f"generator index ({j},{k}) outside 1..{n}")
-    w = letters_arg(name, word)
+    w = p.word(label)
 
     def paths():
         stack = [(0, j, ONE, ())]
@@ -220,24 +198,23 @@ def pi_generator(name, word, j, k):
     return sum_products(paths())
 
 
-def _t_polynomial_op(name, word, tpoly):
-    w = word_arg(name, word)
+def _t_polynomial_op(name, label, tpoly):
+    """pi_word of a t-polynomial ((coeff, ((j, k), ...)), ...)."""
+    identity = op_identity(len(preset(name).word(label)))
     out = {}
     for coeff, factors in tpoly:
-        term = op_identity(len(w))
+        term = identity
         for j, k in factors:
-            term = op_mul(name, w, term, pi_generator(name, w, j, k))
+            term = op_mul(name, label, term, pi_generator(name, label, j, k))
         out = vec_add(out, vec_scale(term, coeff))
     return out
 
 
-def _sigma_data(name, word, tag):
-    """(operator, diagonal k-powers or None) for sigma / sigma_e."""
+def _sigma_inverse(name, label, i):
+    """pi_word(sigma_i)^{-1}, checked to be a diagonal +-q^power monomial."""
     p = preset(name)
-    i, kind = tag
-    op = _t_polynomial_op(name, word, p.sigma_polys[(i, kind)])
-    if kind != "sigma":
-        return op, None
+    word = p.word(label)
+    op = _t_polynomial_op(name, label, p.sigma_polys[(i, "sigma")])
     if len(op) != 1:
         raise ArithmeticError(
             f"pi_{word}(sigma_{i}) of {name} is not a monomial: "
@@ -246,27 +223,21 @@ def _sigma_data(name, word, tag):
     if any(x or y for x, _, y in monos):
         raise ArithmeticError(
             f"pi_{word}(sigma_{i}) of {name} is not diagonal")
-    if not (coeff.den.is_one() and coeff.num.is_monomial()
-            and abs(next(iter(coeff.num.c.values()))) == 1):
+    if not (type(coeff) is LaurentPoly and coeff.is_monomial()
+            and abs(next(iter(coeff.c.values()))) == 1):
         raise ArithmeticError(
             f"pi_{word}(sigma_{i}) of {name} has a non-unit prefactor: "
             f"{coeff}")
-    return op, tuple(t for _, t, _ in monos)
+    return {tuple((0, -t, 0) for _, t, _ in monos): ONE / coeff}
 
 
 @lru_cache(maxsize=None)
-def _xi_cached(name, word, i):
-    """(sigma_i e_i) sigma_i^{-1} = xi_i / lambda_i, a Laurent operator."""
-    op, taus = _sigma_data(name, word, (i, "sigma"))
-    coeff = next(iter(op.values()))
-    inverse = {tuple((0, -t, 0) for t in taus): ONE / coeff}
-    se = _sigma_data(name, word, (i, "sigma_e"))[0]
-    return op_mul(name, word, se, inverse)
-
-
-def xi_bar_op(name, word, i):
+def xi_bar_op(name, label, i):
     """pi_word(xi_i / lambda_i) = pi_word((sigma_i e_i) sigma_i^{-1})."""
-    return _xi_cached(name, word_arg(name, word), i)
+    inverse = _sigma_inverse(name, label, i)
+    se = _t_polynomial_op(name, label,
+                          preset(name).sigma_polys[(i, "sigma_e")])
+    return op_mul(name, label, se, inverse)
 
 
 def xi_matrix(name, label, i, weight):

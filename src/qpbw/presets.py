@@ -105,10 +105,10 @@ class AlgebraPreset:
         self.pi_matrix = pi_matrix              # {node: NxN mode-op sums}
         self.n_gen = n_gen
 
-    def bases(self, word):
-        """The oscillator base exponent d of each letter of a word: its
+    def bases(self, label):
+        """The oscillator base exponent d of each letter of word label: its
         slot bases are q^d."""
-        return tuple(self.d[i] for i in word)
+        return tuple(self.d[i] for i in self.word(label))
 
     def word(self, label):
         if label == 1:

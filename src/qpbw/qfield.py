@@ -195,6 +195,8 @@ class LaurentPoly:
         return self.c == other.c
 
     def __hash__(self):
+        if self.c.keys() <= {0}:        # a constant hashes as the int it equals
+            return hash(self.c.get(0, 0))
         return hash(frozenset(self.c.items()))
 
     def __bool__(self):

@@ -213,7 +213,7 @@ def infer_slot_bases(n_slots, factors):
     forced = {}
     for kind, slots in factors:
         p = preset(KIND_ALGEBRA[kind])
-        profile = p.bases(p.word2)
+        profile = p.bases(2)
         if len(slots) != len(profile):
             raise ValueError(f"{kind} acts on {len(profile)} slots, got {slots}")
         for s, dexp in zip(slots, profile):
@@ -353,7 +353,7 @@ def _golden_cases(name):
 
 def _poch_product(p, tup):
     out = ONE
-    for m, d in zip(tup, p.bases(p.word2)):
+    for m, d in zip(tup, p.bases(2)):
         out = out * poch_run(0, m, d)
     return out
 
@@ -530,7 +530,7 @@ def _key_prop_cases(name):
     p = preset(name)
     ket = _symbolic_ket(p.length)
     for label, i in product((1, 2), (1, 2)):
-        bases = p.bases(p.word(label))
+        bases = p.bases(label)
         bar = fock.xi_bar_op(name, label, i)
         scale = ONE - qpow(2 * p.d[i])
         sides = (fock.apply_op(name, label, bar, {ket: ONE}),

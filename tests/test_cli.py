@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qpbw import cli, intertwiner, pbw, verify
+from qpbw import cli, fock, intertwiner, pbw, verify
 from qpbw.cli import (
     TableRecord, compute_records, main, record_to_json, records_to_csv,
 )
@@ -308,6 +308,35 @@ def test_inexact_division_in_a_sweep_exits_one(monkeypatch, capsys,
     assert out == ""
     assert err == ("qpbw: inexact division in gamma of C2 at weight (0, 1), "
                    "row (1, 0, 0, 0), column (0, 0, 0, 1)\n")
+
+
+@pytest.fixture
+def fresh_xi_caches():
+    caches = (fock.xi_bar_op, intertwiner.shared_phi)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("coeff,factors,fault", [
+    (1, ((1, 2),), "is not a monomial: 2 canonical terms"),
+    (1, ((2, 3),), "is not diagonal"),
+    (2, ((1, 3),), "has a non-unit prefactor: 2"),
+])
+def test_sigma_off_a_unit_monomial_exits_one(monkeypatch, capsys,
+                                            fresh_xi_caches, coeff, factors,
+                                            fault):
+    """pi_word(sigma_i) must be one diagonal +-q^power monomial: A2's
+    sigma_1 read as t_12, t_23 or 2 t_13 stops the Phi computation."""
+    monkeypatch.setitem(preset("A2").sigma_polys, (1, "sigma"),
+                        ((LaurentPoly({0: coeff}), factors),))
+    rc, out, err = run(["compute", "--algebra", "A2", "--kind", "phi",
+                        "--in", "1,0,0"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == f"qpbw: pi_(1, 2, 1)(sigma_1) of A2 {fault}\n"
 
 
 # ---------------------------------------------------------------------------

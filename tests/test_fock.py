@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpbw import fock
+from qpbw.fock import apply_op, op_mul, pi_generator, xi_matrix
 from qpbw.fock import (
-    apply_op, letters_arg, op_mul, pi_generator, word_arg, xi_matrix,
+    _entry_terms, _mono_apply, _mono_mul_word, _slotwise, _t_polynomial_op,
 )
-from qpbw.fock import _mono_apply, _mono_mul_word, _sigma_data, _slotwise
 from qpbw.qfield import d_norm, q_factorial, sum_products, vec_scale
 from qpbw.presets import (
     ONE, preset, qint, qpow, reverse, rf, tuples_with_weight,
@@ -31,8 +31,8 @@ def op_from_terms(name, word, terms):
 
     Slots are 1-based; atoms within one slot multiply in the order listed.
     """
-    w = letters_arg(name, word)
-    profile = preset(name).bases(w)
+    w = preset(name).word(word)
+    profile = preset(name).bases(word)
 
     def products():
         for coeff, factors in terms:
@@ -49,8 +49,8 @@ def op_from_terms(name, word, terms):
 
 def term(name, word, spec, coeff=1):
     """One displayed product -> (coeff, ((slot, atom), ...))."""
-    w = letters_arg(name, word)
     p = preset(name)
+    w = p.word(word)
     factors = []
     for tok in spec.split():
         m = _TOKEN.match(tok)
@@ -80,7 +80,7 @@ def disp(name, word, *specs):
 
 def sigma(name, word, i, kind="sigma"):
     """pi_word(sigma_i), or pi_word(sigma_i e_i) for kind "sigma_e"."""
-    return _sigma_data(name, word_arg(name, word), (i, kind))[0]
+    return _t_polynomial_op(name, word, preset(name).sigma_polys[(i, kind)])
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def _D(name, word, t):
     """D(t) = prod_k d_norm(t_k, d_k): the scaled ket is |t>> = D(t)|t>."""
     p = preset(name)
     out = ONE
-    for m, node in zip(t, letters_arg(name, word)):
+    for m, node in zip(t, p.word(word)):
         out = out * d_norm(m, p.d[node])
     return out
 
@@ -190,7 +190,7 @@ def test_scaled_ket_actions():
     cases = [("A2", 1, 1, 1), ("C2", 1, 2, 2), ("G2", 1, 2, 3)]
     for name, word, slot, d in cases:
         p = preset(name)
-        w = letters_arg(name, word)
+        w = p.word(word)
         up = disp(name, word, ("a+%d" % slot).replace("a+", "A+" if d > 1 else "a+"))
         down = disp(name, word, ("a-%d" % slot).replace("a-", "A-" if d > 1 else "a-"))
         diag = disp(name, word, ("k%d" % slot) if d == 1 else ("K%d" % slot))
@@ -239,29 +239,38 @@ def test_op_mul_associative_and_represents(w1, w2, w3):
 
 
 def test_pi_generator_examples():
-    assert pi_generator("C2", (2,), 2, 3) == {((0, 1, 0),): ONE}
+    # the fundamental entry of node 2 is a single k
+    assert _entry_terms("C2", 2, 2, 3) == (((0, 1, 0), ONE),)
     assert pi_generator("A2", 1, 1, 3) \
         == {((0, 1, 0), (0, 1, 0), (0, 0, 0)): ONE}
-    op = pi_generator("A2", (1, 2, 1), 1, 3)
-    assert apply_op("A2", (1, 2, 1), op, {(0, 0, 0): ONE}) == {(0, 0, 0): ONE}
+    op = pi_generator("A2", 1, 1, 3)
+    assert apply_op("A2", 1, op, {(0, 0, 0): ONE}) == {(0, 0, 0): ONE}
     with pytest.raises(ValueError):
         pi_generator("A2", 1, 0, 3)
     with pytest.raises(ValueError):
         pi_generator("C2", 1, 1, 5)
 
 
-def test_word_arguments():
-    assert word_arg("C2", 2) == (2, 1, 2, 1)
-    assert word_arg("C2", (1, 2, 1, 2)) == (1, 2, 1, 2)
-    with pytest.raises(ValueError):
-        word_arg("C2", (1, 2))
-    with pytest.raises(ValueError):
-        word_arg("A2", 3)
-    assert letters_arg("A2", (2, 2, 1)) == (2, 2, 1)
-    with pytest.raises(ValueError):
-        letters_arg("A2", (1, 3))
-    with pytest.raises(ValueError):
-        letters_arg("A2", ())
+def test_word_is_a_label():
+    # a word is named by its label 1 or 2 only: another label, or the
+    # word's own letter tuple, raises ValueError at every entry point
+    op = pi_generator("A2", 1, 1, 3)
+    ket = {(0, 0, 0): ONE}
+    calls = (
+        lambda w: op_mul("A2", w, op, op),
+        lambda w: apply_op("A2", w, op, ket),
+        lambda w: pi_generator("A2", w, 1, 3),
+        lambda w: _t_polynomial_op(
+            "A2", w, preset("A2").sigma_polys[(1, "sigma")]),
+        lambda w: fock.xi_bar_op("A2", w, 1),
+        lambda w: xi_matrix("A2", w, 1, (1, 1)),
+        lambda w: preset("A2").bases(w),
+    )
+    for call in calls:
+        call(1)
+        for bad in (3, (1, 2, 1)):
+            with pytest.raises(ValueError):
+                call(bad)
 
 
 # ---------------------------------------------------------------------------

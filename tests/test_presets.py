@@ -39,6 +39,10 @@ def test_words_and_bases():
     assert g2.cartan == {(1, 2): -3, (2, 1): -1}
     for p in (a2, c2, g2):
         assert p.length == len(p.word2) == len(p.word2_roots)
+        # the slot bases of each word, named by its label
+        assert p.bases(1) == tuple(p.d[i] for i in p.word1)
+        assert p.bases(2) == tuple(p.d[i] for i in p.word2)
+    assert c2.bases(1) == (1, 2, 1, 2) and g2.bases(2) == (3, 1, 3, 1, 3, 1)
     # the two reduced words are mutual reversals when the length is even
     for p in (c2, g2):
         assert p.word1 == reverse(p.word2)

@@ -311,6 +311,10 @@ def test_equal_values_of_both_types_are_one_element():
     assert len(ones) == 1
     assert all(type(x) is LaurentPoly for x in ones)
     assert len({ZERO, LaurentPoly(), RationalFunction(0, 5), ONE - ONE}) == 1
+    # a constant is one element with the int it equals
+    assert len({1, ONE}) == 1 and len({0, ZERO}) == 1
+    assert len({-3, LaurentPoly({0: -3})}) == 1
+    assert {1: "a"}.get(ONE) == "a"
 
 
 @given(elements(), elements(), st.sampled_from(sorted(_ROUTES)))
