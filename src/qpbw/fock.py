@@ -17,8 +17,11 @@ A word is named by its label, 1 or 2, as AlgebraPreset.word reads it;
 any other value raises ValueError.  The representation pi_word of the
 function algebra is the slotwise tensor product of the fundamental pi_i
 composed along coproduct paths.  sigma_i and sigma_i e_i come from their
-t-polynomials; sigma_i must land on a single diagonal +-q^power monomial
-(anything else means a transcription slipped, and we raise).
+t-polynomials through op_polynomial, the one evaluator of a polynomial in
+operators (a sum of coefficient times product of operators), which also
+evaluates verify's q-Serre sums in the xi operators.  sigma_i must land on
+a single diagonal +-q^power monomial (anything else means a transcription
+slipped, and we raise).
 xi_i = lambda_i (sigma_i e_i) sigma_i^{-1} is then an honest operator
 with finite-support columns.
 
@@ -198,23 +201,32 @@ def pi_generator(name, label, j, k):
     return sum_products(paths())
 
 
-def _t_polynomial_op(name, label, tpoly):
-    """pi_word of a t-polynomial ((coeff, ((j, k), ...)), ...)."""
+def op_polynomial(name, label, poly, factor):
+    """Sum of coeff * factor(x_1) ... factor(x_n) over the terms
+    (coeff, (x_1, ..., x_n)) of poly, each factor(x) an operator on the
+    word's slots: for a t-polynomial x is a generator's index pair, for a
+    q-Serre sum a letter."""
     identity = op_identity(len(preset(name).word(label)))
     out = {}
-    for coeff, factors in tpoly:
+    for coeff, xs in poly:
         term = identity
-        for j, k in factors:
-            term = op_mul(name, label, term, pi_generator(name, label, j, k))
+        for x in xs:
+            term = op_mul(name, label, term, factor(x))
         out = vec_add(out, vec_scale(term, coeff))
     return out
 
 
+def _sigma_op(name, label, i, tag):
+    """pi_word of sigma_i (tag "sigma") or sigma_i e_i (tag "sigma_e"),
+    from its t-polynomial."""
+    return op_polynomial(name, label, preset(name).sigma_polys[(i, tag)],
+                         lambda jk: pi_generator(name, label, *jk))
+
+
 def _sigma_inverse(name, label, i):
     """pi_word(sigma_i)^{-1}, checked to be a diagonal +-q^power monomial."""
-    p = preset(name)
-    word = p.word(label)
-    op = _t_polynomial_op(name, label, p.sigma_polys[(i, "sigma")])
+    word = preset(name).word(label)
+    op = _sigma_op(name, label, i, "sigma")
     if len(op) != 1:
         raise ArithmeticError(
             f"pi_{word}(sigma_{i}) of {name} is not a monomial: "
@@ -235,9 +247,7 @@ def _sigma_inverse(name, label, i):
 def xi_bar_op(name, label, i):
     """pi_word(xi_i / lambda_i) = pi_word((sigma_i e_i) sigma_i^{-1})."""
     inverse = _sigma_inverse(name, label, i)
-    se = _t_polynomial_op(name, label,
-                          preset(name).sigma_polys[(i, "sigma_e")])
-    return op_mul(name, label, se, inverse)
+    return op_mul(name, label, _sigma_op(name, label, i, "sigma_e"), inverse)
 
 
 def xi_matrix(name, label, i, weight):

@@ -19,11 +19,12 @@ raises ArithmeticError.
 gamma is held by weight block, as a TransitionBlock: the dict
 {A: {B: gamma^A_B}} of the block's word-1 rows, nonzero entries only,
 which is the layout of a Phi block.  It is read two ways.  Random access
-(transition_block) keeps every block and every row it has built for the
-life of the process, in lru_caches.  A sweep over a height range
-(transition_blocks) caches nothing and keeps a row only until the last
-row built from it: never more than word 1's highest root height above its
-own (A2 2, C2 3, G2 5).
+(transition_block) keeps every block it has built for the life of the
+process, in one lru_cache, and reads each lower row from the cached
+block that holds it.  A sweep over a height range (transition_blocks)
+caches nothing and keeps a row only until the last row built from it:
+never more than word 1's highest root height above its own (A2 2, C2 3,
+G2 5).
 """
 
 from collections import defaultdict
@@ -114,12 +115,6 @@ def _divided_row(name, A, row_below):
             for B, c in mul_word_expr(name, prev, wp).items()}
 
 
-@lru_cache(maxsize=None)
-def _word1_divided(name, A):
-    """E_1^(A) over the divided word-2 basis, cached for the process."""
-    return _divided_row(name, A, lambda below: _word1_divided(name, below))
-
-
 # ---------------------------------------------------------------------------
 # left-multiplication matrices
 
@@ -170,11 +165,18 @@ class TransitionBlock(dict):
 
 @lru_cache(maxsize=None)
 def transition_block(name, weight):
-    """gamma on one weight block, its rows from the process-wide cache."""
+    """gamma on one weight block, kept for the life of the process; each
+    lower row is read from the cached block that holds it."""
     rows = tuples_with_weight(name, 1, weight)
     if not rows:
         raise ValueError(f"no tuples of weight {weight} for {name}")
-    return TransitionBlock((A, _word1_divided(name, A)) for A in rows)
+    conserved1 = preset(name).conserved1
+
+    def row_below(B):
+        return transition_block(name, conserved1(B))[B]
+
+    return TransitionBlock((A, _divided_row(name, A, row_below))
+                           for A in rows)
 
 
 def transition_blocks(name, max_height):
@@ -185,7 +187,7 @@ def transition_blocks(name, max_height):
     s >= r, each higher by the height of the s-th root; it is dropped once
     the highest of those heights is built.  So no row outlives the
     `max root height` heights above its own (A2 2, C2 3, G2 5), and
-    nothing enters _word1_divided's cache.
+    nothing enters transition_block's cache.
     """
     p = preset(name)
     lift = [sum(root) for root in p.word1_roots]

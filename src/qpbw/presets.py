@@ -521,7 +521,9 @@ def weights_up_to(name, max_height):
 
 
 def serre_relations(name):
-    """The q-Serre sums as word expressions (each must normal-order to zero).
+    """The q-Serre sums as word expressions, their one statement: each
+    must normal-order to zero (pbw.serre_residuals) and vanish with every
+    letter read as its xi operator (verify's serre-fock check).
 
     For each ordered pair (i, j), i != j, returns
     sum_r (-1)^r [n choose r]_{q_i} e_i^r e_j e_i^{n-r} with n = 1 - a_ij

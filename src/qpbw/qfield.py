@@ -32,10 +32,11 @@ the quotient has integer coefficients.
 Each primitive has one copy, here: the product of Laurent coefficient
 dicts (_product) that LaurentPoly.__mul__ and the sparse accumulators
 share, the square-and-multiply loop (_power) of both ** operators, the
-coercion rf with the constants ONE and ZERO (and _lp, its LaurentPoly
-twin), vec_add / vec_scale, and the q-numbers of Lusztig's integral form:
-the cached, LaurentPoly-valued qpow, qint, qbracket, qbinom and the
-Pochhammer run poch_run, with q_factorial and d_norm built on them.
+coercion rf that every operator of both types reads its operand with,
+the constants ONE and ZERO, vec_add / vec_scale, and the q-numbers of
+Lusztig's integral form: the cached, LaurentPoly-valued qpow, qint,
+qbracket, qbinom and the Pochhammer run poch_run, with q_factorial and
+d_norm built on them.
 
 Sparse sums of products have two entry points that share one way of
 accumulating and one finalisation: sum_products over (key, x, y) triples,
@@ -111,8 +112,8 @@ class LaurentPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = _lp(other)
-        if other is NotImplemented:
+        other = rf(other)
+        if type(other) is not LaurentPoly:
             return NotImplemented
         if not self.c:
             return other
@@ -137,7 +138,7 @@ class LaurentPoly:
         return r
 
     def __sub__(self, other):
-        other = _lp(other)
+        other = rf(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
@@ -146,8 +147,8 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = _lp(other)
-        if other is NotImplemented:
+        other = rf(other)
+        if type(other) is not LaurentPoly:
             return NotImplemented
         r = LaurentPoly.__new__(LaurentPoly)
         r.c = _product(self.c, other.c)
@@ -189,8 +190,8 @@ class LaurentPoly:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        other = _lp(other)
-        if other is NotImplemented:
+        other = rf(other)
+        if type(other) is not LaurentPoly:
             return NotImplemented
         return self.c == other.c
 
@@ -211,17 +212,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-
-
-def _lp(x):
-    """x as a LaurentPoly: an int is coerced, and any other type gives
-    NotImplemented, so that a binary operator can leave the operation to
-    its other operand (a RationalFunction takes a LaurentPoly in)."""
-    if type(x) is LaurentPoly:
-        return x
-    if isinstance(x, int):
-        return LaurentPoly.const(x)
-    return NotImplemented
 
 
 def _power(x, n, one):
@@ -367,13 +357,10 @@ def _int_poly_gcd(a, b):
     return a
 
 
-def _list_to_lp(lst):
-    return LaurentPoly({e: v for e, v in enumerate(lst) if v})
-
-
 def poly_gcd(p, q):
     """Primitive gcd of two polynomial-valued LaurentPolys (valuation >= 0)."""
-    return _list_to_lp(_int_poly_gcd(_to_int_list(p), _to_int_list(q)))
+    g = _int_poly_gcd(_to_int_list(p), _to_int_list(q))
+    return LaurentPoly({e: v for e, v in enumerate(g) if v})
 
 
 def _exact_scalar_div(a, b):
@@ -501,14 +488,8 @@ class RationalFunction(metaclass=_Normal):
         r.den = self.den
         return r
 
-    def __sub__(self, other):
-        other = rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __sub__ = LaurentPoly.__sub__
+    __rsub__ = LaurentPoly.__rsub__
 
     def __mul__(self, other):
         other = rf(other)

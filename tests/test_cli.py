@@ -265,8 +265,7 @@ def test_arithmetic_error_exits_one(monkeypatch, capsys, exc):
 
 @pytest.fixture
 def fresh_pbw_caches():
-    caches = (pbw._rule_terms, pbw._word1_divided,
-              pbw.transition_block)
+    caches = (pbw._rule_terms, pbw.transition_block)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -399,13 +398,11 @@ def test_sweep_leaves_the_process_caches_alone(fresh_pbw_caches):
     pbw.transition_block("C2", (1, 1))
     tables = shared_phi.cache_info().currsize
     before = set(shared_phi("C2")._blocks)
-    rows = pbw._word1_divided.cache_info().currsize
     blocks = pbw.transition_block.cache_info().currsize
     for name, kind, height in SWEEPS:
         compute_records(name, kind, max_height=height)
     assert shared_phi.cache_info().currsize == tables
     assert set(shared_phi("C2")._blocks) == before
-    assert pbw._word1_divided.cache_info().currsize == rows
     assert pbw.transition_block.cache_info().currsize == blocks
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from qpbw import fock
 from qpbw.fock import apply_op, op_mul, pi_generator, xi_matrix
 from qpbw.fock import (
-    _entry_terms, _mono_apply, _mono_mul_word, _slotwise, _t_polynomial_op,
+    _entry_terms, _mono_apply, _mono_mul_word, _sigma_op, _slotwise,
 )
 from qpbw.qfield import d_norm, q_factorial, sum_products, vec_scale
 from qpbw.presets import (
@@ -80,7 +80,7 @@ def disp(name, word, *specs):
 
 def sigma(name, word, i, kind="sigma"):
     """pi_word(sigma_i), or pi_word(sigma_i e_i) for kind "sigma_e"."""
-    return _t_polynomial_op(name, word, preset(name).sigma_polys[(i, kind)])
+    return _sigma_op(name, word, i, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +260,7 @@ def test_word_is_a_label():
         lambda w: op_mul("A2", w, op, op),
         lambda w: apply_op("A2", w, op, ket),
         lambda w: pi_generator("A2", w, 1, 3),
-        lambda w: _t_polynomial_op(
-            "A2", w, preset("A2").sigma_polys[(1, "sigma")]),
+        lambda w: _sigma_op("A2", w, 1, "sigma"),
         lambda w: fock.xi_bar_op("A2", w, 1),
         lambda w: xi_matrix("A2", w, 1, (1, 1)),
         lambda w: preset("A2").bases(w),

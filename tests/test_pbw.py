@@ -30,7 +30,7 @@ from qpbw.pbw import (
     transition_block,
     transition_blocks,
 )
-from qpbw.pbw import _rule_terms, _word1_divided
+from qpbw.pbw import _rule_terms
 
 from plain_rules import plain_rule, root_vector
 from rule_mutants import _drop_second_term, _first_times_q
@@ -155,6 +155,11 @@ def test_normal_order_examples():
         "A2", {(1, 0, 1): rf(1)})
 
 
+def _row(name, A):
+    """E_1^(A) over the divided word-2 basis, read from its gamma block."""
+    return transition_block(name, preset(name).conserved1(A))[A]
+
+
 def _left_mul(name, v, letter):
     """e_letter . v for a divided word-2 vector v, through rho_column."""
     return sum_products((u, x, c) for t, c in v.items()
@@ -245,7 +250,7 @@ def test_build_pbw_weight_conservation(name_tuple):
     name, A = name_tuple
     p = preset(name)
     w = p.conserved1(A)
-    for B in _word1_divided(name, A):
+    for B in transition_block(name, w)[A]:
         assert p.conserved2(B) == w
 
 
@@ -291,10 +296,10 @@ def test_rho_matrix_word1_left_consistency():
     ]
     for name, A in cases:
         for i in (1, 2):
-            direct = _left_mul(name, _word1_divided(name, A), i)
+            direct = _left_mul(name, _row(name, A), i)
             recombined = sum_products(
                 (B, c, x) for C, c in rho_column(name, 1, i, A).items()
-                for B, x in _word1_divided(name, C).items())
+                for B, x in _row(name, C).items())
             assert direct == recombined, (name, A, i)
 
 
@@ -409,7 +414,7 @@ def test_gamma_matches_factorial_rescale(name, height):
         for A in t:
             want = {B: _rescaled_gamma(name, A, B, c)
                     for B, c in _plain_tilde_row(name, A).items()}
-            row = _word1_divided(name, A)
+            row = t[A]
             assert row == want, (name, A)
             assert ({B: canonical_string(v) for B, v in row.items()}
                     == {B: canonical_string(v) for B, v in want.items()})
@@ -420,7 +425,7 @@ def test_gamma_matches_factorial_rescale(name, height):
 @pytest.mark.parametrize("name,height,layers",
                          [("A2", 6, 2), ("C2", 5, 3), ("G2", 7, 5)])
 def test_gamma_walk_rows_match_the_cache_and_expire(name, height, layers):
-    """Every row of the walk is _word1_divided's row.  Below the current
+    """Every row of the walk is transition_block's row.  Below the current
     height the walk holds only rows that a row still to be built reads
     (the row of A is read by A + e_s for s >= its last nonzero slot), so
     none of them lies more than `layers` heights down."""
@@ -431,7 +436,7 @@ def test_gamma_walk_rows_match_the_cache_and_expire(name, height, layers):
     for w, tb in walk:
         assert tuple(tb) == tuples_with_weight(name, 1, w)
         for A in tb:
-            assert tb[A] == _word1_divided(name, A), (name, A)
+            assert tb[A] == transition_block(name, w)[A], (name, A)
         h = sum(w)
         for A in walk.gi_frame.f_locals["live"]:
             own = sum(p.conserved1(A))

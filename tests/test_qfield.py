@@ -401,8 +401,11 @@ def test_laurent_poly_leaves_a_rational_operand_to_it(n, d, kind):
     lambda p: 1.5 + p, lambda p: p - 1.5, lambda p: 1.5 - p,
 ], ids=["mul", "rmul", "add", "radd", "sub", "rsub"])
 def test_laurent_poly_with_a_float_raises_type_error(op):
-    with pytest.raises(TypeError):
-        op(LaurentPoly({0: 1}))
+    # both types read an operand with rf, and share - and its mirror
+    for x in (LaurentPoly({0: 1}),
+              RationalFunction(LaurentPoly({0: 1}), LaurentPoly({0: 1, 1: 1}))):
+        with pytest.raises(TypeError):
+            op(x)
 
 
 @given(laurents(), operands(), st.integers(min_value=0, max_value=4))

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbw import cli, intertwiner, pbw, verify
+from qpbw import cli, intertwiner, pbw, presets, verify
 from qpbw.presets import ALGEBRAS, ONE, preset, qbinom, qpow, zero_tuple
 from qpbw import fock
 from qpbw.qfield import (
@@ -432,6 +432,52 @@ def test_serre_fock_under_a_scaled_term(monkeypatch, name, passed):
     assert verify._serre_fock_check(name).passed is passed
 
 
+def _serre_r1_times_q(monkeypatch):
+    """presets.serre_relations with the r = 1 coefficient of its first sum
+    times q, in every module that holds the function; returns those
+    modules' names."""
+    original = presets.serre_relations
+
+    def mutated(name):
+        (pair, wp), *rest = original(name)
+        word = list(wp)[1]
+        return [(pair, {**wp, word: wp[word] * qpow(1)}), *rest]
+
+    held = []
+    for module in (presets, pbw, fock, intertwiner, verify, cli):
+        if vars(module).get("serre_relations") is original:
+            monkeypatch.setattr(module, "serre_relations", mutated)
+            held.append(module.__name__)
+    return held
+
+
+@pytest.mark.parametrize("name,pbw_line,fock_line", [
+    ("A2", "pair (1, 2): residual at (0, 1, 1) -> q^-1 - 1 + q - q^2",
+     "word 1 pair (1,2): 3 canonical terms, first ((1, -2, 0), (1, -1, 0), "
+     "(0, 0, 0)) -> q^-1 - 1 + q - q^2"),
+    ("C2", "pair (1, 2): residual at (0, 1, 0, 2) -> q^-3 - q^-2 + 2q^-1 - 2 "
+     "+ 2q - 2q^2 + q^3 - q^4",
+     "word 1 pair (1,2): 7 canonical terms, first ((1, -3, 0), (1, -1, 0), "
+     "(0, 0, 0), (0, 0, 0)) -> q^-3 - q^-2 + q^-1 - 1 + q - q^2"),
+    ("G2", "pair (1, 2): residual at (0, 1, 0, 0, 0, 3) -> q^-6 - q^-5 "
+     "+ 3q^-4 - 3q^-3 + 5q^-2 - 5q^-1 + 6 - 6q + 5q^2 - 5q^3 + 3q^4 - 3q^5 "
+     "+ q^6 - q^7",
+     "word 1 pair (1,2): 22 canonical terms, first ((1, -4, 0), (1, -1, 0), "
+     "(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)) -> q^-6 - q^-5 + q^-4 "
+     "- q^-3 + q^-2 - q^-1 + 1 - q"),
+])
+def test_one_wrong_serre_coefficient_fails_both_checks(monkeypatch, name,
+                                                       pbw_line, fock_line):
+    """serre-pbw and serre-fock read the one statement of the Serre sums,
+    presets.serre_relations, so one wrong coefficient there fails both."""
+    assert _serre_r1_times_q(monkeypatch) == [
+        "qpbw.presets", "qpbw.pbw", "qpbw.verify"]
+    assert [ln for ln in _props(name, 1)().lines()
+            if ln.startswith("FAIL")] == [
+        f"FAIL properties:{name}-serre-pbw  [{pbw_line}]",
+        f"FAIL properties:{name}-serre-fock  [{fock_line}]"]
+
+
 # ---------------------------------------------------------------------------
 # every table, theorem and generator check fails on one wrong value, with a
 # pinned witness
@@ -590,6 +636,31 @@ def test_off_block_entry_fails_conservation(monkeypatch):
         "pair]",
         "FAIL properties:A2-conservation  [nonzero entry ((5, 0, 0),"
         "(1, 1, 1)) crosses blocks]"]
+
+
+@pytest.mark.parametrize("change,value", [
+    (lambda v: v * qpow(-1), "q^-1"),
+    (lambda v: v / LaurentPoly({0: 1, 1: 3}), "(1)/(1 + 3q)"),
+], ids=["pole", "denominator"])
+def test_q0_delta_fails_on_an_entry_outside_z_q(monkeypatch, capsys, change,
+                                                value):
+    """An entry with a pole at q = 0 or a denominator fails q0-delta with
+    its witness, not an exception: every check of the suite still prints
+    its line, and the exit code is 1."""
+    _mutate_value(monkeypatch, intertwiner.CheckedTable, "entry", "A2",
+                  ((1, 0, 1), (0, 1, 0)), change)
+    assert cli.main(["verify", "props"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("FAIL")] == [
+        "FAIL properties:A2-reversal  [((1, 0, 1),(0, 1, 0)) vs reversed "
+        "pair]",
+        "FAIL properties:A2-transpose-ratio  [weight (1, 1) pair "
+        "((0, 1, 0),(1, 0, 1))]",
+        "FAIL properties:A2-q0-delta  [weight (1, 1) [(1, 0, 1),(0, 1, 0)] "
+        f"= {value}, not in Z[q]]"]
+    monkeypatch.undo()
+    assert [ln.split()[1] for ln in lines] == [
+        ln.split()[1] for ln in verify.verify_properties().lines()]
 
 
 def test_t_intertwining_smoke():
